@@ -113,10 +113,13 @@ def cmd_conj(args) -> int:
     st = fl.classify(lam)
     res = cj.first_conjugate_time(lam, t_cap=args.horizon,
                                   cross_validate=not args.no_cross_check, tol=tol)
-    if st in (Stratum.C1, Stratum.C2):
-        lower_ok, upper_ok, *_ = cj.two_sided_check(lam, tol)
-    else:
+    if st not in (Stratum.C1, Stratum.C2):
         lower_ok, upper_ok = True, True
+    elif args.horizon is None:
+        lower_ok, upper_ok = res.bounds_ok(tol.bound_slack)
+    else:
+        # the flags judge the default-cap search, not the capped one
+        lower_ok, upper_ok, *_ = cj.two_sided_check(lam, tol)
     out = {
         "stratum": str(st),
         "t_max1": _jsonable(res.t_max),

@@ -20,8 +20,7 @@ class Tolerances:
     scan_dt: float = 0.01            # base scan step for first-zero search
     agreement_tol: float = 1e-4      # analytic vs variational first zero
     mp_dps: int = 50                 # working digits for the high-precision path
-    c2_mp_k: float = 0.2             # below this modulus C2 formulas go high-precision
-    maxwell_mp_k: float = 0.15       # below this modulus C2 Maxwell roots go high-precision
+    c2_mp_k: float = 0.2             # below this modulus every C2 formula goes high-precision
     bound_slack: float = 1e-6        # slack for the two-sided conjugate-time bounds
 
     def override(self, **kw) -> "Tolerances":

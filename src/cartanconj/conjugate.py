@@ -37,7 +37,7 @@ moduli the whole scan runs under mpmath.  The variational Jacobian of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -48,10 +48,9 @@ from .elliptic import complete_K, jacobi_arrays, jacobi_mp
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import Covector, EllipticCoord, JacobianPath, Stratum, classify, to_elliptic
 from .maxwell import (K_ONE_CUTOFF, a01_c1_kernel, a21_c1_kernel,
-                      c1_ingredients, c1_ingredients_mp, c2_ingredients_from_p,
-                      c2_ingredients_from_p_mp, c2_ingredients_from_u1,
+                      c1_ingredients, c2_ingredients_from_p, c2_ingredients_from_u1,
                       fv_c1_kernel, fv_c2_kernel, fz_c1_kernel, fz_c2_kernel,
-                      p1_V, p1_z, t_max1)
+                      grid_roots, p1_V, p1_z, sign_changes, t_max1)
 
 _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 16.0
@@ -136,16 +135,11 @@ def a21_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
 # public coefficient functions ------------------------------------------------
 
 def a01_C1(p, k):
-    return a01_c1_kernel(np.asarray(p, dtype=float), *_c1_args(p, k))[0]
+    return a01_c1_kernel(np.asarray(p, dtype=float), *c1_ingredients(p, k))[0]
 
 
 def a21_C1(p, k):
-    return a21_c1_kernel(np.asarray(p, dtype=float), *_c1_args(p, k))[0]
-
-
-def _c1_args(p, k):
-    k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-    return k2, sn, cn, dn, e2
+    return a21_c1_kernel(np.asarray(p, dtype=float), *c1_ingredients(p, k))[0]
 
 
 def a01_C2(u1, k):
@@ -251,86 +245,66 @@ class JacobianFactors:
 
 
 def _phase_args(ec: EllipticCoord, t):
-    sa = math.sqrt(ec.alpha)
-    t = np.asarray(t, dtype=float)
+    """(p, tau) at times t: float64 arrays, or mpf values for an mpf time."""
+    sa = mpmath.sqrt(ec.alpha) if isinstance(t, mpmath.mpf) else math.sqrt(ec.alpha)
     if ec.stratum is Stratum.C1:
         return sa * t / 2.0, sa * (ec.phi + t / 2.0)
     return sa * t / (2.0 * ec.k), sa * (ec.phi + t / 2.0) / ec.k
 
 
-def j1_path_c1(ec: EllipticCoord, t):
-    """(J1, noise, xi, Delta, a0, a2) arrays along a C1 extremal."""
-    k = ec.k
+def _j1(ec: EllipticCoord, t):
+    """(J1, noise, xi, Delta, a0, a2) along a C1 or C2 extremal.
+
+    Float64 arrays for an array of times; mpf values at the working
+    precision for an mpf time.
+    """
+    mp = isinstance(t, mpmath.mpf)
+    k = mpmath.mpf(ec.k) if mp else ec.k
     k2 = k * k
     p, tau = _phase_args(ec, t)
-    _, sn, cn, dn, e2 = c1_ingredients(p, k)
-    snt = jacobi_arrays(tau, k)[0]
+    snt = (jacobi_mp if mp else jacobi_arrays)(tau, k)[0]
     xi = snt * snt
-    fv, mfv = fv_c1_kernel(p, k2, sn, cn, dn, e2)
-    fz, mfz = fz_c1_kernel(p, k2, sn, cn, dn, e2)
-    a01, m01 = a01_c1_kernel(p, k2, sn, cn, dn, e2)
-    a21, m21 = a21_c1_kernel(p, k2, sn, cn, dn, e2)
-    a0 = fv * a01
+    if ec.stratum is Stratum.C1:
+        _, sn, cn, dn, e2 = c1_ingredients(p, k)
+        args = (p, k2, sn, cn, dn, e2)
+        kernels = (fv_c1_kernel, fz_c1_kernel, a01_c1_kernel, a21_c1_kernel)
+        a0_scale = 1.0
+        w0 = 1.0 - xi
+        w2 = xi * (1.0 - k2 * xi) / k2
+    else:
+        F, E, sn, cn, dn = c2_ingredients_from_p(p, k)
+        args = (k, k2, F, E, sn, cn, dn)
+        kernels = (fv_c2_kernel, fz_c2_kernel, a01_c2_kernel, a21_c2_kernel)
+        a0_scale = 16.0
+        w0 = 1.0 - k2 * xi
+        w2 = xi * (1.0 - xi)
+    (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (kern(*args) for kern in kernels)
+    a0 = fv * a01 / a0_scale
     a2 = fz * a21
-    w0 = 1.0 - xi
-    w2 = xi * (1.0 - k2 * xi) / k2
     j1 = a0 * w0 - a2 * w2
     noise = _EPS * _NOISE_SAFETY * (
-        (np.abs(fv) * m01 + mfv * np.abs(a01)) * np.abs(w0)
-        + (np.abs(fz) * m21 + mfz * np.abs(a21)) * np.abs(w2))
+        (abs(fv) * m01 + mfv * abs(a01)) / a0_scale * abs(w0)
+        + (abs(fz) * m21 + mfz * abs(a21)) * abs(w2))
     delta = 1.0 - k2 * (sn * snt) ** 2
     return j1, noise, xi, delta, a0, a2
 
 
+# the float64 entry points, one per stratum; _j1_scalar_mp is the mpmath one
+
+def j1_path_c1(ec: EllipticCoord, t):
+    """(J1, noise, xi, Delta, a0, a2) float64 arrays along a C1 extremal."""
+    return _j1(ec, np.asarray(t, dtype=float))
+
+
 def j1_path_c2(ec: EllipticCoord, t):
-    k = ec.k
-    k2 = k * k
-    p, tau = _phase_args(ec, t)
-    F, E, s, c, d = c2_ingredients_from_p(p, k)
-    snt = jacobi_arrays(tau, k)[0]
-    xi = snt * snt
-    fv, mfv = fv_c2_kernel(k, k2, F, E, s, c, d)
-    fz, mfz = fz_c2_kernel(k, k2, F, E, s, c, d)
-    a01, m01 = a01_c2_kernel(k, k2, F, E, s, c, d)
-    a21, m21 = a21_c2_kernel(k, k2, F, E, s, c, d)
-    a0 = fv * a01 / 16.0
-    a2 = fz * a21
-    w0 = 1.0 - k2 * xi
-    w2 = xi * (1.0 - xi)
-    j1 = a0 * w0 - a2 * w2
-    noise = _EPS * _NOISE_SAFETY * (
-        (np.abs(fv) * m01 + mfv * np.abs(a01)) / 16.0 * np.abs(w0)
-        + (np.abs(fz) * m21 + mfz * np.abs(a21)) * np.abs(w2))
-    delta = 1.0 - k2 * (s * snt) ** 2
-    return j1, noise, xi, delta, a0, a2
+    """(J1, noise, xi, Delta, a0, a2) float64 arrays along a C2 extremal."""
+    return _j1(ec, np.asarray(t, dtype=float))
 
 
 def _j1_scalar_mp(ec: EllipticCoord, t: float, dps: int) -> float:
     """J1 at one time under mpmath (for noise-dominated float64 regions)."""
     with mpmath.workdps(dps):
-        k = mpmath.mpf(ec.k)
-        k2 = k * k
-        sa = mpmath.sqrt(ec.alpha)
-        t = mpmath.mpf(t)
-        if ec.stratum is Stratum.C1:
-            p = sa * t / 2
-            tau = sa * (mpmath.mpf(ec.phi) + t / 2)
-            k2f, sn, cn, dn, e2 = c1_ingredients_mp(p, k)
-            snt = jacobi_mp(tau, k)[0]
-            xi = snt * snt
-            a0 = fv_c1_kernel(p, k2, sn, cn, dn, e2)[0] * a01_c1_kernel(p, k2, sn, cn, dn, e2)[0]
-            a2 = fz_c1_kernel(p, k2, sn, cn, dn, e2)[0] * a21_c1_kernel(p, k2, sn, cn, dn, e2)[0]
-            j1 = a0 * (1 - xi) - a2 * xi * (1 - k2 * xi) / k2
-        else:
-            p = sa * t / (2 * k)
-            tau = sa * (mpmath.mpf(ec.phi) + t / 2) / k
-            F, E, s, c, d = c2_ingredients_from_p_mp(p, k)
-            snt = jacobi_mp(tau, k)[0]
-            xi = snt * snt
-            a0 = fv_c2_kernel(k, k2, F, E, s, c, d)[0] * a01_c2_kernel(k, k2, F, E, s, c, d)[0] / 16
-            a2 = fz_c2_kernel(k, k2, F, E, s, c, d)[0] * a21_c2_kernel(k, k2, F, E, s, c, d)[0]
-            j1 = a0 * (1 - k2 * xi) - a2 * xi * (1 - xi)
-        return float(j1)
+        return float(_j1(ec, mpmath.mpf(t))[0])
 
 
 def j1_factors(ec: EllipticCoord, t: float) -> JacobianFactors:
@@ -380,14 +354,6 @@ def scan_start_time(ec: EllipticCoord) -> float:
     return 2.0 * k * u_start / sa
 
 
-def _j1_on_grid(ec: EllipticCoord, ts):
-    if ec.stratum is Stratum.C1:
-        j1, noise, _, _, _, _ = j1_path_c1(ec, ts)
-    else:
-        j1, noise, _, _, _, _ = j1_path_c2(ec, ts)
-    return j1, noise
-
-
 @dataclass(frozen=True)
 class ConjugateResult:
     t_conj: float               # may be +inf
@@ -395,48 +361,45 @@ class ConjugateResult:
     method: str
     residual: float
     t_max: float
+    upper: float = math.inf     # the C1/C2 upper bound on t_conj
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.t_conj)
 
+    def bounds_ok(self, slack: float):
+        """(lower_ok, upper_ok) for t_max <= t_conj <= upper, within slack."""
+        return bool(self.t_conj >= self.t_max - slack), bool(self.t_conj <= self.upper + slack)
+
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
                          tol: Tolerances):
     """First zero of t -> J1 on (t_lo, t_cap], or None."""
-    use_mp = ec.stratum is Stratum.C2 and ec.k < tol.c2_mp_k
-    period = ec.period()
-    dt = min(tol.scan_dt, period / 200.0)
-    if use_mp:
-        # a few hundred mp evaluations suffice: in this regime J1 tracks
-        # a0(p), whose zeros are spaced on the K(k) scale
-        dt = max(dt, (t_cap - t_lo) / 300.0)
+    dt = min(tol.scan_dt, ec.period() / 200.0)
+    fmp = lambda t: _j1_scalar_mp(ec, t, tol.mp_dps)
 
     def refine(a, b, fa_fn):
         root = brentq(fa_fn, a, b, xtol=tol.root_xtol, rtol=4 * _EPS)
         return float(root), (float(a), float(b)), abs(fa_fn(float(root)))
 
-    if use_mp:
-        f = lambda t: _j1_scalar_mp(ec, t, tol.mp_dps)
-        ts = np.arange(t_lo, t_cap, dt)
-        vals = np.array([f(t) for t in ts])
-        sign = np.sign(vals)
-        hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if len(hits) == 0:
+    if ec.stratum is Stratum.C2 and ec.k < tol.c2_mp_k:
+        # a few hundred mp evaluations suffice: in this regime J1 tracks
+        # a0(p), whose zeros are spaced on the K(k) scale
+        ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
+        hits = grid_roots(fmp, ts, tol.root_xtol)
+        if not hits:
             return None
-        i = hits[0]
-        return refine(ts[i], ts[i + 1], f)
+        root, bracket = hits[0]
+        return root, bracket, abs(fmp(root))
 
+    path = j1_path_c1 if ec.stratum is Stratum.C1 else j1_path_c2
     ts = np.arange(t_lo, t_cap, dt)
     if len(ts) < 4:
         ts = np.linspace(t_lo, t_cap, 8)
-    vals, noise = _j1_on_grid(ec, ts)
+    vals, noise = path(ec, ts)[:2]
     clear = np.abs(vals) > 20.0 * noise
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    f64 = lambda t: float(_j1_on_grid(ec, np.array([t]))[0][0])
-    fmp = lambda t: _j1_scalar_mp(ec, t, tol.mp_dps)
-    for i in flips:
+    f64 = lambda t: float(path(ec, np.array([t]))[0][0])
+    for i in sign_changes(vals):
         if clear[i] and clear[i + 1]:
             return refine(ts[i], ts[i + 1], f64)
         # ambiguous panel: decide under mpmath
@@ -453,14 +416,10 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     cand = np.nonzero((absv[1:-1] < 1e-6 * scale[1:-1])
                       & (absv[1:-1] < absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in cand:
-        lo, hi = ts[j], ts[min(j + 2, len(ts) - 1)]
-        fine = np.linspace(lo, hi, 256)
-        fv, fn = _j1_on_grid(ec, fine)
-        fs = np.sign(fv)
-        ff = np.nonzero(fs[:-1] * fs[1:] < 0)[0]
+        fine = np.linspace(ts[j], ts[min(j + 2, len(ts) - 1)], 256)
+        ff = sign_changes(path(ec, fine)[0])
         if len(ff):
-            i = ff[0]
-            return refine(fine[i], fine[i + 1], f64)
+            return refine(fine[ff[0]], fine[ff[0] + 1], f64)
     return None
 
 
@@ -469,14 +428,8 @@ def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float,
     """First zero of the variational Jacobian J0 on (t_lo, t_cap], or None."""
     jp = JacobianPath(lam, t_cap, tol)
     ts = np.linspace(t_lo, t_cap, n)
-    vals = jp.values(ts)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(flips) == 0:
-        return None
-    i = flips[0]
-    root = brentq(jp, float(ts[i]), float(ts[i + 1]), xtol=tol.root_xtol, rtol=4 * _EPS)
-    return float(root)
+    hits = grid_roots(jp, ts, tol.root_xtol, vals=jp.values(ts))
+    return hits[0][0] if hits else None
 
 
 def first_conjugate_time(lam: Covector, t_cap: float | None = None,
@@ -488,6 +441,8 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     the first Maxwell time exactly.  On C1/C2 the analytic J1 is scanned and
     (optionally) cross-checked against the variational Jacobian; the two
     must agree to ``tol.agreement_tol`` or SolverDisagreement is raised.
+    The result carries the stratum upper bound on t_conj (+inf where the
+    period diverges or off C1/C2).
     """
     st = classify(lam)
     if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
@@ -512,14 +467,14 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     t_lo = min(scan_start_time(ec), 0.5 * mr.t_max)
     hit = _first_zero_analytic(ec, t_lo, cap, tol)
     if hit is None:
-        result = ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max)
+        result = ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max, upper)
     else:
         root, bracket, residual = hit
         if root < mr.t_max - 1e-6:
             raise NumericalError(
                 f"located Jacobian zero t={root} undercuts the Maxwell time "
                 f"{mr.t_max}; the conjugate-time bound excludes this")
-        result = ConjugateResult(root, bracket, "analytic", residual, mr.t_max)
+        result = ConjugateResult(root, bracket, "analytic", residual, mr.t_max, upper)
 
     if cross_validate:
         v_cap = min(cap, 1.05 * result.t_conj) if result.finite else cap
@@ -529,9 +484,7 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
                 tol.agreement_tol * max(1.0, result.t_conj)
             if not agree:
                 raise SolverDisagreement(result.t_conj, t_v, tol.agreement_tol)
-            result = ConjugateResult(result.t_conj, result.bracket,
-                                     "analytic+variational", result.residual,
-                                     result.t_max)
+            result = replace(result, method="analytic+variational")
         elif t_v is not None:
             raise SolverDisagreement(math.inf, t_v, tol.agreement_tol)
     return result
@@ -540,23 +493,14 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
 def two_sided_check(lam: Covector, tol: Tolerances = DEFAULT):
     """(lower_ok, upper_ok) for t_max <= t_conj <= the stratum upper bound.
 
-    A failed flag is a reportable finding (the upper bounds are numerical
-    evidence, not theorems), so no exception is raised for it.
+    The flags are read off one default-cap ``first_conjugate_time`` search
+    (``ConjugateResult.bounds_ok``); ``conj`` reads them off its own search,
+    or calls this when ``--horizon`` caps that search.  A failed flag is a
+    reportable finding (the upper bounds are numerical evidence, not
+    theorems), so no exception is raised for it.
     Returns (lower_ok, upper_ok, t_conj, t_max, upper).
     """
-    st = classify(lam)
-    if st not in (Stratum.C1, Stratum.C2):
+    if classify(lam) not in (Stratum.C1, Stratum.C2):
         raise StratumError("two_sided_check applies to C1 and C2 only")
-    ec = to_elliptic(lam)
     res = first_conjugate_time(lam, tol=tol)
-    sa = math.sqrt(ec.alpha)
-    if ec.k > K_ONE_CUTOFF:
-        return True, True, res.t_conj, res.t_max, math.inf
-    if st is Stratum.C1:
-        upper = 2.0 / sa * max(p1_z(ec.k, tol), p1_V(ec.k, Stratum.C1, tol))
-    else:
-        upper = 4.0 * ec.k * complete_K(ec.k) / sa
-    slack = tol.bound_slack
-    lower_ok = res.t_conj >= res.t_max - slack
-    upper_ok = res.t_conj <= upper + slack
-    return bool(lower_ok), bool(upper_ok), res.t_conj, res.t_max, upper
+    return (*res.bounds_ok(tol.bound_slack), res.t_conj, res.t_max, res.upper)

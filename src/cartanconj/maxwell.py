@@ -196,30 +196,28 @@ def fv0_kernel(u):
 # ingredient providers
 # ---------------------------------------------------------------------------
 
-def c1_ingredients(p, k):
+def _jacobi_at(p, k):
+    """(p, k, sn, cn, dn, E) at p: under mpmath (current precision) when p is
+    an mpf, else float64 arrays."""
+    if isinstance(p, mpmath.mpf):
+        k = mpmath.mpf(k)
+        sn, cn, dn, _, eps = jacobi_mp(p, k)
+        return p, k, sn, cn, dn, eps
     k = _kval(k)
     sn, cn, dn, _, eps = jacobi_arrays(p, k)
-    return k * k, sn, cn, dn, 2.0 * eps - np.asarray(p, dtype=float)
+    return np.asarray(p, dtype=float), k, sn, cn, dn, eps
 
 
-def c1_ingredients_mp(p, k):
-    k = mpmath.mpf(k)
-    p = mpmath.mpf(p)
-    sn, cn, dn, _, eps = jacobi_mp(p, k)
+def c1_ingredients(p, k):
+    """(k^2, sn, cn, dn, 2E - p) at p; mpf values when p is an mpf."""
+    p, k, sn, cn, dn, eps = _jacobi_at(p, k)
     return k * k, sn, cn, dn, 2 * eps - p
 
 
 def c2_ingredients_from_p(p, k):
-    """(F, E, sin u1, cos u1, dn u1) with u1 = am(p, k), so F(u1) = p."""
-    k = _kval(k)
-    sn, cn, dn, _, eps = jacobi_arrays(p, k)
-    return np.asarray(p, dtype=float), eps, sn, cn, dn
-
-
-def c2_ingredients_from_p_mp(p, k):
-    k = mpmath.mpf(k)
-    p = mpmath.mpf(p)
-    sn, cn, dn, _, eps = jacobi_mp(p, k)
+    """(F, E, sin u1, cos u1, dn u1) with u1 = am(p, k), so F(u1) = p;
+    mpf values when p is an mpf."""
+    p, _, sn, cn, dn, eps = _jacobi_at(p, k)
     return p, eps, sn, cn, dn
 
 
@@ -276,6 +274,27 @@ class RootInfo:
     residual: float
 
 
+def sign_changes(vals):
+    """Indices i where vals[i] and vals[i + 1] have strictly opposite signs."""
+    sign = np.sign(vals)
+    return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+
+
+def grid_roots(f, xs, xtol, vals=None, count=1):
+    """Brent roots of f in the first ``count`` panels of the grid xs where f
+    changes sign (all of them for count=None), as (root, (a, b)) pairs.
+
+    ``vals`` holds f on xs when the caller has it already.
+    """
+    if vals is None:
+        vals = np.array([f(x) for x in xs])
+    roots = []
+    for i in sign_changes(vals)[:count]:
+        a, b = float(xs[i]), float(xs[i + 1])
+        roots.append((float(brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)), (a, b)))
+    return roots
+
+
 def _first_root(f, lo, hi, panels, xtol) -> RootInfo:
     """First sign change of f on (lo, hi), refined by Brent.
 
@@ -291,8 +310,7 @@ def _first_root(f, lo, hi, panels, xtol) -> RootInfo:
         root = brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)
         return RootInfo(float(root), (float(a), float(b)), abs(float(f(root))))
 
-    sign = np.sign(vals)
-    hits = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
+    hits = sign_changes(vals)
     first_flip = hits[0] if len(hits) else len(ps)
     absv = np.abs(vals)
     scale = np.maximum.accumulate(absv)
@@ -302,9 +320,7 @@ def _first_root(f, lo, hi, panels, xtol) -> RootInfo:
             if j < first_flip]
     for j in dips:
         fine = np.linspace(ps[j], ps[min(j + 2, len(ps) - 1)], 257)
-        fvals = np.array([f(p) for p in fine])
-        fs = np.sign(fvals)
-        ff = np.nonzero(fs[:-1] * fs[1:] < 0)[0]
+        ff = sign_changes(np.array([f(p) for p in fine]))
         if len(ff):
             return refine(fine[ff[0]], fine[ff[0] + 1])
     if len(hits) == 0:
@@ -344,24 +360,27 @@ def _polish_root_mp(fmp, info: RootInfo, xtol: float, dx: float = 1e-3) -> RootI
         return info
 
 
-def _fz_c1_mp(p, k):
-    k2, sn, cn, dn, e2 = c1_ingredients_mp(p, k)
-    return float(fz_c1_kernel(mpmath.mpf(p), k2, sn, cn, dn, e2)[0])
+def _branch_fn(kernel, stratum, k, mp=False):
+    """p -> float value of the fz or fv kernel of the stratum at modulus k.
 
-
-def _fv_c1_mp(p, k):
-    k2, sn, cn, dn, e2 = c1_ingredients_mp(p, k)
-    return float(fv_c1_kernel(mpmath.mpf(p), k2, sn, cn, dn, e2)[0])
+    With mp the kernel runs under mpmath at the caller's working precision.
+    """
+    def f(p):
+        if mp:
+            p = mpmath.mpf(p)
+        if stratum is Stratum.C1:
+            return float(kernel(p, *c1_ingredients(p, k))[0])
+        kk = mpmath.mpf(k) if mp else k
+        return float(kernel(kk, kk * kk, *c2_ingredients_from_p(p, k))[0])
+    return f
 
 
 @lru_cache(maxsize=4096)
 def _p1_z_cached(k: float, panels: int, xtol: float) -> RootInfo:
     K = complete_K(k)
-    def f(p):
-        k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-        return float(fz_c1_kernel(p, k2, sn, cn, dn, e2)[0])
-    info = _first_root(f, 0.02, 3.0 * K - 1e-9, panels, xtol)
-    info = _polish_root_mp(lambda p: _fz_c1_mp(p, k), info, xtol)
+    info = _first_root(_branch_fn(fz_c1_kernel, Stratum.C1, k),
+                       0.02, 3.0 * K - 1e-9, panels, xtol)
+    info = _polish_root_mp(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), info, xtol)
     if not K < info.root < 3.0 * K:
         raise NumericalError(f"p1z(k={k}) = {info.root} escaped (K, 3K)")
     return info
@@ -370,11 +389,9 @@ def _p1_z_cached(k: float, panels: int, xtol: float) -> RootInfo:
 @lru_cache(maxsize=4096)
 def _p1_v_c1_cached(k: float, panels: int, xtol: float) -> RootInfo:
     K = complete_K(k)
-    def f(p):
-        k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-        return float(fv_c1_kernel(p, k2, sn, cn, dn, e2)[0])
-    info = _first_root(f, 0.02, 4.0 * K - 1e-9, panels, xtol)
-    info = _polish_root_mp(lambda p: _fv_c1_mp(p, k), info, xtol)
+    info = _first_root(_branch_fn(fv_c1_kernel, Stratum.C1, k),
+                       0.02, 4.0 * K - 1e-9, panels, xtol)
+    info = _polish_root_mp(_branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True), info, xtol)
     if not 2.0 * K - 1e-6 <= info.root < 4.0 * K:
         raise NumericalError(f"p1v(k={k}) = {info.root} escaped [2K, 4K)")
     return info
@@ -385,21 +402,12 @@ def _p1_v_c2_cached(k: float, panels: int, xtol: float, mp_k: float, dps: int) -
     K = complete_K(k)
     if k < mp_k:
         with mpmath.workdps(dps):
-            def f(p):
-                km = mpmath.mpf(k)
-                F, E, s, c, d = c2_ingredients_from_p_mp(p, km)
-                return float(fv_c2_kernel(km, km * km, F, E, s, c, d)[0])
-            info = _first_root(f, 1e-3, 2.0 * K - 1e-9, panels, xtol)
+            info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True),
+                               1e-3, 2.0 * K - 1e-9, panels, xtol)
     else:
-        def f(p):
-            F, E, s, c, d = c2_ingredients_from_p(p, k)
-            return float(fv_c2_kernel(k, k * k, F, E, s, c, d)[0])
-        def fmp(p):
-            km = mpmath.mpf(k)
-            F, E, s, c, d = c2_ingredients_from_p_mp(p, km)
-            return float(fv_c2_kernel(km, km * km, F, E, s, c, d)[0])
-        info = _first_root(f, 0.02, 2.0 * K - 1e-9, panels, xtol)
-        info = _polish_root_mp(fmp, info, xtol)
+        info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k),
+                           0.02, 2.0 * K - 1e-9, panels, xtol)
+        info = _polish_root_mp(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True), info, xtol)
     if not K < info.root < 2.0 * K:
         raise NumericalError(f"p1v_C2(k={k}) = {info.root} escaped (K, 2K)")
     return info
@@ -434,7 +442,7 @@ def p1_V(k, stratum, tol: Tolerances = DEFAULT) -> float:
         return _p1_v_c1_cached(k, tol.scan_panels, tol.root_xtol).root
     if st is Stratum.C2:
         return _p1_v_c2_cached(k, tol.scan_panels, tol.root_xtol,
-                               tol.maxwell_mp_k, tol.mp_dps).root
+                               tol.c2_mp_k, tol.mp_dps).root
     raise StratumError(f"p1_V is defined on C1/C2, not {st}")
 
 
@@ -446,7 +454,7 @@ def u_v1(k, tol: Tolerances = DEFAULT) -> float:
     """Amplitude of the first C2 root: u_v1 = am(p1v, k)."""
     k = _kval(k)
     p = p1_V(k, Stratum.C2, tol)
-    if k < tol.maxwell_mp_k:
+    if k < tol.c2_mp_k:
         with mpmath.workdps(tol.mp_dps):
             return float(am_mp(p, k))
     return float(jacobi_arrays(p, k)[3])
@@ -458,17 +466,11 @@ def _critical_moduli_cached(panels: int, xtol: float):
     # when fv vanishes at p1z(k); that formulation stays smooth through the
     # steep region where the first fv root emerges from a tangential pair.
     def shared(k):
-        p = _p1_z_cached(k, panels, xtol).root
-        k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-        return float(fv_c1_kernel(p, k2, sn, cn, dn, e2)[0])
-    ks = np.linspace(0.02, 0.98, 121)
-    vals = np.array([shared(k) for k in ks])
-    sign = np.sign(vals)
-    hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(hits) != 2:
-        raise NumericalError(f"expected 2 critical moduli, found {len(hits)}")
-    roots = [brentq(shared, float(ks[i]), float(ks[i + 1]), xtol=1e-12) for i in hits]
-    k1, k0 = sorted(float(r) for r in roots)
+        return _branch_fn(fv_c1_kernel, Stratum.C1, k)(_p1_z_cached(k, panels, xtol).root)
+    roots = grid_roots(shared, np.linspace(0.02, 0.98, 121), 1e-12, count=None)
+    if len(roots) != 2:
+        raise NumericalError(f"expected 2 critical moduli, found {len(roots)}")
+    k1, k0 = sorted(r for r, _ in roots)
 
     # Report each modulus a hair below its true value.  min(p1z, p1v) is
     # attained by the nondegenerate branch on that side (pz simple at k1,
@@ -494,9 +496,9 @@ def _polished_shared_sign(k, panels, xtol):
     """fv at the first fz root, evaluated fully under mpmath."""
     with mpmath.workdps(40):
         pz = _p1_z_cached(k, panels, xtol).root
-        pz = brentq(lambda p: _fz_c1_mp(p, k), pz - 1e-3, pz + 1e-3,
+        pz = brentq(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), pz - 1e-3, pz + 1e-3,
                     xtol=1e-14, rtol=4 * _EPS)
-        return _fv_c1_mp(float(pz), k)
+        return _branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True)(float(pz))
 
 
 def critical_moduli(tol: Tolerances = DEFAULT):
@@ -536,6 +538,6 @@ def t_max1(lam: Covector, tol: Tolerances = DEFAULT) -> MaxwellResult:
         return MaxwellResult(2.0 / sa * info.root, info.root,
                              info.bracket, info.residual, st)
     info = _p1_v_c2_cached(ec.k, tol.scan_panels, tol.root_xtol,
-                           tol.maxwell_mp_k, tol.mp_dps)
+                           tol.c2_mp_k, tol.mp_dps)
     return MaxwellResult(2.0 * ec.k / sa * info.root, info.root,
                          info.bracket, info.residual, st)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .config import DEFAULT, Tolerances
@@ -420,7 +421,7 @@ def check_sign_grid_c1(nk=12, nphi=12, nt=200, tol: Tolerances = DEFAULT):
             period = 4.0 * el.complete_K(k) / sa
             ec = EllipticCoord(Stratum.C1, float(phi_frac) * period, k, alpha, beta)
             ts = np.linspace(cj.scan_start_time(ec), tm - 1e-6, nt)
-            j1, noise = cj._j1_on_grid(ec, ts)
+            j1, noise = cj.j1_path_c1(ec, ts)[:2]
             bad = j1 >= 0.0
             if np.any(bad & (np.abs(j1) > 20 * noise)):
                 worst = 1.0
@@ -442,7 +443,7 @@ def check_sign_grid_c2(nk=12, npsi=12, nt=200, tol: Tolerances = DEFAULT):
             period = 2.0 * k * el.complete_K(k) / sa
             ec = EllipticCoord(Stratum.C2, float(phi_frac) * period, k, alpha, beta)
             ts = np.linspace(cj.scan_start_time(ec), tm - 1e-6, nt)
-            j1, noise = cj._j1_on_grid(ec, ts)
+            j1, noise = cj.j1_path_c2(ec, ts)[:2]
             bad = j1 <= 0.0
             if np.any(bad & (np.abs(j1) > 20 * noise)):
                 worst = 1.0
@@ -507,22 +508,32 @@ def check_certificates(rng, n=200):
 
 
 def check_certificate_derivatives(rng, n=6):
-    """(a01/fz)' fz^2 = (3/4) x2 and (a21/fv)' fv^2 = -(4/3) k^2 x1."""
+    """(a01/fz)' fz^2 = (3/4) x2 and (a21/fv)' fv^2 = -(4/3) k^2 x1.
+
+    The quotients are differenced under 40-digit mpmath: a01 and a21 are
+    small differences of O(1) monomials, and their float64 roundoff over
+    2h would swamp the derivative.
+    """
     h = 1e-5
     worst = 0.0
+
+    def slope(num, den, p, k):
+        with mpmath.workdps(40):
+            def ratio(pp):
+                pp = mpmath.mpf(pp)
+                args = mx.c1_ingredients(pp, k)
+                return num(pp, *args)[0] / den(pp, *args)[0]
+            return float((ratio(p + h) - ratio(p - h)) / (2 * h))
+
     for _ in range(n):
         k = rng.uniform(0.2, 0.8)
         p = rng.uniform(0.5, 2.5)
-        def ratio01(pp):
-            return float(cj.a01_C1(pp, k)) / float(mx.f_z_C1(pp, k))
         fz = float(mx.f_z_C1(p, k))
-        lhs = (ratio01(p + h) - ratio01(p - h)) / (2 * h) * fz * fz
+        lhs = slope(mx.a01_c1_kernel, mx.fz_c1_kernel, p, k) * fz * fz
         rhs = 0.75 * float(cj.certificate_x2(p, k))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-        def ratio21(pp):
-            return float(cj.a21_C1(pp, k)) / float(mx.f_V_C1(pp, k))
         fv = float(mx.f_V_C1(p, k))
-        lhs = (ratio21(p + h) - ratio21(p - h)) / (2 * h) * fv * fv
+        lhs = slope(mx.a21_c1_kernel, mx.fv_c1_kernel, p, k) * fv * fv
         rhs = -(4.0 / 3.0) * k * k * float(cj.certificate_x1(p, k))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
     return _result("conjugate: certificate derivative identities", worst, 1e-5)

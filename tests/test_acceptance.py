@@ -70,7 +70,7 @@ def test_criterion_02_series_anchors():
         pm = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients_mp(pm, k)
+            k2, sn, cn, dn, e2 = mx.c1_ingredients(pm, k)
             a01 = mx.a01_c1_kernel(pm, k2, sn, cn, dn, e2)[0]
             a21 = mx.a21_c1_kernel(pm, k2, sn, cn, dn, e2)[0]
             assert float(a01 / (mpmath.mpf(4) / 1575 * k2 * (1 - k2) * pm ** 10)) \
@@ -81,7 +81,7 @@ def test_criterion_02_series_anchors():
         k = mpmath.mpf("0.01")
         for pp in ("0.8", "1.7", "2.4"):
             pv = mpmath.mpf(pp)
-            F, E, s, c, d = mx.c2_ingredients_from_p_mp(pv, k)
+            F, E, s, c, d = mx.c2_ingredients_from_p(pv, k)
             u1 = float(am_mp(pv, k))
             fz = mx.fz_c2_kernel(k, k * k, F, E, s, c, d)[0]
             fv = mx.fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
@@ -150,7 +150,7 @@ def _theorem2_grid(stratum, k_grid, n_phi, n_t, want_negative):
             ec = EllipticCoord(stratum, float(phi), k, 1.0, 0.0)
             t_lo = cj.scan_start_time(ec)
             ts = np.linspace(min(t_lo, 0.5 * tm), tm - 1e-6, n_t)
-            j1, noise = cj._j1_on_grid(ec, ts)
+            j1, noise = (cj.j1_path_c1 if stratum is Stratum.C1 else cj.j1_path_c2)(ec, ts)[:2]
             wrong = (j1 >= 0.0) if want_negative else (j1 <= 0.0)
             clear_wrong = wrong & (np.abs(j1) > 20.0 * noise)
             assert not np.any(clear_wrong), \

@@ -196,6 +196,52 @@ def test_conj_horizon_below_zero_reports_inf(capsys):
     assert doc["upper_ok"] is True      # bound check runs with its own cap
 
 
+@pytest.mark.parametrize("argv", [
+    ("--stratum", "C1", "--phi", "0.37", "--k", "0.5", "--alpha", "1", "--beta", "0.4"),
+    ("--stratum", "C2", "--phi", "0.3", "--k", "0.6", "--alpha", "1.4", "--beta", "0.2",
+     "--no-cross-check"),
+])
+def test_conj_searches_once(capsys, monkeypatch, argv):
+    from cartanconj import cli as climod
+    from cartanconj.flow import EllipticCoord, Stratum, from_elliptic
+
+    calls = {"n": 0}
+    real = climod.cj.first_conjugate_time
+
+    def counted(*a, **kw):
+        calls["n"] += 1
+        return real(*a, **kw)
+
+    monkeypatch.setattr(climod.cj, "first_conjugate_time", counted)
+    code, out, _ = run(capsys, "conj", *argv)
+    assert code == 0
+    assert calls["n"] == 1
+    doc = json.loads(out)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    lam = from_elliptic(EllipticCoord(Stratum(opts["--stratum"]), float(opts["--phi"]),
+                                      float(opts["--k"]), float(opts["--alpha"]),
+                                      float(opts["--beta"])))
+    lower, upper, tc, tm, _ = climod.cj.two_sided_check(lam)
+    assert (doc["lower_ok"], doc["upper_ok"]) == (lower, upper)
+    assert (doc["t_conj"], doc["t_max1"]) == (tc, tm)
+    # a capped search leaves the flags to a second, default-cap search
+    calls["n"] = 0
+    code, _, _ = run(capsys, "conj", *argv, "--horizon", "4.0")
+    assert code == 0
+    assert calls["n"] == 2
+
+
+def test_conj_c2_between_old_maxwell_and_c2_thresholds(capsys):
+    # k in [0.15, 0.2) once sent the fv root through a float64 scan that
+    # stopped on noise ("p1v_C2(...) escaped (K, 2K)", exit 3)
+    code, out, _ = run(capsys, "conj", "--stratum", "C2", "--phi", "0.3",
+                       "--k", "0.1614865489887826", "--alpha", "1", "--beta", "0.4",
+                       "--no-cross-check")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lower_ok"] is True and doc["upper_ok"] is True
+
+
 def test_maxwell_infinite_stratum(capsys):
     code, out, _ = run(capsys, "maxwell", "--theta", "0.3", "--c", "0",
                        "--alpha", "1", "--beta", "0.3")

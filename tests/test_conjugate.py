@@ -26,7 +26,7 @@ def test_a01_c1_small_p_anchor_mp():
         p = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients_mp(p, k)
+            k2, sn, cn, dn, e2 = mx.c1_ingredients(p, k)
             val = mx.a01_c1_kernel(p, k2, sn, cn, dn, e2)[0]
             target = mpmath.mpf(4) / 1575 * k2 * (1 - k2) * p ** 10
             assert float(val / target) == pytest.approx(1.0, rel=2e-2)
@@ -37,7 +37,7 @@ def test_a21_c1_small_p_anchor_mp():
         p = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients_mp(p, k)
+            k2, sn, cn, dn, e2 = mx.c1_ingredients(p, k)
             val = mx.a21_c1_kernel(p, k2, sn, cn, dn, e2)[0]
             target = mpmath.mpf(16) / 1488375 * k2 ** 2 * (1 - k2) * p ** 15
             assert float(val / target) == pytest.approx(1.0, rel=2e-2)
@@ -50,7 +50,7 @@ def test_c2_table_smallk_anchors_mp():
         k = mpmath.mpf("0.01")
         for pp in ("0.8", "1.7", "2.4"):
             p = mpmath.mpf(pp)
-            F, E, s, c, d = mx.c2_ingredients_from_p_mp(p, k)
+            F, E, s, c, d = mx.c2_ingredients_from_p(p, k)
             u1 = float(am_mp(p, k))
             a01 = cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0]
             a21 = cj.a21_c2_kernel(k, k * k, F, E, s, c, d)[0]
@@ -67,7 +67,7 @@ def test_j1_c2_joint_origin_anchor_mp():
         for kk in ("0.05", "0.02"):
             k = mpmath.mpf(kk)
             p = k   # u1 = am(p, k) ~ p
-            F, E, s, c, d = mx.c2_ingredients_from_p_mp(p, k)
+            F, E, s, c, d = mx.c2_ingredients_from_p(p, k)
             u1 = am_mp(p, k)
             a0 = (mx.fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
                   * cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0]) / 16
@@ -200,11 +200,25 @@ def test_j1_endpoint_factorization_c2():
                 j1 = cj._j1_scalar_mp(ec, t1, 50)
                 p = mpmath.mpf(t1) / (2 * km)
                 tau = (mpmath.mpf(phi) + mpmath.mpf(t1) / 2) / km
-                F, E, s, c, d = mx.c2_ingredients_from_p_mp(p, km)
+                F, E, s, c, d = mx.c2_ingredients_from_p(p, km)
                 a2 = float(mx.fz_c2_kernel(km, km * km, F, E, s, c, d)[0]
                            * cj.a21_c2_kernel(km, km * km, F, E, s, c, d)[0])
                 xi = float(jacobi_mp(tau, km)[0]) ** 2
             assert j1 == pytest.approx(-a2 * xi * (1.0 - xi), rel=1e-9)
+
+
+@pytest.mark.parametrize("stratum", [Stratum.C1, Stratum.C2])
+def test_j1_mp_matches_float64_within_noise(stratum):
+    # one J1 assembly serves both precisions; the float64 values must sit
+    # within the noise margin the scan trusts a sign beyond (20 x noise)
+    for k in (0.3, 0.6, 0.9):
+        for phi in (0.0, 1.1):
+            ec = EllipticCoord(stratum, phi, k, 1.3, 0.2)
+            path = cj.j1_path_c1 if stratum is Stratum.C1 else cj.j1_path_c2
+            ts = np.linspace(cj.scan_start_time(ec), 3.0 * ec.period(), 10)
+            j1, noise = path(ec, ts)[:2]
+            for t, val, nz in zip(ts, j1, noise):
+                assert abs(cj._j1_scalar_mp(ec, float(t), 50) - val) <= 20.0 * nz
 
 
 def test_c1_sign_structure(rng):

@@ -74,12 +74,12 @@ def test_c2_smallk_asymptotics_mp():
     """fz ~ k^3 fz0(p) and fv ~ (k^8/512) fv0(u1) at k = 1e-2 (needs mp)."""
     from cartanconj.conjugate import fz0
     from cartanconj.elliptic import am_mp
-    from cartanconj.maxwell import (c2_ingredients_from_p_mp, fv_c2_kernel,
+    from cartanconj.maxwell import (c2_ingredients_from_p, fv_c2_kernel,
                                     fz_c2_kernel)
     with mpmath.workdps(60):
         k = mpmath.mpf("0.01")
         for p in (mpmath.mpf("0.8"), mpmath.mpf("1.9")):
-            F, E, s, c, d = c2_ingredients_from_p_mp(p, k)
+            F, E, s, c, d = c2_ingredients_from_p(p, k)
             u1 = am_mp(p, k)
             fz = fz_c2_kernel(k, k * k, F, E, s, c, d)[0]
             fv = fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
@@ -122,6 +122,16 @@ def test_root_residuals():
         assert abs(float(f_V_C1(p1_V(k, Stratum.C1), k))) < 1e-10
         u1 = u_v1(k)
         assert abs(float(f_V_C2(u1, k))) < 1e-10
+
+
+def test_p1v_c2_bracket_below_c2_mp_k():
+    # every C2 modulus below c2_mp_k takes the mpmath root; the float64 scan
+    # failed at grid points 9 and 23 and at the k below
+    grid = np.linspace(0.15, 0.2, 41, endpoint=False)
+    for k in [*grid[::8], grid[9], grid[23], 0.1614865489887826]:
+        k = float(k)
+        K = complete_K(k)
+        assert K < p1_V(k, Stratum.C2) < 2.0 * K
 
 
 def test_u_v1_bracket():
