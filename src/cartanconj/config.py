@@ -15,7 +15,6 @@ class Tolerances:
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-12
     root_xtol: float = 1e-12
-    residual_tol: float = 1e-10
     scan_panels: int = 64
     scan_dt: float = 0.01            # base scan step for first-zero search
     agreement_tol: float = 1e-4      # analytic vs variational first zero

@@ -54,6 +54,11 @@ from .maxwell import (K_ONE_CUTOFF, a01_c1_kernel, a21_c1_kernel,
 
 _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 16.0
+# A float64 J1 sign is trusted only where |J1| exceeds this many noise
+# bounds.  The noise bound covers cancellation in the J1 sum but not the
+# ~1e-13 relative error of the elliptic kernels feeding it, which has been
+# measured at up to 5.8 noise bounds; 20 leaves about 3.5x to spare.
+SIGN_MARGIN = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,7 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     if len(ts) < 4:
         ts = np.linspace(t_lo, t_cap, 8)
     vals, noise = path(ec, ts)[:2]
-    clear = np.abs(vals) > 20.0 * noise
+    clear = np.abs(vals) > SIGN_MARGIN * noise
     f64 = lambda t: float(path(ec, np.array([t]))[0][0])
     for i in sign_changes(vals):
         if clear[i] and clear[i + 1]:

@@ -14,10 +14,12 @@ modulus is always a scalar.  Degenerate moduli k = 0 and k = 1 are
 explicit analytic branches (trig and tanh/sech respectively); the AGM is
 never run at k = 1.
 
-Target accuracy is 1e-13 relative over k in [0, 1).  A separate mpmath
-backend (functions suffixed ``_mp``) evaluates the same quantities at
-arbitrary precision; downstream code uses it where float64 cancellation
-would destroy k**8-and-smaller suppressed combinations.
+The AGM chain and the Landen loop are written once and run in the
+arithmetic of the modulus: float64 (the elliptic argument a scalar or an
+ndarray) for a float k, mpmath at the working precision for an mpf k.
+Float64 targets 1e-13 relative over k in [0, 1); the mpmath entry points
+(suffixed ``_mp``) serve downstream code where float64 cancellation would
+destroy k**8-and-smaller suppressed combinations.
 """
 
 from __future__ import annotations
@@ -63,21 +65,54 @@ class EllipticValues:
     E_incomplete: float
 
 
-def _agm_chain(k: float):
-    """AGM sequences a_i, b_i, c_i for modulus k in (0, 1)."""
+def _agm_chain(k):
+    """AGM sequences a_i, b_i, c_i for modulus k in [0, 1).
+
+    Floats for a float k; mpf values at the working precision for an mpf k.
+    """
+    mp = isinstance(k, mpmath.mpf)
+    sqrt = mpmath.sqrt if mp else math.sqrt
+    eps = mpmath.eps if mp else _EPS
     a = [1.0]
-    b = [math.sqrt((1.0 - k) * (1.0 + k))]
+    b = [sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
     # stop at the roundoff floor c ~ eps * a; junk levels would otherwise
     # pollute the quadratically weighted E/K sum
-    while abs(c[-1]) > 4.0 * _EPS * a[-1] and len(a) < 64:
+    while abs(c[-1]) > 4.0 * eps * a[-1] and len(a) < 64:
         an = 0.5 * (a[-1] + b[-1])
-        bn = math.sqrt(a[-1] * b[-1])
+        bn = sqrt(a[-1] * b[-1])
         cn = 0.5 * (a[-1] - b[-1])
         a.append(an)
         b.append(bn)
         c.append(cn)
     return a, b, c
+
+
+def _landen(u, k):
+    """(sn, cn, dn, am, E) by descending Landen on the AGM chain of k in [0, 1).
+
+    u is a float64 scalar or array with a float k, or an mpf with an mpf k;
+    the arithmetic follows k.
+    """
+    if isinstance(k, mpmath.mpf):
+        sin, cos, sqrt, asin, fsum = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin, mpmath.fsum
+        clip = lambda s: max(min(s, 1), -1)
+    else:
+        sin, cos, sqrt, asin, fsum = np.sin, np.cos, np.sqrt, np.arcsin, math.fsum
+        clip = lambda s: np.clip(s, -1.0, 1.0)
+    a, _, c = _agm_chain(k)
+    n = len(a) - 1
+    phi = (2.0 ** n * a[n]) * u
+    sn = sin(phi)
+    esum = c[n] * sn if n >= 1 else 0.0
+    for i in range(n, 0, -1):
+        phi = 0.5 * (phi + asin(clip(c[i] / a[i] * sn)))
+        sn = sin(phi)
+        if i > 1:
+            esum = esum + c[i - 1] * sn
+    dn = sqrt(1.0 - (k * sn) ** 2)
+    e_over_k = 1.0 - fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(n + 1))
+    return sn, cos(phi), dn, phi, e_over_k * u + esum
 
 
 def jacobi_arrays(u, k):
@@ -90,22 +125,7 @@ def jacobi_arrays(u, k):
         sn = np.tanh(u)
         cn = 1.0 / np.cosh(u)
         return sn, cn, cn.copy(), np.arctan(np.sinh(u)), sn.copy()
-    a, b, c = _agm_chain(k)
-    n = len(a) - 1
-    phi = (2.0 ** n * a[n]) * u
-    esum = c[n] * np.sin(phi) if n >= 1 else 0.0
-    for i in range(n, 0, -1):
-        s = np.clip(c[i] / a[i] * np.sin(phi), -1.0, 1.0)
-        phi = 0.5 * (phi + np.arcsin(s))
-        if i > 1:
-            esum = esum + c[i - 1] * np.sin(phi)
-    am = phi
-    sn = np.sin(am)
-    cn = np.cos(am)
-    dn = np.sqrt(1.0 - (k * sn) ** 2)
-    e_over_k = 1.0 - math.fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(n + 1))
-    eps = e_over_k * u + esum
-    return sn, cn, dn, am, eps
+    return _landen(u, k)
 
 
 def jacobi(u: float, k) -> EllipticValues:
@@ -246,49 +266,14 @@ def incomplete_E(phi, k):
 
 
 # ---------------------------------------------------------------------------
-# mpmath backend
+# mpmath backend: the same AGM and Landen steps at the working precision
 # ---------------------------------------------------------------------------
-
-def am_mp(u, k):
-    """Quasi-periodic amplitude in mpmath arithmetic (current precision)."""
-    u = mpmath.mpf(u)
-    k = mpmath.mpf(k)
-    if k == 0:
-        return u
-    a = [mpmath.mpf(1)]
-    b = [mpmath.sqrt(1 - k * k)]
-    c = [k]
-    cutoff = mpmath.mpf(10) ** (-mpmath.mp.dps + 2)
-    while abs(c[-1]) > cutoff and len(a) < 300:
-        an = (a[-1] + b[-1]) / 2
-        bn = mpmath.sqrt(a[-1] * b[-1])
-        cn = (a[-1] - b[-1]) / 2
-        a.append(an)
-        b.append(bn)
-        c.append(cn)
-    n = len(a) - 1
-    phi = 2 ** n * a[n] * u
-    for i in range(n, 0, -1):
-        s = c[i] / a[i] * mpmath.sin(phi)
-        s = max(min(s, mpmath.mpf(1)), mpmath.mpf(-1))
-        phi = (phi + mpmath.asin(s)) / 2
-    return phi
-
 
 def jacobi_mp(u, k):
     """(sn, cn, dn, am, E) as mpf values."""
-    k = mpmath.mpf(k)
-    ph = am_mp(u, k)
-    sn = mpmath.sin(ph)
-    cn = mpmath.cos(ph)
-    dn = mpmath.sqrt(1 - (k * sn) ** 2)
-    eps = mpmath.ellipe(ph, k * k)
-    return sn, cn, dn, ph, eps
+    return _landen(mpmath.mpf(u), mpmath.mpf(k))
 
 
-def incomplete_F_mp(phi, k):
-    return mpmath.ellipf(mpmath.mpf(phi), mpmath.mpf(k) ** 2)
-
-
-def incomplete_E_mp(phi, k):
-    return mpmath.ellipe(mpmath.mpf(phi), mpmath.mpf(k) ** 2)
+def am_mp(u, k):
+    """Quasi-periodic amplitude in mpmath arithmetic (current precision)."""
+    return jacobi_mp(u, k)[3]

@@ -207,23 +207,6 @@ def from_elliptic(ec: EllipticCoord, dt: float = 0.0) -> Covector:
     return Covector(ec.beta + psi, 2.0 * ec.direction * sa * sech, ec.alpha, ec.beta)
 
 
-def unwrapped_theta_c(ec: EllipticCoord, dt: float = 0.0):
-    """(theta, c) without angle wrapping; smooth in (phi, k) for derivatives."""
-    sa = math.sqrt(ec.alpha)
-    if ec.stratum is Stratum.C1:
-        u = sa * (ec.phi + dt)
-        sn, cn, _, _, _ = jacobi_arrays(u, ec.k)
-        psi = 2.0 * math.asin(max(-1.0, min(1.0, ec.k * float(sn))))
-        return ec.beta + psi, 2.0 * ec.k * sa * float(cn)
-    if ec.stratum is Stratum.C2:
-        u = sa * (ec.phi + dt) / ec.k
-        sn, cn, dn, amp, _ = jacobi_arrays(u, ec.k)
-        return ec.beta + 2.0 * ec.direction * float(amp), ec.direction * (2.0 * sa / ec.k) * float(dn)
-    u = sa * (ec.phi + dt)
-    return ec.beta + 2.0 * ec.direction * math.atan(math.sinh(u)), \
-        2.0 * ec.direction * sa / math.cosh(u)
-
-
 def reflect3(lam: Covector) -> Covector:
     """The reflection (theta, c, alpha, beta) -> (-theta, -c, alpha, -beta)."""
     return Covector(-lam.theta, -lam.c, lam.alpha, -lam.beta)

@@ -423,7 +423,7 @@ def check_sign_grid_c1(nk=12, nphi=12, nt=200, tol: Tolerances = DEFAULT):
             ts = np.linspace(cj.scan_start_time(ec), tm - 1e-6, nt)
             j1, noise = cj.j1_path_c1(ec, ts)[:2]
             bad = j1 >= 0.0
-            if np.any(bad & (np.abs(j1) > 20 * noise)):
+            if np.any(bad & (np.abs(j1) > cj.SIGN_MARGIN * noise)):
                 worst = 1.0
     return _result("conjugate: J1 < 0 on (0, t_max) over a C1 (k,phi,alpha,beta) grid",
                    worst, 0.5)
@@ -445,7 +445,7 @@ def check_sign_grid_c2(nk=12, npsi=12, nt=200, tol: Tolerances = DEFAULT):
             ts = np.linspace(cj.scan_start_time(ec), tm - 1e-6, nt)
             j1, noise = cj.j1_path_c2(ec, ts)[:2]
             bad = j1 <= 0.0
-            if np.any(bad & (np.abs(j1) > 20 * noise)):
+            if np.any(bad & (np.abs(j1) > cj.SIGN_MARGIN * noise)):
                 worst = 1.0
     return _result("conjugate: J1 > 0 on (0, t_max) over a C2 (k,psi,alpha,beta) grid",
                    worst, 0.5)

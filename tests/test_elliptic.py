@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
-from cartanconj.elliptic import (Modulus, am, complete_E,
+from cartanconj.elliptic import (Modulus, am, am_mp, complete_E,
                                  complete_K, E2, incomplete_E, incomplete_F,
                                  jacobi, jacobi_arrays, jacobi_mp)
 
@@ -161,6 +161,26 @@ def test_mp_backend_matches_float():
                 assert abs(float(sn) - v.sn) < 1e-12
                 assert abs(float(ph) - v.am) < 1e-12
                 assert abs(float(eps) - v.E_incomplete) < 1e-12
+
+
+@pytest.mark.parametrize("dps", [40, 50, 120])
+def test_mp_backend_against_mpmath(dps):
+    # mpmath's theta-function sn, cn, dn and its Legendre E are an
+    # algorithm independent of the AGM/Landen chain the backend shares
+    # with float64
+    import mpmath
+    with mpmath.workdps(dps):
+        scale = mpmath.mpf(10) ** (4 - dps)
+        for k in (1e-3, 0.05, 0.5, 0.999, 0.999999):
+            m = mpmath.mpf(k) ** 2
+            for u in (-12.0, -7.3, -0.9, 0.0, 0.4, 2.9, 6.6, 11.7):
+                sn, cn, dn, ph, eps = jacobi_mp(u, k)
+                ref = [mpmath.ellipfun(kind, u, m=m) for kind in ("sn", "cn", "dn")]
+                ref.append(mpmath.ellipe(ph, m))
+                for got, want in zip((sn, cn, dn, eps), ref):
+                    assert abs(got - want) <= scale * max(1, abs(want))
+        for u in (mpmath.mpf(1) / 3, -12.0):
+            assert am_mp(u, 0) == u
 
 
 def test_vectorized_matches_scalar(rng):
