@@ -2,7 +2,6 @@
 Maxwell time and first conjugate time, with the bound t_conj1 >= t_max1
 verifiable at desk scale."""
 
-from .config import DEFAULT, Tolerances, load_config
 from .elliptic import EllipticValues, Modulus, complete_E, complete_K, incomplete_E, incomplete_F, jacobi
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import (Covector, EllipticCoord, Stratum, classify, dilate_covector,

@@ -20,7 +20,6 @@ from . import elastica as ela
 from . import flow as fl
 from . import maxwell as mx
 from . import verify as vf
-from .config import DEFAULT, Tolerances, load_config
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import Covector, EllipticCoord, Stratum
 
@@ -81,45 +80,37 @@ class UsageError(Exception):
     pass
 
 
-def _tolerances(args) -> Tolerances:
-    tol = load_config(args.config) if args.config else DEFAULT
-    return tol.override(
-        ode_rtol=args.rtol, ode_atol=args.atol, root_xtol=args.xtol)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_exp(args) -> int:
-    tol = _tolerances(args)
     lam = parse_covector(args)
     if args.t < 0:
         raise UsageError("--t must be >= 0")
     if args.trace:
-        traj = fl.exp_trajectory(lam, args.t, args.steps, tol)
+        traj = fl.exp_trajectory(lam, args.t, args.steps)
         print("t,x,y,z,v,w")
         for row in traj:
             print(",".join(_fmt(float(v)) for v in row))
     else:
-        g = fl.exp_map(lam, args.t, tol)
+        g = fl.exp_map(lam, args.t)
         print(" ".join(_fmt(v) for v in (g.x, g.y, g.z, g.v, g.w)))
     return EXIT_OK
 
 
 def cmd_conj(args) -> int:
-    tol = _tolerances(args)
     lam = parse_covector(args)
     st = fl.classify(lam)
     res = cj.first_conjugate_time(lam, t_cap=args.horizon,
-                                  cross_validate=not args.no_cross_check, tol=tol)
+                                  cross_validate=not args.no_cross_check)
     if st not in (Stratum.C1, Stratum.C2):
         lower_ok, upper_ok = True, True
     elif args.horizon is None:
-        lower_ok, upper_ok = res.bounds_ok(tol.bound_slack)
+        lower_ok, upper_ok = res.bounds_ok()
     else:
         # the flags judge the default-cap search, not the capped one
-        lower_ok, upper_ok, *_ = cj.two_sided_check(lam, tol)
+        lower_ok, upper_ok, *_ = cj.two_sided_check(lam)
     out = {
         "stratum": str(st),
         "t_max1": _jsonable(res.t_max),
@@ -134,9 +125,8 @@ def cmd_conj(args) -> int:
 
 
 def cmd_maxwell(args) -> int:
-    tol = _tolerances(args)
     lam = parse_covector(args)
-    res = mx.t_max1(lam, tol)
+    res = mx.t_max1(lam)
     out = {
         "stratum": str(res.stratum),
         "t_max1": _jsonable(res.t_max),
@@ -154,7 +144,6 @@ def _parse_range(spec: str, count: int):
 
 
 def cmd_sweep(args) -> int:
-    tol = _tolerances(args)
     if args.nk < 2 or args.nphi < 2:
         raise UsageError("grid counts must be >= 2")
     st = Stratum(args.stratum)
@@ -177,7 +166,7 @@ def cmd_sweep(args) -> int:
                        "t_max1": "", "t_conj": "", "lower_ok": "",
                        "upper_ok": "", "error": ""}
                 try:
-                    lower, upper, tc, tm, _ = cj.two_sided_check(lam, tol)
+                    lower, upper, tc, tm, _ = cj.two_sided_check(lam)
                     row.update(t_max1=tm, t_conj=tc, lower_ok=lower, upper_ok=upper)
                 except (NumericalError, StratumError) as exc:
                     row["error"] = type(exc).__name__
@@ -186,7 +175,7 @@ def cmd_sweep(args) -> int:
         cs = _parse_range(args.c_range, args.nk)
         for cval in cs:
             lam = Covector(args.theta or 0.0, float(cval), 0.0, 0.0)
-            res = cj.first_conjugate_time(lam, tol=tol)
+            res = cj.first_conjugate_time(lam)
             rows.append({"stratum": "C6", "k": "", "phi": "", "alpha": 0.0,
                          "beta": 0.0, "c": float(cval), "t_max1": res.t_max,
                          "t_conj": res.t_conj, "lower_ok": True,
@@ -214,20 +203,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_elastica(args) -> int:
-    tol = _tolerances(args)
     lam = parse_covector(args)
     if args.t_end <= 0:
         raise UsageError("--t-end must be positive")
     markers = {}
-    mres = mx.t_max1(lam, tol)
+    mres = mx.t_max1(lam)
     if math.isfinite(mres.t_max) and mres.t_max <= args.t_end:
         markers["t_max1"] = mres.t_max
-        cres = cj.first_conjugate_time(lam, tol=tol)
+        cres = cj.first_conjugate_time(lam)
         if cres.finite and cres.t_conj <= args.t_end:
             markers["t_conj1"] = cres.t_conj
     plot = ela.build_plot(lam, args.t_end, n=args.steps,
                           reflections=args.reflections,
-                          marker_times=markers, tol=tol)
+                          marker_times=markers)
     if args.out.endswith(".csv"):
         ela.write_csv(plot, args.out)
     elif args.out.endswith(".svg"):
@@ -238,10 +226,9 @@ def cmd_elastica(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
     names = ["elliptic", "flow", "maxwell", "conjugate"] \
         if args.suite == "all" else [args.suite]
-    results = vf.run_suites(names, seed=args.seed, tol=tol)
+    results = vf.run_suites(names, seed=args.seed)
     ok = True
     for res in results:
         print(res.line())
@@ -255,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cartanconj",
         description="Sub-Riemannian geodesics, Maxwell times and conjugate "
                     "times on the Cartan group.")
-    ap.add_argument("--config", help="key=value file overriding tolerances")
-    ap.add_argument("--rtol", type=float, help="integrator relative tolerance")
-    ap.add_argument("--atol", type=float, help="integrator absolute tolerance")
-    ap.add_argument("--xtol", type=float, help="root-finder tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exp", help="endpoint of a geodesic")

@@ -43,16 +43,29 @@ import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT, Tolerances
-from .elliptic import complete_K, jacobi_arrays, jacobi_mp
+from .elliptic import _EPS, complete_K, jacobi_arrays, jacobi_mp
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import Covector, EllipticCoord, JacobianPath, Stratum, classify, to_elliptic
-from .maxwell import (K_ONE_CUTOFF, a01_c1_kernel, a21_c1_kernel,
-                      c1_ingredients, c2_ingredients_from_p, c2_ingredients_from_u1,
-                      fv_c1_kernel, fv_c2_kernel, fz_c1_kernel, fz_c2_kernel,
-                      grid_roots, p1_V, p1_z, sign_changes, t_max1)
+from .maxwell import (C2_MP_K, K_ONE_CUTOFF, MP_DPS, ROOT_XTOL, a01_c1_kernel,
+                      a21_c1_kernel, c1_ingredients, c2_ingredients_from_p,
+                      c2_ingredients_from_u1, fv_c1_kernel, fv_c2_kernel,
+                      fz_c1_kernel, fz_c2_kernel, grid_roots, p1_V, p1_z,
+                      sign_changes, t_max1)
 
-_EPS = 2.220446049250313e-16
+# Settings of the first-zero search, fixed like those in ``maxwell`` by the
+# ~1e-6 target in time.
+
+# base step of the J1 scan (at most a 200th of the pendulum period)
+SCAN_DT = 0.01
+# the analytic and variational first zeros must agree to this, relative to
+# max(1, t_conj); acceptance criterion 8 measures gaps up to about 5e-6 over
+# its 100 draws.
+AGREEMENT_TOL = 1e-4
+# slack of the two-sided bounds t_max <= t_conj <= upper, and of the guard
+# that rejects a located zero undercutting t_max.  Because the two use one
+# slack, a returned result always has lower_ok true.  The slack is absolute,
+# so it does not scale with t_max under dilation.
+BOUND_SLACK = 1e-6
 _NOISE_SAFETY = 16.0
 # A float64 J1 sign is trusted only where |J1| exceeds this many noise
 # bounds.  The noise bound covers cancellation in the J1 sum but not the
@@ -372,26 +385,26 @@ class ConjugateResult:
     def finite(self) -> bool:
         return math.isfinite(self.t_conj)
 
-    def bounds_ok(self, slack: float):
-        """(lower_ok, upper_ok) for t_max <= t_conj <= upper, within slack."""
-        return bool(self.t_conj >= self.t_max - slack), bool(self.t_conj <= self.upper + slack)
+    def bounds_ok(self):
+        """(lower_ok, upper_ok) for t_max <= t_conj <= upper, within BOUND_SLACK."""
+        return (bool(self.t_conj >= self.t_max - BOUND_SLACK),
+                bool(self.t_conj <= self.upper + BOUND_SLACK))
 
 
-def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
-                         tol: Tolerances):
+def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
     """First zero of t -> J1 on (t_lo, t_cap], or None."""
-    dt = min(tol.scan_dt, ec.period() / 200.0)
-    fmp = lambda t: _j1_scalar_mp(ec, t, tol.mp_dps)
+    dt = min(SCAN_DT, ec.period() / 200.0)
+    fmp = lambda t: _j1_scalar_mp(ec, t, MP_DPS)
 
     def refine(a, b, fa_fn):
-        root = brentq(fa_fn, a, b, xtol=tol.root_xtol, rtol=4 * _EPS)
+        root = brentq(fa_fn, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)
         return float(root), (float(a), float(b)), abs(fa_fn(float(root)))
 
-    if ec.stratum is Stratum.C2 and ec.k < tol.c2_mp_k:
+    if ec.stratum is Stratum.C2 and ec.k < C2_MP_K:
         # a few hundred mp evaluations suffice: in this regime J1 tracks
         # a0(p), whose zeros are spaced on the K(k) scale
         ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
-        hits = grid_roots(fmp, ts, tol.root_xtol)
+        hits = grid_roots(fmp, ts)
         if not hits:
             return None
         root, bracket = hits[0]
@@ -428,31 +441,29 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     return None
 
 
-def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float,
-                            tol: Tolerances, n: int = 900):
+def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float, n: int = 900):
     """First zero of the variational Jacobian J0 on (t_lo, t_cap], or None."""
-    jp = JacobianPath(lam, t_cap, tol)
+    jp = JacobianPath(lam, t_cap)
     ts = np.linspace(t_lo, t_cap, n)
-    hits = grid_roots(jp, ts, tol.root_xtol, vals=jp.values(ts))
+    hits = grid_roots(jp, ts, vals=jp.values(ts))
     return hits[0][0] if hits else None
 
 
 def first_conjugate_time(lam: Covector, t_cap: float | None = None,
-                         cross_validate: bool = False,
-                         tol: Tolerances = DEFAULT) -> ConjugateResult:
+                         cross_validate: bool = False) -> ConjugateResult:
     """First conjugate time; +inf when no Jacobian zero at or below the cap.
 
     C3/C4/C5/C7 extremals have none; on C6 the first conjugate time equals
     the first Maxwell time exactly.  On C1/C2 the analytic J1 is scanned and
     (optionally) cross-checked against the variational Jacobian; the two
-    must agree to ``tol.agreement_tol`` or SolverDisagreement is raised.
+    must agree to ``AGREEMENT_TOL`` or SolverDisagreement is raised.
     The result carries the stratum upper bound on t_conj (+inf where the
     period diverges or off C1/C2).
     """
     st = classify(lam)
     if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
         return ConjugateResult(math.inf, None, "analytic", 0.0, math.inf)
-    mr = t_max1(lam, tol)
+    mr = t_max1(lam)
     if st is Stratum.C6:
         # the cylinder chart is singular at alpha = 0 (beta acts trivially),
         # so the variational Jacobian vanishes identically there and cannot
@@ -463,19 +474,19 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
         return ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max)
     sa = math.sqrt(ec.alpha)
     if st is Stratum.C1:
-        upper = 2.0 / sa * max(p1_z(ec.k, tol), p1_V(ec.k, Stratum.C1, tol))
+        upper = 2.0 / sa * max(p1_z(ec.k), p1_V(ec.k, Stratum.C1))
     else:
         upper = 4.0 * ec.k * complete_K(ec.k) / sa
     cap = t_cap if t_cap is not None else max(3.0 * mr.t_max, 1.1 * upper)
     if cap <= 0.0:
         raise ValueError("search horizon must be positive")
     t_lo = min(scan_start_time(ec), 0.5 * mr.t_max)
-    hit = _first_zero_analytic(ec, t_lo, cap, tol)
+    hit = _first_zero_analytic(ec, t_lo, cap)
     if hit is None:
         result = ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max, upper)
     else:
         root, bracket, residual = hit
-        if root < mr.t_max - 1e-6:
+        if root < mr.t_max - BOUND_SLACK:
             raise NumericalError(
                 f"located Jacobian zero t={root} undercuts the Maxwell time "
                 f"{mr.t_max}; the conjugate-time bound excludes this")
@@ -483,19 +494,19 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
 
     if cross_validate:
         v_cap = min(cap, 1.05 * result.t_conj) if result.finite else cap
-        t_v = _first_zero_variational(lam, t_lo, v_cap, tol)
+        t_v = _first_zero_variational(lam, t_lo, v_cap)
         if result.finite:
             agree = t_v is not None and abs(t_v - result.t_conj) <= \
-                tol.agreement_tol * max(1.0, result.t_conj)
+                AGREEMENT_TOL * max(1.0, result.t_conj)
             if not agree:
-                raise SolverDisagreement(result.t_conj, t_v, tol.agreement_tol)
+                raise SolverDisagreement(result.t_conj, t_v, AGREEMENT_TOL)
             result = replace(result, method="analytic+variational")
         elif t_v is not None:
-            raise SolverDisagreement(math.inf, t_v, tol.agreement_tol)
+            raise SolverDisagreement(math.inf, t_v, AGREEMENT_TOL)
     return result
 
 
-def two_sided_check(lam: Covector, tol: Tolerances = DEFAULT):
+def two_sided_check(lam: Covector):
     """(lower_ok, upper_ok) for t_max <= t_conj <= the stratum upper bound.
 
     The flags are read off one default-cap ``first_conjugate_time`` search
@@ -507,5 +518,5 @@ def two_sided_check(lam: Covector, tol: Tolerances = DEFAULT):
     """
     if classify(lam) not in (Stratum.C1, Stratum.C2):
         raise StratumError("two_sided_check applies to C1 and C2 only")
-    res = first_conjugate_time(lam, tol=tol)
-    return (*res.bounds_ok(tol.bound_slack), res.t_conj, res.t_max, res.upper)
+    res = first_conjugate_time(lam)
+    return (*res.bounds_ok(), res.t_conj, res.t_max, res.upper)

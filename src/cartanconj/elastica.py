@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .flow import Covector, exp_trajectory
 
 
@@ -24,10 +23,9 @@ class ElasticaPlot:
     reflections: list = field(default_factory=list)  # (name, (n, 2) array)
 
 
-def sample_elastica(lam: Covector, t_end: float, n: int = 400,
-                    tol: Tolerances = DEFAULT) -> np.ndarray:
+def sample_elastica(lam: Covector, t_end: float, n: int = 400) -> np.ndarray:
     """(n, 3) array of (t, x, y) along [0, t_end]."""
-    traj = exp_trajectory(lam, t_end, n, tol)
+    traj = exp_trajectory(lam, t_end, n)
     return traj[:, :3]
 
 
@@ -57,9 +55,8 @@ def _reflect_family(xy: np.ndarray):
 
 def build_plot(lam: Covector, t_end: float, n: int = 400,
                reflections: bool = False,
-               marker_times: dict | None = None,
-               tol: Tolerances = DEFAULT) -> ElasticaPlot:
-    samples = sample_elastica(lam, t_end, n, tol)
+               marker_times: dict | None = None) -> ElasticaPlot:
+    samples = sample_elastica(lam, t_end, n)
     plot = ElasticaPlot(samples=samples)
     if marker_times:
         ts = samples[:, 0]

@@ -39,12 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT, Tolerances
 from .elliptic import complete_K, incomplete_F, jacobi_arrays
 from .errors import NumericalError, StratumError
 from .group import GroupPoint
 
 _TWO_PI = 2.0 * math.pi
+# RK45 tolerances of the extremal and variational flows: six orders below the
+# ~1e-6 time target (see ``maxwell``) that their J0 zeros are checked against.
+ODE_RTOL = ODE_ATOL = 1e-12
 
 
 class Stratum(enum.Enum):
@@ -227,7 +229,7 @@ def dilate_covector(lam: Covector, r: float):
 # Pendulum flow
 # ---------------------------------------------------------------------------
 
-def pendulum_flow(lam: Covector, dt: float, tol: Tolerances = DEFAULT) -> Covector:
+def pendulum_flow(lam: Covector, dt: float) -> Covector:
     """Advance (theta, c) by dt under theta' = c, c' = -alpha sin(theta - beta)."""
     if dt == 0.0:
         return lam
@@ -271,33 +273,33 @@ def _gdot(state):
     return np.array([ct, st, 0.5 * (x * st - y * ct), r2h * st, -r2h * ct])
 
 
-def exp_map_dense(lam: Covector, t_end: float, tol: Tolerances = DEFAULT):
+def exp_map_dense(lam: Covector, t_end: float):
     """Integrate the extremal up to t_end; returns the dense solution object."""
     if t_end < 0.0:
         raise ValueError("t must be >= 0")
     y0 = [lam.theta, lam.c, 0.0, 0.0, 0.0, 0.0, 0.0]
     sol = solve_ivp(_rhs_base, (0.0, t_end), y0, args=(lam.alpha, lam.beta),
-                    method="RK45", rtol=tol.ode_rtol, atol=tol.ode_atol,
+                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
                     dense_output=True)
     if not sol.success:
         raise NumericalError(f"extremal integration failed: {sol.message}")
     return sol
 
 
-def exp_map(lam: Covector, t: float, tol: Tolerances = DEFAULT) -> GroupPoint:
+def exp_map(lam: Covector, t: float) -> GroupPoint:
     """Endpoint Exp(lam, t) of the arclength-parameterized geodesic."""
     if t == 0.0:
         return GroupPoint.identity()
-    sol = exp_map_dense(lam, t, tol)
+    sol = exp_map_dense(lam, t)
     return GroupPoint.from_array(sol.y[2:, -1])
 
 
-def exp_trajectory(lam: Covector, t_end: float, n: int, tol: Tolerances = DEFAULT):
+def exp_trajectory(lam: Covector, t_end: float, n: int):
     """(n, 6) array of rows (t, x, y, z, v, w), t equally spaced on [0, t_end]."""
     ts = np.linspace(0.0, t_end, n)
     if t_end == 0.0:
         return np.column_stack([ts, np.zeros((n, 5))])
-    sol = exp_map_dense(lam, t_end, tol)
+    sol = exp_map_dense(lam, t_end)
     states = sol.sol(ts)
     return np.column_stack([ts, states[2:].T])
 
@@ -334,7 +336,7 @@ def _rhs_variational(t, yflat, alpha, beta):
 class JacobianPath:
     """Dense-output evaluator of J0(t) = det d Exp / d(theta, c, alpha, beta, t)."""
 
-    def __init__(self, lam: Covector, t_end: float, tol: Tolerances = DEFAULT):
+    def __init__(self, lam: Covector, t_end: float):
         y0 = np.zeros((5, 7))
         y0[0, 0] = lam.theta
         y0[0, 1] = lam.c
@@ -342,7 +344,7 @@ class JacobianPath:
         y0[2, 1] = 1.0
         sol = solve_ivp(_rhs_variational, (0.0, t_end), y0.ravel(),
                         args=(lam.alpha, lam.beta), method="RK45",
-                        rtol=tol.ode_rtol, atol=tol.ode_atol, dense_output=True)
+                        rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
         if not sol.success:
             raise NumericalError(f"variational integration failed: {sol.message}")
         self._sol = sol
@@ -365,15 +367,14 @@ class JacobianPath:
         return np.array([self(t) for t in np.asarray(ts, dtype=float)])
 
 
-def exp_jacobian(lam: Covector, t: float, tol: Tolerances = DEFAULT) -> float:
+def exp_jacobian(lam: Covector, t: float) -> float:
     """J0 at a single time (integrates the variational system up to t)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    return JacobianPath(lam, t, tol)(t)
+    return JacobianPath(lam, t)(t)
 
 
-def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4,
-                    tol: Tolerances = DEFAULT) -> float:
+def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4) -> float:
     """Central-difference J0; the independent oracle for the variational flow.
 
     Integrates all eight perturbed extremals as one batched system so the
@@ -411,7 +412,7 @@ def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4,
         return out.ravel()
 
     sol = solve_ivp(rhs, (0.0, t), y0.ravel(), method="RK45",
-                    rtol=tol.ode_rtol, atol=tol.ode_atol)
+                    rtol=ODE_RTOL, atol=ODE_ATOL)
     if not sol.success:
         raise NumericalError(f"batched integration failed: {sol.message}")
     Y = sol.y[:, -1].reshape(9, 7)
@@ -422,14 +423,13 @@ def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4,
     return float(np.linalg.det(M))
 
 
-def casimir_drift(lam: Covector, t_end: float, n: int = 200,
-                  tol: Tolerances = DEFAULT):
+def casimir_drift(lam: Covector, t_end: float, n: int = 200):
     """Max drift of (E, h4, h5) along the integrated extremal.
 
     h4, h5 are parameters of the theta-chart, so only E is a nontrivial
     check of the integrator; all three are reported for completeness.
     """
-    sol = exp_map_dense(lam, t_end, tol)
+    sol = exp_map_dense(lam, t_end)
     ts = np.linspace(0.0, t_end, n)
     states = sol.sol(ts)
     th, c = states[0], states[1]

@@ -32,15 +32,35 @@ import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import DEFAULT, Tolerances
-from .elliptic import (_kval, am_mp, complete_E, complete_K, incomplete_E,
+from .elliptic import (_EPS, _kval, am_mp, complete_E, complete_K, incomplete_E,
                        incomplete_F, jacobi_arrays, jacobi_mp)
 from .errors import NumericalError, StratumError
 from .flow import Covector, Stratum, classify, to_elliptic
 
-_EPS = 2.220446049250313e-16
 # modulus this close to 1 means the period diverges: report +inf times
 K_ONE_CUTOFF = 1.0 - 1e-9
+
+# Numerical settings.  Zeros of the exponential-map Jacobian are located to
+# about 1e-6 in time, and that target drives every tolerance here and in
+# ``conjugate`` and ``flow``.  They are fixed: the results are reproduced at
+# these values only.
+
+# Brent tolerance of every root (Maxwell roots, J1 and J0 zeros): six orders
+# below the 1e-6 target, so root error never shows in a reported time.
+ROOT_XTOL = 1e-12
+# panels of the Maxwell first-root scans over (0, nK), n <= 4: at least 16
+# per K, while the roots of fz and fv are spaced on the K scale; a
+# near-tangential pair inside one panel is left to the dip rescan.
+SCAN_PANELS = 64
+# working digits of the high-precision path: C2's a21 falls off like k**17
+# against O(1) monomials, so at k = 0.1 about 33 of 50 digits survive.
+MP_DPS = 50
+# below this modulus every C2 formula (the fv root, u_v1, the J1 scan) runs
+# under mpmath.  With 0.15 instead, the float64 fv scan at k = 0.16 stops on
+# noise and its root escapes (K, 2K).
+C2_MP_K = 0.2
+# digits of the mpmath re-location of a float64 root near a degeneracy
+POLISH_DPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +300,7 @@ def sign_changes(vals):
     return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
-def grid_roots(f, xs, xtol, vals=None, count=1):
+def grid_roots(f, xs, vals=None, count=1):
     """Brent roots of f in the first ``count`` panels of the grid xs where f
     changes sign (all of them for count=None), as (root, (a, b)) pairs.
 
@@ -291,11 +311,11 @@ def grid_roots(f, xs, xtol, vals=None, count=1):
     roots = []
     for i in sign_changes(vals)[:count]:
         a, b = float(xs[i]), float(xs[i + 1])
-        roots.append((float(brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)), (a, b)))
+        roots.append((float(brentq(f, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)), (a, b)))
     return roots
 
 
-def _first_root(f, lo, hi, panels, xtol) -> RootInfo:
+def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     """First sign change of f on (lo, hi), refined by Brent.
 
     Where |f| dips by orders of magnitude inside one panel without a sign
@@ -334,7 +354,7 @@ def _first_root(f, lo, hi, panels, xtol) -> RootInfo:
     return refine(ps[i], ps[i + 1])
 
 
-def _polish_root_mp(fmp, info: RootInfo, xtol: float, dx: float = 1e-3) -> RootInfo:
+def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
     """Re-locate a float64 root under mpmath.
 
     Needed where the target function is nearly degenerate: fz has a cubic
@@ -345,16 +365,16 @@ def _polish_root_mp(fmp, info: RootInfo, xtol: float, dx: float = 1e-3) -> RootI
     tangency: its location is taken as the interior minimum of |f|.
     """
     from scipy.optimize import minimize_scalar
-    with mpmath.workdps(40):
+    with mpmath.workdps(POLISH_DPS):
         a, b = info.root - dx, info.root + dx
         fa, fb = fmp(a), fmp(b)
         if fa == 0.0 or fb == 0.0:
             return info
         if fa * fb < 0.0:
-            root = brentq(fmp, a, b, xtol=xtol, rtol=4 * _EPS)
+            root = brentq(fmp, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)
             return RootInfo(float(root), (a, b), abs(fmp(float(root))))
         res = minimize_scalar(lambda p: abs(fmp(p)), bounds=(a, b),
-                              method="bounded", options={"xatol": xtol})
+                              method="bounded", options={"xatol": ROOT_XTOL})
         if res.fun < 1e-4 * max(abs(fa), abs(fb)):
             return RootInfo(float(res.x), (a, b), float(res.fun))
         return info
@@ -376,38 +396,35 @@ def _branch_fn(kernel, stratum, k, mp=False):
 
 
 @lru_cache(maxsize=4096)
-def _p1_z_cached(k: float, panels: int, xtol: float) -> RootInfo:
+def _p1_z_cached(k: float) -> RootInfo:
     K = complete_K(k)
-    info = _first_root(_branch_fn(fz_c1_kernel, Stratum.C1, k),
-                       0.02, 3.0 * K - 1e-9, panels, xtol)
-    info = _polish_root_mp(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), info, xtol)
+    info = _first_root(_branch_fn(fz_c1_kernel, Stratum.C1, k), 0.02, 3.0 * K - 1e-9)
+    info = _polish_root_mp(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), info)
     if not K < info.root < 3.0 * K:
         raise NumericalError(f"p1z(k={k}) = {info.root} escaped (K, 3K)")
     return info
 
 
 @lru_cache(maxsize=4096)
-def _p1_v_c1_cached(k: float, panels: int, xtol: float) -> RootInfo:
+def _p1_v_c1_cached(k: float) -> RootInfo:
     K = complete_K(k)
-    info = _first_root(_branch_fn(fv_c1_kernel, Stratum.C1, k),
-                       0.02, 4.0 * K - 1e-9, panels, xtol)
-    info = _polish_root_mp(_branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True), info, xtol)
+    info = _first_root(_branch_fn(fv_c1_kernel, Stratum.C1, k), 0.02, 4.0 * K - 1e-9)
+    info = _polish_root_mp(_branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True), info)
     if not 2.0 * K - 1e-6 <= info.root < 4.0 * K:
         raise NumericalError(f"p1v(k={k}) = {info.root} escaped [2K, 4K)")
     return info
 
 
 @lru_cache(maxsize=4096)
-def _p1_v_c2_cached(k: float, panels: int, xtol: float, mp_k: float, dps: int) -> RootInfo:
+def _p1_v_c2_cached(k: float) -> RootInfo:
     K = complete_K(k)
-    if k < mp_k:
-        with mpmath.workdps(dps):
+    if k < C2_MP_K:
+        with mpmath.workdps(MP_DPS):
             info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True),
-                               1e-3, 2.0 * K - 1e-9, panels, xtol)
+                               1e-3, 2.0 * K - 1e-9)
     else:
-        info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k),
-                           0.02, 2.0 * K - 1e-9, panels, xtol)
-        info = _polish_root_mp(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True), info, xtol)
+        info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k), 0.02, 2.0 * K - 1e-9)
+        info = _polish_root_mp(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True), info)
     if not K < info.root < 2.0 * K:
         raise NumericalError(f"p1v_C2(k={k}) = {info.root} escaped (K, 2K)")
     return info
@@ -421,14 +438,14 @@ def _p1_v0_cached() -> RootInfo:
     return info
 
 
-def p1_z(k, tol: Tolerances = DEFAULT) -> float:
+def p1_z(k) -> float:
     k = _kval(k)
     if not 0.0 < k < 1.0:
         raise ValueError("p1_z needs k in (0, 1)")
-    return _p1_z_cached(k, tol.scan_panels, tol.root_xtol).root
+    return _p1_z_cached(k).root
 
 
-def p1_V(k, stratum, tol: Tolerances = DEFAULT) -> float:
+def p1_V(k, stratum) -> float:
     """First root of fv for the given stratum; k = 0 gives the C6 limit."""
     st = Stratum(stratum) if not isinstance(stratum, Stratum) else stratum
     k = _kval(k)
@@ -439,10 +456,9 @@ def p1_V(k, stratum, tol: Tolerances = DEFAULT) -> float:
     if not 0.0 < k < 1.0:
         raise ValueError("p1_V needs k in [0, 1)")
     if st is Stratum.C1:
-        return _p1_v_c1_cached(k, tol.scan_panels, tol.root_xtol).root
+        return _p1_v_c1_cached(k).root
     if st is Stratum.C2:
-        return _p1_v_c2_cached(k, tol.scan_panels, tol.root_xtol,
-                               tol.c2_mp_k, tol.mp_dps).root
+        return _p1_v_c2_cached(k).root
     raise StratumError(f"p1_V is defined on C1/C2, not {st}")
 
 
@@ -450,24 +466,25 @@ def p1_V0() -> float:
     return _p1_v0_cached().root
 
 
-def u_v1(k, tol: Tolerances = DEFAULT) -> float:
+def u_v1(k) -> float:
     """Amplitude of the first C2 root: u_v1 = am(p1v, k)."""
     k = _kval(k)
-    p = p1_V(k, Stratum.C2, tol)
-    if k < tol.c2_mp_k:
-        with mpmath.workdps(tol.mp_dps):
+    p = p1_V(k, Stratum.C2)
+    if k < C2_MP_K:
+        with mpmath.workdps(MP_DPS):
             return float(am_mp(p, k))
     return float(jacobi_arrays(p, k)[3])
 
 
-@lru_cache(maxsize=8)
-def _critical_moduli_cached(panels: int, xtol: float):
+@lru_cache(maxsize=1)
+def critical_moduli():
+    """The two moduli (k1, k0) with p1z(k) = p1v(k), k1 < k0."""
     # p1z(k) = p1v(k) exactly when fz and fv share their first root, i.e.
     # when fv vanishes at p1z(k); that formulation stays smooth through the
     # steep region where the first fv root emerges from a tangential pair.
     def shared(k):
-        return _branch_fn(fv_c1_kernel, Stratum.C1, k)(_p1_z_cached(k, panels, xtol).root)
-    roots = grid_roots(shared, np.linspace(0.02, 0.98, 121), 1e-12, count=None)
+        return _branch_fn(fv_c1_kernel, Stratum.C1, k)(_p1_z_cached(k).root)
+    roots = grid_roots(shared, np.linspace(0.02, 0.98, 121), count=None)
     if len(roots) != 2:
         raise NumericalError(f"expected 2 critical moduli, found {len(roots)}")
     k1, k0 = sorted(r for r, _ in roots)
@@ -477,7 +494,7 @@ def _critical_moduli_cached(panels: int, xtol: float):
     # pv simple at k0); on the other side a cube-root (k0) or square-root
     # (k1) branch blows a ~1e-12 modulus error up to ~1e-4 in the root.
     def below_k1(k):
-        return _polished_shared_sign(k, panels, xtol) < 0.0
+        return _polished_shared_sign(k) < 0.0
     while not below_k1(k1):
         k1 = float(np.nextafter(k1, 0.0))
     def below_k0(k):
@@ -492,18 +509,13 @@ def _critical_moduli_cached(panels: int, xtol: float):
     return k1, k0
 
 
-def _polished_shared_sign(k, panels, xtol):
+def _polished_shared_sign(k):
     """fv at the first fz root, evaluated fully under mpmath."""
-    with mpmath.workdps(40):
-        pz = _p1_z_cached(k, panels, xtol).root
+    with mpmath.workdps(POLISH_DPS):
+        pz = _p1_z_cached(k).root
         pz = brentq(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), pz - 1e-3, pz + 1e-3,
                     xtol=1e-14, rtol=4 * _EPS)
         return _branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True)(float(pz))
-
-
-def critical_moduli(tol: Tolerances = DEFAULT):
-    """The two moduli (k1, k0) with p1z(k) = p1v(k), k1 < k0."""
-    return _critical_moduli_cached(tol.scan_panels, tol.root_xtol)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +531,7 @@ class MaxwellResult:
     stratum: Stratum
 
 
-def t_max1(lam: Covector, tol: Tolerances = DEFAULT) -> MaxwellResult:
+def t_max1(lam: Covector) -> MaxwellResult:
     st = classify(lam)
     if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
         return MaxwellResult(math.inf, None, None, 0.0, st)
@@ -532,12 +544,11 @@ def t_max1(lam: Covector, tol: Tolerances = DEFAULT) -> MaxwellResult:
     if ec.k > K_ONE_CUTOFF:
         return MaxwellResult(math.inf, None, None, 0.0, st)
     if st is Stratum.C1:
-        iz = _p1_z_cached(ec.k, tol.scan_panels, tol.root_xtol)
-        iv = _p1_v_c1_cached(ec.k, tol.scan_panels, tol.root_xtol)
+        iz = _p1_z_cached(ec.k)
+        iv = _p1_v_c1_cached(ec.k)
         info = iz if iz.root <= iv.root else iv
         return MaxwellResult(2.0 / sa * info.root, info.root,
                              info.bracket, info.residual, st)
-    info = _p1_v_c2_cached(ec.k, tol.scan_panels, tol.root_xtol,
-                           tol.c2_mp_k, tol.mp_dps)
+    info = _p1_v_c2_cached(ec.k)
     return MaxwellResult(2.0 * ec.k / sa * info.root, info.root,
                          info.bracket, info.residual, st)

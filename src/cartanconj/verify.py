@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from . import elliptic as el
 from . import group as gr
 from . import maxwell as mx
@@ -133,23 +132,23 @@ def elliptic_suite(seed=0):
 # flow suite
 # ---------------------------------------------------------------------------
 
-def check_casimirs(rng, n=5, t_end=50.0, tol: Tolerances = DEFAULT):
+def check_casimirs(rng, n=5, t_end=50.0):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
-        dE, dh4, dh5 = fl.casimir_drift(lam, t_end, tol=tol)
+        dE, dh4, dh5 = fl.casimir_drift(lam, t_end)
         worst = max(worst, dE, dh4, dh5)
     return _result("flow: Casimir drift along length-50 extremals", worst, 1e-9)
 
 
-def check_arclength(rng, n=3, tol: Tolerances = DEFAULT):
+def check_arclength(rng, n=3):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng)
         t_end = rng.uniform(3.0, 8.0)
         lengths = []
         for m in (2001, 4001):
-            traj = fl.exp_trajectory(lam, t_end, m, tol)
+            traj = fl.exp_trajectory(lam, t_end, m)
             seg = np.hypot(np.diff(traj[:, 1]), np.diff(traj[:, 2]))
             lengths.append(float(np.sum(seg)))
         # second-order Richardson extrapolation of the polyline length
@@ -158,27 +157,27 @@ def check_arclength(rng, n=3, tol: Tolerances = DEFAULT):
     return _result("flow: (x, y) arclength equals t", worst, 1e-8)
 
 
-def check_rotation_commutes(rng, n=20, tol: Tolerances = DEFAULT):
+def check_rotation_commutes(rng, n=20):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
         s = rng.uniform(0.0, 2 * math.pi)
         t = rng.uniform(0.5, 4.0)
-        left = fl.exp_map(fl.rotate_covector(lam, s), t, tol).as_array()
-        right = gr.rotate(fl.exp_map(lam, t, tol), s).as_array()
+        left = fl.exp_map(fl.rotate_covector(lam, s), t).as_array()
+        right = gr.rotate(fl.exp_map(lam, t), s).as_array()
         worst = max(worst, float(np.max(np.abs(left - right))))
     return _result("flow: rotation commutes with Exp", worst, 1e-9)
 
 
-def check_dilation_commutes(rng, n=20, tol: Tolerances = DEFAULT):
+def check_dilation_commutes(rng, n=20):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
         r = rng.uniform(-0.7, 0.7)
         t = rng.uniform(0.5, 3.0)
         lam2, scale = fl.dilate_covector(lam, r)
-        left = fl.exp_map(lam2, t * scale, tol).as_array()
-        right = gr.dilate(fl.exp_map(lam, t, tol), r).as_array()
+        left = fl.exp_map(lam2, t * scale).as_array()
+        right = gr.dilate(fl.exp_map(lam, t), r).as_array()
         worst = max(worst, float(np.max(np.abs(left - right))))
     return _result("flow: dilation commutes with Exp (t -> t e^r)", worst, 1e-9)
 
@@ -243,18 +242,18 @@ def check_pqr_invariance(rng, n=100):
     return _result("flow: P, Q, R invariant under rotation and dilation", worst, 1e-10)
 
 
-def check_jacobian_fd(rng, n=4, tol: Tolerances = DEFAULT):
+def check_jacobian_fd(rng, n=4):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
         t = rng.uniform(1.0, 4.0)
-        jv = fl.exp_jacobian(lam, t, tol)
-        jf = fl.exp_jacobian_fd(lam, t, tol=tol)
+        jv = fl.exp_jacobian(lam, t)
+        jf = fl.exp_jacobian_fd(lam, t)
         worst = max(worst, abs(jv - jf) / max(abs(jv), 1e-12))
     return _result("flow: variational J0 matches central differences", worst, 1e-4)
 
 
-def check_pqr_jacobian_relation(rng, n=3, tol: Tolerances = DEFAULT):
+def check_pqr_jacobian_relation(rng, n=3):
     """d(xyzvw)/d(t,phi,k,alpha,beta) = -(r^10/alpha) d(P,Q,R)/d(t,phi,k)."""
     worst = 0.0
     tried = 0
@@ -262,7 +261,7 @@ def check_pqr_jacobian_relation(rng, n=3, tol: Tolerances = DEFAULT):
         lam = random_c1(rng, k_range=(0.2, 0.85))
         ec = fl.to_elliptic(lam)
         t = rng.uniform(1.5, 3.5)
-        g = fl.exp_map(lam, t, tol)
+        g = fl.exp_map(lam, t)
         if g.r < 0.3:
             continue
         tried += 1
@@ -271,7 +270,7 @@ def check_pqr_jacobian_relation(rng, n=3, tol: Tolerances = DEFAULT):
         def endpoint(tt, dphi, dk, dalpha, dbeta):
             ec2 = EllipticCoord(ec.stratum, ec.phi + dphi, ec.k + dk,
                                 ec.alpha + dalpha, ec.beta + dbeta, ec.direction)
-            return fl.exp_map(fl.from_elliptic(ec2), tt, tol).as_array()
+            return fl.exp_map(fl.from_elliptic(ec2), tt).as_array()
 
         cols = []
         deltas = [(h, 0, 0, 0, 0), (0, h, 0, 0, 0), (0, 0, h, 0, 0),
@@ -285,7 +284,7 @@ def check_pqr_jacobian_relation(rng, n=3, tol: Tolerances = DEFAULT):
         def pqr(tt, dphi, dk):
             ec2 = EllipticCoord(ec.stratum, ec.phi + dphi, ec.k + dk,
                                 ec.alpha, ec.beta, ec.direction)
-            gg = fl.exp_map(fl.from_elliptic(ec2), tt, tol)
+            gg = fl.exp_map(fl.from_elliptic(ec2), tt)
             return np.array(gr.invariant_coords(gg)[:3])
 
         cols3 = [(pqr(t + h, 0, 0) - pqr(t - h, 0, 0)) / (2 * h),
@@ -297,19 +296,19 @@ def check_pqr_jacobian_relation(rng, n=3, tol: Tolerances = DEFAULT):
     return _result("flow: 5x5 Jacobian = -(r^10/alpha) d(P,Q,R)/d(t,phi,k)", worst, 1e-4)
 
 
-def flow_suite(seed=0, tol: Tolerances = DEFAULT):
+def flow_suite(seed=0):
     rng = np.random.default_rng(seed)
     return [
-        check_casimirs(rng, tol=tol),
-        check_arclength(rng, tol=tol),
-        check_rotation_commutes(rng, tol=tol),
-        check_dilation_commutes(rng, tol=tol),
+        check_casimirs(rng),
+        check_arclength(rng),
+        check_rotation_commutes(rng),
+        check_dilation_commutes(rng),
         check_elliptic_roundtrip(rng),
         check_pendulum_phase(rng),
         check_coordinate_jacobian(rng),
         check_pqr_invariance(rng),
-        check_jacobian_fd(rng, tol=tol),
-        check_pqr_jacobian_relation(rng, tol=tol),
+        check_jacobian_fd(rng),
+        check_pqr_jacobian_relation(rng),
     ]
 
 
@@ -317,14 +316,14 @@ def flow_suite(seed=0, tol: Tolerances = DEFAULT):
 # maxwell suite
 # ---------------------------------------------------------------------------
 
-def check_root_brackets(tol: Tolerances = DEFAULT):
+def check_root_brackets():
     worst = 0.0
     for k in np.arange(0.05, 0.951, 0.05):
         k = float(k)
         K = el.complete_K(k)
-        pz = mx.p1_z(k, tol)
-        pv1 = mx.p1_V(k, Stratum.C1, tol)
-        pv2 = mx.p1_V(k, Stratum.C2, tol)
+        pz = mx.p1_z(k)
+        pv1 = mx.p1_V(k, Stratum.C1)
+        pv2 = mx.p1_V(k, Stratum.C2)
         ok = (K < pz < 3 * K) and (2 * K - 1e-9 <= pv1 < 4 * K) and (K < pv2 < 2 * K)
         if not ok:
             worst = 1.0
@@ -334,12 +333,12 @@ def check_root_brackets(tol: Tolerances = DEFAULT):
     return _result("maxwell: root brackets (K,3K), [2K,4K), (K,2K), (pi/2,pi)", worst, 0.5)
 
 
-def check_min_pattern(tol: Tolerances = DEFAULT):
-    k1, k0 = mx.critical_moduli(tol)
+def check_min_pattern():
+    k1, k0 = mx.critical_moduli()
     bad = 0
     for k in np.linspace(0.03, 0.97, 50):
         k = float(k)
-        gap = mx.p1_z(k, tol) - mx.p1_V(k, Stratum.C1, tol)
+        gap = mx.p1_z(k) - mx.p1_V(k, Stratum.C1)
         inside = k1 + 1e-6 < k < k0 - 1e-6
         if inside and gap < 0:
             bad += 1
@@ -349,51 +348,51 @@ def check_min_pattern(tol: Tolerances = DEFAULT):
                    float(bad), 0.5, f"k1={k1:.6f} k0={k0:.6f}")
 
 
-def check_root_continuity(tol: Tolerances = DEFAULT):
+def check_root_continuity():
     ks = np.linspace(0.1, 0.9, 33)
-    pz = np.array([mx.p1_z(float(k), tol) for k in ks])
+    pz = np.array([mx.p1_z(float(k)) for k in ks])
     worst = float(np.max(np.abs(np.diff(pz))))
     # p1v jumps at the lower critical modulus (a root pair appears there),
     # so its continuity is checked on k-grids away from that window
-    k1, _ = mx.critical_moduli(tol)
+    k1, _ = mx.critical_moduli()
     for lo, hi in ((0.05, k1 - 0.02), (k1 + 0.02, 0.95)):
         ks = np.linspace(lo, hi, 25)
-        pv = np.array([mx.p1_V(float(k), Stratum.C1, tol) for k in ks])
+        pv = np.array([mx.p1_V(float(k), Stratum.C1) for k in ks])
         worst = max(worst, float(np.max(np.abs(np.diff(pv)))))
     return _result("maxwell: p1z, p1v continuous on k-grids (p1v: off the k1 jump)",
                    worst, 0.5)
 
 
-def check_c6_limit(tol: Tolerances = DEFAULT):
+def check_c6_limit():
     cbar = 2.0
-    t_c6 = mx.t_max1(Covector(0.3, cbar, 0.0, 0.0), tol).t_max
+    t_c6 = mx.t_max1(Covector(0.3, cbar, 0.0, 0.0)).t_max
     mu = 1e-4
     lam = Covector(0.3, cbar, mu, math.pi / 2.0)   # h4 = mu, h5 = 0
-    t_c2 = mx.t_max1(lam, tol).t_max
+    t_c2 = mx.t_max1(lam).t_max
     worst = abs(t_c2 - t_c6) / t_c6
     return _result("maxwell: C2 -> C6 limit of t_max1 (h4 = 1e-4)", worst, 1e-3)
 
 
-def check_tmax_scaling(rng, n=10, tol: Tolerances = DEFAULT):
+def check_tmax_scaling(rng, n=10):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
         r = rng.uniform(-0.8, 0.8)
         lam2, scale = fl.dilate_covector(lam, r)
-        t1 = mx.t_max1(lam, tol).t_max
-        t2 = mx.t_max1(lam2, tol).t_max
+        t1 = mx.t_max1(lam).t_max
+        t2 = mx.t_max1(lam2).t_max
         worst = max(worst, abs(t2 - scale * t1) / (scale * t1))
     return _result("maxwell: t_max1 scales by e^r under dilation", worst, 1e-9)
 
 
-def maxwell_suite(seed=0, tol: Tolerances = DEFAULT):
+def maxwell_suite(seed=0):
     rng = np.random.default_rng(seed)
     return [
-        check_root_brackets(tol),
-        check_min_pattern(tol),
-        check_root_continuity(tol),
-        check_c6_limit(tol),
-        check_tmax_scaling(rng, tol=tol),
+        check_root_brackets(),
+        check_min_pattern(),
+        check_root_continuity(),
+        check_c6_limit(),
+        check_tmax_scaling(rng),
     ]
 
 
@@ -407,12 +406,12 @@ _AB_COMBOS = [(1.0, 0.0), (0.5, 0.7), (2.0, 2.1), (1.3, 4.4),
               (0.7, 1.0), (1.7, 5.5), (0.9, 3.3), (1.1, 0.2)]
 
 
-def check_sign_grid_c1(nk=12, nphi=12, nt=200, tol: Tolerances = DEFAULT):
+def check_sign_grid_c1(nk=12, nphi=12, nt=200):
     worst = 0.0
     combo = 0
     for k in np.linspace(0.05, 0.95, nk):
         k = float(k)
-        pmin = min(mx.p1_z(k, tol), mx.p1_V(k, Stratum.C1, tol))
+        pmin = min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
         for phi_frac in np.linspace(0.0, 1.0, nphi, endpoint=False):
             alpha, beta = _AB_COMBOS[combo % len(_AB_COMBOS)]
             combo += 1
@@ -429,12 +428,12 @@ def check_sign_grid_c1(nk=12, nphi=12, nt=200, tol: Tolerances = DEFAULT):
                    worst, 0.5)
 
 
-def check_sign_grid_c2(nk=12, npsi=12, nt=200, tol: Tolerances = DEFAULT):
+def check_sign_grid_c2(nk=12, npsi=12, nt=200):
     worst = 0.0
     combo = 0
     for k in np.linspace(0.3, 0.95, nk):
         k = float(k)
-        pv = mx.p1_V(k, Stratum.C2, tol)
+        pv = mx.p1_V(k, Stratum.C2)
         for phi_frac in np.linspace(0.0, 1.0, npsi, endpoint=False):
             alpha, beta = _AB_COMBOS[combo % len(_AB_COMBOS)]
             combo += 1
@@ -451,12 +450,12 @@ def check_sign_grid_c2(nk=12, npsi=12, nt=200, tol: Tolerances = DEFAULT):
                    worst, 0.5)
 
 
-def check_c1_coefficients(nk=8, nt=40, tol: Tolerances = DEFAULT):
+def check_c1_coefficients(nk=8, nt=40):
     """a2 > 0, a0 < 0 and a0 + a1 + a2 < 0 on (0, p1(k))."""
     worst = 0.0
     for k in np.linspace(0.1, 0.9, nk):
         k = float(k)
-        p1 = min(mx.p1_z(k, tol), mx.p1_V(k, Stratum.C1, tol))
+        p1 = min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
         ps = np.linspace(0.3, p1 - 1e-6, nt)
         k2, sn, cn, dn, e2 = mx.c1_ingredients(ps, k)
         a0 = mx.fv_c1_kernel(ps, k2, sn, cn, dn, e2)[0] * mx.a01_c1_kernel(ps, k2, sn, cn, dn, e2)[0]
@@ -467,11 +466,11 @@ def check_c1_coefficients(nk=8, nt=40, tol: Tolerances = DEFAULT):
     return _result("conjugate: a2 > 0, a0 < 0, a0+a1+a2 < 0 on (0, p1)", worst, 0.5)
 
 
-def check_c2_endpoint_factorization(tol: Tolerances = DEFAULT):
+def check_c2_endpoint_factorization():
     """At u1 = u_v1(k): J1 = -a2 xi (1 - xi)."""
     worst = 0.0
     for k in (0.35, 0.55, 0.75):
-        pv = mx.p1_V(k, Stratum.C2, tol)
+        pv = mx.p1_V(k, Stratum.C2)
         t1 = 2.0 * k * pv
         for phi in (0.1, 0.4, 0.9):
             ec = EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0)
@@ -482,18 +481,18 @@ def check_c2_endpoint_factorization(tol: Tolerances = DEFAULT):
     return _result("conjugate: J1 = -a2 xi(1-xi) at the fv root (C2)", worst, 1e-9)
 
 
-def check_zero_agreement(rng, n=6, tol: Tolerances = DEFAULT):
+def check_zero_agreement(rng, n=6):
     from .errors import SolverDisagreement
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
         try:
-            cj.first_conjugate_time(lam, cross_validate=True, tol=tol)
+            cj.first_conjugate_time(lam, cross_validate=True)
         except SolverDisagreement as exc:
             worst = max(worst, abs(exc.t_analytic - (exc.t_variational or math.inf)))
     return _result("conjugate: analytic and variational first zeros agree",
-                   worst, tol.agreement_tol, f"{n} random extremals")
+                   worst, cj.AGREEMENT_TOL, f"{n} random extremals")
 
 
 def check_certificates(rng, n=200):
@@ -539,83 +538,83 @@ def check_certificate_derivatives(rng, n=6):
     return _result("conjugate: certificate derivative identities", worst, 1e-5)
 
 
-def check_symmetry_invariance(rng, n=5, tol: Tolerances = DEFAULT):
+def check_symmetry_invariance(rng, n=5):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng, k_range=(0.2, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
-        t0 = cj.first_conjugate_time(lam, tol=tol).t_conj
-        t_r = cj.first_conjugate_time(fl.reflect3(lam), tol=tol).t_conj
+        t0 = cj.first_conjugate_time(lam).t_conj
+        t_r = cj.first_conjugate_time(fl.reflect3(lam)).t_conj
         t_s = cj.first_conjugate_time(
-            fl.rotate_covector(lam, rng.uniform(0, 2 * math.pi)), tol=tol).t_conj
+            fl.rotate_covector(lam, rng.uniform(0, 2 * math.pi))).t_conj
         r = rng.uniform(-0.6, 0.6)
         lam_d, scale = fl.dilate_covector(lam, r)
-        t_d = cj.first_conjugate_time(lam_d, tol=tol).t_conj
+        t_d = cj.first_conjugate_time(lam_d).t_conj
         worst = max(worst, abs(t_r - t0), abs(t_s - t0),
                     abs(t_d - scale * t0) / scale)
     return _result("conjugate: t_conj invariant under reflection/rotation/dilation",
                    worst, 1e-6)
 
 
-def check_equality_cases(tol: Tolerances = DEFAULT):
+def check_equality_cases():
     worst = 0.0
-    k1, k0 = mx.critical_moduli(tol)
+    k1, k0 = mx.critical_moduli()
     cases = []
     for k in (k1, k0):
         cases.append(EllipticCoord(Stratum.C1, 0.23, k, 1.0, 0.0))
     # cn tau = 0 at k below k1; sn tau = 0 inside (k1, k0)
     for k, tau_target in ((0.5, el.complete_K(0.5)), (0.85, 2.0 * el.complete_K(0.85))):
-        tm = 2.0 * min(mx.p1_z(k, tol), mx.p1_V(k, Stratum.C1, tol))
+        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
         cases.append(EllipticCoord(Stratum.C1, tau_target - tm / 2.0, k, 1.0, 0.0))
     k = 0.6
-    tm = 2.0 * k * mx.p1_V(k, Stratum.C2, tol)
+    tm = 2.0 * k * mx.p1_V(k, Stratum.C2)
     for tau_target in (2.0 * k * el.complete_K(k), k * el.complete_K(k)):
         cases.append(EllipticCoord(Stratum.C2, tau_target - tm / 2.0, k, 1.0, 0.0))
     for ec in cases:
-        res = cj.first_conjugate_time(fl.from_elliptic(ec), tol=tol)
+        res = cj.first_conjugate_time(fl.from_elliptic(ec))
         worst = max(worst, abs(res.t_conj - res.t_max))
-    res = cj.first_conjugate_time(Covector(0.4, 1.7, 0.0, 0.0), tol=tol)
+    res = cj.first_conjugate_time(Covector(0.4, 1.7, 0.0, 0.0))
     worst = max(worst, abs(res.t_conj - res.t_max))
     return _result("conjugate: equality cases give t_conj = t_max", worst, 1e-6)
 
 
-def check_two_sided(rng, n=8, tol: Tolerances = DEFAULT):
+def check_two_sided(rng, n=8):
     bad = 0
     for _ in range(n):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
-        lower, upper, *_ = cj.two_sided_check(lam, tol)
+        lower, upper, *_ = cj.two_sided_check(lam)
         if not (lower and upper):
             bad += 1
     return _result("conjugate: two-sided bounds hold", float(bad), 0.5)
 
 
-def conjugate_suite(seed=0, tol: Tolerances = DEFAULT):
+def conjugate_suite(seed=0):
     rng = np.random.default_rng(seed)
     return [
-        check_sign_grid_c1(tol=tol),
-        check_sign_grid_c2(tol=tol),
-        check_c1_coefficients(tol=tol),
-        check_c2_endpoint_factorization(tol=tol),
-        check_zero_agreement(rng, tol=tol),
+        check_sign_grid_c1(),
+        check_sign_grid_c2(),
+        check_c1_coefficients(),
+        check_c2_endpoint_factorization(),
+        check_zero_agreement(rng),
         check_certificates(rng),
         check_certificate_derivatives(rng),
-        check_symmetry_invariance(rng, tol=tol),
-        check_equality_cases(tol=tol),
-        check_two_sided(rng, tol=tol),
+        check_symmetry_invariance(rng),
+        check_equality_cases(),
+        check_two_sided(rng),
     ]
 
 
 SUITES = {
-    "elliptic": lambda seed, tol: elliptic_suite(seed),
+    "elliptic": elliptic_suite,
     "flow": flow_suite,
-    "maxwell": lambda seed, tol: maxwell_suite(seed, tol),
+    "maxwell": maxwell_suite,
     "conjugate": conjugate_suite,
 }
 
 
-def run_suites(names, seed=0, tol: Tolerances = DEFAULT):
+def run_suites(names, seed=0):
     results = []
     for name in names:
-        results.extend(SUITES[name](seed, tol))
+        results.extend(SUITES[name](seed))
     return results

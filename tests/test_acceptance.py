@@ -11,7 +11,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from cartanconj.config import Tolerances
 from cartanconj.elliptic import am, am_mp, complete_K, incomplete_F, jacobi_arrays
 from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              casimir_drift, classify, dilate_covector,
@@ -21,8 +20,6 @@ from cartanconj import conjugate as cj
 from cartanconj import maxwell as mx
 from cartanconj.group import GroupPoint, invariant_coords
 from cartanconj.verify import random_c1, random_c2
-
-FAST_ODE = Tolerances(ode_rtol=1e-11, ode_atol=1e-11)
 
 
 class Criterion:
@@ -219,9 +216,9 @@ def test_criterion_08_oracle_agreement():
     for i in range(100):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if i % 2 == 0 \
             else random_c2(rng, k_range=(0.35, 0.85))
-        res = cj.first_conjugate_time(lam, tol=FAST_ODE)
+        res = cj.first_conjugate_time(lam)
         assert res.finite
-        jp = JacobianPath(lam, 1.04 * res.t_conj, FAST_ODE)
+        jp = JacobianPath(lam, 1.04 * res.t_conj)
         ts = np.linspace(0.4 * res.t_conj, 1.04 * res.t_conj, 500)
         vals = jp.values(ts)
         sign = np.sign(vals)
@@ -235,8 +232,8 @@ def test_criterion_08_oracle_agreement():
         lam = random_c1(rng, k_range=(0.2, 0.85)) if i % 2 == 0 \
             else random_c2(rng, k_range=(0.4, 0.8))
         t = rng.uniform(0.4, 0.9) * mx.t_max1(lam).t_max
-        jv = exp_jacobian(lam, t, FAST_ODE)
-        jf = exp_jacobian_fd(lam, t, tol=FAST_ODE)
+        jv = exp_jacobian(lam, t)
+        jf = exp_jacobian_fd(lam, t)
         rel = abs(jf - jv) / max(abs(jv), 1e-300)
         worst_fd = max(worst_fd, rel)
         assert rel < 1e-4

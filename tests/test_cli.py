@@ -166,22 +166,6 @@ def test_verify_elliptic_suite(capsys):
     assert "FAIL" not in out.replace("PASS:", "")
 
 
-def test_config_override(tmp_path, capsys):
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("ode_rtol = 1e-9\nscan_panels = 32\n# comment\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "exp", "--theta", "0",
-                       "--c", "0", "--alpha", "0", "--beta", "0", "--t", "1")
-    assert code == 0
-
-
-def test_config_bad_key(tmp_path, capsys):
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("nonsense = 3\n")
-    code, _, _ = run(capsys, "--config", str(cfg), "exp", "--theta", "0",
-                     "--c", "0", "--alpha", "0", "--beta", "0", "--t", "1")
-    assert code == 2
-
-
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -258,11 +242,11 @@ def test_sweep_error_column(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = climod.cj.two_sided_check
 
-    def flaky(lam, tol):
+    def flaky(lam):
         calls["n"] += 1
         if calls["n"] == 2:
             raise NumericalError("synthetic failure")
-        return real(lam, tol)
+        return real(lam)
 
     monkeypatch.setattr(climod.cj, "two_sided_check", flaky)
     out = tmp_path / "sweep.csv"

@@ -7,9 +7,10 @@ import pytest
 from cartanconj.elliptic import complete_E, complete_K
 from cartanconj.errors import StratumError
 from cartanconj.flow import Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic
-from cartanconj.maxwell import (critical_moduli, f_V0, f_V_C1,
-                                f_V_C2, f_z_C1, p1_V, p1_V0, p1_z,
-                                t_max1, u_v1)
+from cartanconj.conjugate import a01_C2, a01_c2_kernel, a21_C2, a21_c2_kernel
+from cartanconj.maxwell import (c2_ingredients_from_p, critical_moduli, f_V0,
+                                f_V_C1, f_V_C2, f_z_C1, f_z_C2, fv_c2_kernel,
+                                fz_c2_kernel, p1_V, p1_V0, p1_z, t_max1, u_v1)
 from cartanconj.verify import random_c1, random_c2
 
 
@@ -56,17 +57,20 @@ def test_fv_c2_u1_zero():
     assert float(f_V_C2(0.0, 0.5)) == 0.0
 
 
-def test_fv_c2_matches_p_form(rng):
+@pytest.mark.parametrize("u1_form,kernel", [
+    (f_V_C2, fv_c2_kernel), (f_z_C2, fz_c2_kernel),
+    (a01_C2, a01_c2_kernel), (a21_C2, a21_c2_kernel),
+], ids=["f_V_C2", "f_z_C2", "a01_C2", "a21_C2"])
+def test_fv_c2_matches_p_form(rng, u1_form, kernel):
     # the u1-form with u1 = am(p, k) equals the internal p-form evaluation
     from cartanconj.elliptic import jacobi_arrays
-    from cartanconj.maxwell import c2_ingredients_from_p, fv_c2_kernel
     for _ in range(20):
         k = rng.uniform(0.2, 0.9)
         p = rng.uniform(0.2, 2.0 * complete_K(k) - 0.1)
         u1 = float(jacobi_arrays(p, k)[3])
-        direct = float(f_V_C2(u1, k))
+        direct = float(u1_form(u1, k))
         F, E, s, c, d = c2_ingredients_from_p(p, k)
-        via_p = float(fv_c2_kernel(k, k * k, F, E, s, c, d)[0])
+        via_p = float(kernel(k, k * k, F, E, s, c, d)[0])
         assert direct == pytest.approx(via_p, rel=1e-9, abs=1e-12)
 
 
