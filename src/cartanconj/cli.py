@@ -16,10 +16,8 @@ import sys
 import numpy as np
 
 from . import conjugate as cj
-from . import elastica as ela
 from . import flow as fl
 from . import maxwell as mx
-from . import verify as vf
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import Covector, EllipticCoord, Stratum
 
@@ -168,7 +166,7 @@ def cmd_sweep(args) -> int:
                 try:
                     lower, upper, tc, tm, _ = cj.two_sided_check(lam)
                     row.update(t_max1=tm, t_conj=tc, lower_ok=lower, upper_ok=upper)
-                except (NumericalError, StratumError) as exc:
+                except (NumericalError, ValueError) as exc:   # StratumError is a ValueError
                     row["error"] = type(exc).__name__
                 rows.append(row)
     elif st is Stratum.C6:
@@ -203,6 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_elastica(args) -> int:
+    from . import elastica as ela
     lam = parse_covector(args)
     if args.t_end <= 0:
         raise UsageError("--t-end must be positive")
@@ -226,6 +225,7 @@ def cmd_elastica(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
     names = ["elliptic", "flow", "maxwell", "conjugate"] \
         if args.suite == "all" else [args.suite]
     results = vf.run_suites(names, seed=args.seed)

@@ -41,13 +41,12 @@ from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import _EPS, complete_K, jacobi_arrays, jacobi_mp
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import Covector, EllipticCoord, JacobianPath, Stratum, classify, to_elliptic
-from .maxwell import (C2_MP_K, K_ONE_CUTOFF, MP_DPS, ROOT_XTOL, a01_c1_kernel,
-                      a21_c1_kernel, c1_ingredients, c2_ingredients_from_p,
+from .maxwell import (C2_MP_K, K_ONE_CUTOFF, MP_DPS, a01_c1_kernel, a21_c1_kernel,
+                      brent_root, c1_ingredients, c2_ingredients_from_p,
                       c2_ingredients_from_u1, fv_c1_kernel, fv_c2_kernel,
                       fz_c1_kernel, fz_c2_kernel, grid_roots, p1_V, p1_z,
                       sign_changes, t_max1)
@@ -397,8 +396,8 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
     fmp = lambda t: _j1_scalar_mp(ec, t, MP_DPS)
 
     def refine(a, b, fa_fn):
-        root = brentq(fa_fn, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)
-        return float(root), (float(a), float(b)), abs(fa_fn(float(root)))
+        root = brent_root(fa_fn, a, b)
+        return root, (float(a), float(b)), abs(fa_fn(root))
 
     if ec.stratum is Stratum.C2 and ec.k < C2_MP_K:
         # a few hundred mp evaluations suffice: in this regime J1 tracks

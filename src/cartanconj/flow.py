@@ -27,7 +27,8 @@ The exponential map integrates the 7-dimensional system in
 (theta, c, x, y, z, v, w); its Jacobian with respect to
 (theta0, c0, alpha, beta, t) comes from the exact linearized (variational)
 flow, 35 equations in total.  Finite differences are kept only as a test
-oracle.
+oracle.  ``scipy.integrate`` is imported inside the functions that
+integrate, so the paths that need no ODE never load scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .elliptic import complete_K, incomplete_F, jacobi_arrays
 from .errors import NumericalError, StratumError
@@ -239,6 +239,7 @@ def pendulum_flow(lam: Covector, dt: float) -> Covector:
         return lam
     def rhs(t, y):
         return [y[1], -lam.alpha * math.sin(y[0] - lam.beta)]
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, dt), [lam.theta, lam.c], method="RK45",
                     rtol=1e-12, atol=1e-13)
     if not sol.success:
@@ -278,6 +279,7 @@ def exp_map_dense(lam: Covector, t_end: float):
     if t_end < 0.0:
         raise ValueError("t must be >= 0")
     y0 = [lam.theta, lam.c, 0.0, 0.0, 0.0, 0.0, 0.0]
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(_rhs_base, (0.0, t_end), y0, args=(lam.alpha, lam.beta),
                     method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
                     dense_output=True)
@@ -342,6 +344,7 @@ class JacobianPath:
         y0[0, 1] = lam.c
         y0[1, 0] = 1.0
         y0[2, 1] = 1.0
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(_rhs_variational, (0.0, t_end), y0.ravel(),
                         args=(lam.alpha, lam.beta), method="RK45",
                         rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
@@ -411,6 +414,7 @@ def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4) -> float:
         out[:, 6] = -r2h * ct
         return out.ravel()
 
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, t), y0.ravel(), method="RK45",
                     rtol=ODE_RTOL, atol=ODE_ATOL)
     if not sol.success:

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import (_EPS, _kval, am_mp, complete_E, complete_K, incomplete_E,
                        incomplete_F, jacobi_arrays, jacobi_mp)
@@ -48,6 +47,10 @@ K_ONE_CUTOFF = 1.0 - 1e-9
 # Brent tolerance of every root (Maxwell roots, J1 and J0 zeros): six orders
 # below the 1e-6 target, so root error never shows in a reported time.
 ROOT_XTOL = 1e-12
+# step limit of Brent's zeroin, scipy's ``brentq`` default: with superlinear
+# steps and bisection as fallback, a root to ROOT_XTOL takes a few dozen
+# steps, so hitting the limit points at a defect in the function, not a slow root.
+BRENT_MAXITER = 100
 # panels of the Maxwell first-root scans over (0, nK), n <= 4: at least 16
 # per K, while the roots of fz and fv are spaced on the K scale; a
 # near-tangential pair inside one panel is left to the dip rescan.
@@ -294,6 +297,73 @@ class RootInfo:
     residual: float
 
 
+def brent_root(f, a, b, xtol=ROOT_XTOL):
+    """Root of f in [a, b] by Brent's zeroin; f(a) and f(b) must differ in sign.
+
+    A line-by-line port of the C routine behind ``scipy.optimize.brentq``
+    (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4):
+    the same iteration on IEEE doubles, with the relative tolerance fixed at
+    ``brentq``'s default of 4 eps, so the same root (bit for bit on x86-64,
+    where that was checked).  An exact zero at an end is returned as is; a
+    bracket without a sign change or a NaN value raises ValueError, and no
+    convergence within BRENT_MAXITER steps raises NumericalError.
+    """
+    name = getattr(f, "__name__", "f")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"{name}({x!r}) is NaN; Brent cannot continue")
+        return fx
+
+    a, b, xtol = float(a), float(b), float(xtol)
+    rtol = 4 * _EPS
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"{name} has the same sign at both ends of [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C gets inf or nan here, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericalError(f"Brent on {name} over [{a!r}, {b!r}] did not converge "
+                         f"in {BRENT_MAXITER} steps (last x = {xcur!r})")
+
+
 def sign_changes(vals):
     """Indices i where vals[i] and vals[i + 1] have strictly opposite signs."""
     sign = np.sign(vals)
@@ -311,7 +381,7 @@ def grid_roots(f, xs, vals=None, count=1):
     roots = []
     for i in sign_changes(vals)[:count]:
         a, b = float(xs[i]), float(xs[i + 1])
-        roots.append((float(brentq(f, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)), (a, b)))
+        roots.append((brent_root(f, a, b), (a, b)))
     return roots
 
 
@@ -327,8 +397,8 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     vals = np.array([f(p) for p in ps])
 
     def refine(a, b):
-        root = brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)
-        return RootInfo(float(root), (float(a), float(b)), abs(float(f(root))))
+        root = brent_root(f, a, b, xtol)
+        return RootInfo(root, (float(a), float(b)), abs(float(f(root))))
 
     hits = sign_changes(vals)
     first_flip = hits[0] if len(hits) else len(ps)
@@ -364,15 +434,15 @@ def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
     the intended root.  If the bracket shows no sign change, the root is a
     tangency: its location is taken as the interior minimum of |f|.
     """
-    from scipy.optimize import minimize_scalar
     with mpmath.workdps(POLISH_DPS):
         a, b = info.root - dx, info.root + dx
         fa, fb = fmp(a), fmp(b)
         if fa == 0.0 or fb == 0.0:
             return info
         if fa * fb < 0.0:
-            root = brentq(fmp, a, b, xtol=ROOT_XTOL, rtol=4 * _EPS)
-            return RootInfo(float(root), (a, b), abs(fmp(float(root))))
+            root = brent_root(fmp, a, b)
+            return RootInfo(root, (a, b), abs(fmp(root)))
+        from scipy.optimize import minimize_scalar     # tangency only: rare
         res = minimize_scalar(lambda p: abs(fmp(p)), bounds=(a, b),
                               method="bounded", options={"xatol": ROOT_XTOL})
         if res.fun < 1e-4 * max(abs(fa), abs(fb)):
@@ -513,9 +583,9 @@ def _polished_shared_sign(k):
     """fv at the first fz root, evaluated fully under mpmath."""
     with mpmath.workdps(POLISH_DPS):
         pz = _p1_z_cached(k).root
-        pz = brentq(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), pz - 1e-3, pz + 1e-3,
-                    xtol=1e-14, rtol=4 * _EPS)
-        return _branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True)(float(pz))
+        pz = brent_root(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True),
+                        pz - 1e-3, pz + 1e-3, xtol=1e-14)
+        return _branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True)(pz)
 
 
 # ---------------------------------------------------------------------------

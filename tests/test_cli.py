@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,23 +243,56 @@ def test_sweep_error_column(tmp_path, monkeypatch):
     from cartanconj import cli as climod
     from cartanconj.errors import NumericalError
 
-    calls = {"n": 0}
     real = climod.cj.two_sided_check
+    for exc in (NumericalError, ValueError):
+        calls = {"n": 0}
 
-    def flaky(lam):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise NumericalError("synthetic failure")
-        return real(lam)
+        def flaky(lam):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise exc("synthetic failure")
+            return real(lam)
 
-    monkeypatch.setattr(climod.cj, "two_sided_check", flaky)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--stratum", "C1", "--k-range", "0.4:0.5", "--nk", "2",
-                 "--nphi", "2", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 5                       # sweep completes despite the failure
-    errs = [ln.rsplit(",", 1)[-1] for ln in lines[1:]]
-    assert errs.count("NumericalError") == 1
+        monkeypatch.setattr(climod.cj, "two_sided_check", flaky)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--stratum", "C1", "--k-range", "0.4:0.5", "--nk", "2",
+                     "--nphi", "2", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 5                   # sweep completes despite the failure
+        errs = [ln.rsplit(",", 1)[-1] for ln in lines[1:]]
+        assert errs.count(exc.__name__) == 1
+
+
+def test_root_nonconvergence_exits_numeric(capsys, monkeypatch):
+    from cartanconj import maxwell
+    monkeypatch.setattr(maxwell, "BRENT_MAXITER", 1)
+    code, out, err = run(capsys, "conj", "--stratum", "C1", "--phi", "0.37", "--k", "0.5",
+                         "--alpha", "1", "--beta", "0.4", "--no-cross-check")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: Brent on ") and "did not converge" in err
+
+
+def test_cli_paths_without_ode_load_no_scipy():
+    import cartanconj
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import cartanconj.cli as cli",
+        "runs = [",
+        "    ['conj', '--stratum', 'C1', '--phi', '0.37', '--k', '0.5', '--alpha', '1',",
+        "     '--beta', '0.4', '--no-cross-check'],",
+        "    ['maxwell', '--theta', '0', '--c', '2', '--alpha', '0', '--beta', '0'],",
+        "    ['sweep', '--stratum', 'C2', '--k-range', '0.1:0.9', '--nk', '3', '--nphi', '2'],",
+        "]",
+        "for argv in runs:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    src = str(Path(cartanconj.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_phi_sweep_periodicity(tmp_path):

@@ -1,14 +1,16 @@
 import math
+import platform
 
 import mpmath
 import numpy as np
 import pytest
 
+from cartanconj import maxwell
 from cartanconj.elliptic import complete_E, complete_K
-from cartanconj.errors import StratumError
+from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic
 from cartanconj.conjugate import a01_C2, a01_c2_kernel, a21_C2, a21_c2_kernel
-from cartanconj.maxwell import (c2_ingredients_from_p, critical_moduli, f_V0,
+from cartanconj.maxwell import (brent_root, c2_ingredients_from_p, critical_moduli, f_V0,
                                 f_V_C1, f_V_C2, f_z_C1, f_z_C2, fv_c2_kernel,
                                 fz_c2_kernel, p1_V, p1_V0, p1_z, t_max1, u_v1)
 from cartanconj.verify import random_c1, random_c2
@@ -90,6 +92,65 @@ def test_c2_smallk_asymptotics_mp():
             assert float(fz / (k ** 3 * mpmath.mpf(float(fz0(float(p)))))) == pytest.approx(1.0, rel=5e-2)
             fv0 = (32 * u1 ** 2 - 1) * mpmath.cos(2 * u1) - 8 * u1 * mpmath.sin(2 * u1) + mpmath.cos(6 * u1)
             assert float(fv / (k ** 8 / 512 * fv0)) == pytest.approx(1.0, rel=5e-2)
+
+
+# ---------------------------------------------------------------------------
+# Brent's root finder (scipy.optimize.brentq is the oracle)
+# ---------------------------------------------------------------------------
+
+BRENT_FAMILIES = {
+    "sin": lambda s: lambda x: math.sin(3.0 * s[0] * x + s[1]),
+    "cubic": lambda s: lambda x: (x - s[0]) * (x - s[1]) * (x + s[2]),
+    "exp": lambda s: lambda x: math.exp(s[0] * x) - 1.5 - s[1],
+    "tanh": lambda s: lambda x: math.tanh(4.0 * s[0] * (x - s[1])) + 0.1 * s[2],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BRENT_FAMILIES))
+def test_brent_root_matches_scipy_brentq(family):
+    # bit identity was checked on x86-64; where the C compiler fuses
+    # multiply-adds (aarch64 by default) the last bit may differ
+    from scipy.optimize import brentq
+    rtol = 4 * np.finfo(float).eps
+    exact = platform.machine().lower() in ("x86_64", "amd64")
+    rng = np.random.default_rng(sorted(BRENT_FAMILIES).index(family))
+    compared = 0
+    for _ in range(1000):
+        f = BRENT_FAMILIES[family](rng.uniform(-2.0, 2.0, 3))
+        a, b = sorted(rng.uniform(-5.0, 5.0, 2))
+        if not f(a) * f(b) < 0.0:
+            continue
+        xtol = 10.0 ** rng.uniform(-14.0, -6.0)
+        expected = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        root = brent_root(f, a, b, xtol=xtol)
+        if exact:
+            assert root.hex() == expected.hex()
+        else:
+            # each root lies within xtol + rtol |x| of the true one
+            assert root == pytest.approx(expected, rel=0, abs=2 * (xtol + rtol * abs(expected)))
+        compared += 1
+    assert compared >= 300
+
+
+def test_brent_root_exact_zero_at_an_end():
+    f = lambda x: x - 1.0
+    assert brent_root(f, 1.0, 2.0) == 1.0
+    assert brent_root(f, 0.0, 1.0) == 1.0
+
+
+def test_brent_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match="same sign"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brent_root(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0)
+
+
+def test_brent_root_nonconvergence_is_numerical_error(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(maxwell, "BRENT_MAXITER", 2)
+        with pytest.raises(NumericalError, match=r"sin over \[3.0, 3.3\] did not converge in 2"):
+            brent_root(math.sin, 3.0, 3.3, xtol=1e-14)
+    assert brent_root(math.sin, 3.0, 3.3, xtol=1e-14) == pytest.approx(math.pi, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
