@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -237,8 +238,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "-8.7e-05" as a number, not an option.
+
+    argparse before Python 3.13 knows negative numbers only without an
+    exponent, so ``--beta -8.7e-05`` (the form ``repr`` gives) exited 2.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cartanconj",
         description="Sub-Riemannian geodesics, Maxwell times and conjugate "
                     "times on the Cartan group.")

@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_negative_exponent_values(capsys):
+    argv = ["conj", "--no-cross-check", "--stratum", "C1", "--phi", "1.5", "--k", "0.43",
+            "--alpha", "0.86", "--beta"]
+    code, out, _ = run(capsys, *argv, "-8.79e-05")
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "-0.0000879")[:2]
+    assert run(capsys, *argv[:-1], "--beta=-8.79e-05")[:2] == (code, out)
+
+
 def test_exp_straight_line(capsys):
     code, out, _ = run(capsys, "exp", "--theta", "0", "--c", "0",
                        "--alpha", "0", "--beta", "0", "--t", "2")

@@ -473,6 +473,22 @@ def test_first_zero_matches_variational(rng):
         assert t_var == pytest.approx(res.t_conj, abs=1e-5)
 
 
+def test_cross_check_skips_unresolved_short_arc():
+    # C1 with a scan start of 0.19: J0 there is about 1e-24, below the
+    # integration error, and its first grid value comes out negative
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 4.147273909701569, 0.661594253831675,
+                                      1.6299376613589607, 1.0789352206350085))
+    res = first_conjugate_time(lam, cross_validate=True)
+    assert res.method == "analytic+variational"
+    assert res.t_conj == pytest.approx(9.441637527, abs=1e-8)
+
+
+def test_sign_certain_on_short_and_long_arcs():
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
+    M = JacobianPath(lam, 5.0).matrices([0.05, 0.1, 1.0, 5.0])
+    assert cj._sign_certain(M).tolist() == [False, False, True, True]
+
+
 def test_horizon_below_first_zero_gives_infinity():
     lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
     full = first_conjugate_time(lam)

@@ -10,6 +10,7 @@ from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              exp_trajectory, from_elliptic,
                              pendulum_flow, reflect3, rotate_covector,
                              to_elliptic)
+from cartanconj.flow import _gdot
 from cartanconj.group import dilate, rotate
 from cartanconj.verify import random_c1, random_c2
 
@@ -154,6 +155,24 @@ def test_exp_map_c6_circle_fit():
     assert np.max(np.abs(np.hypot(x - cx, y - cy) - radius)) < 1e-8
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, -1.5])
+@pytest.mark.parametrize("t", [0.7, 3.14, 10.0, 25.0])
+def test_exp_map_c6_closed_form(c, t):
+    # alpha = 0: theta = c t and every coordinate integrates in closed form
+    a = c * t
+    exact = np.array([
+        math.sin(a) / c,
+        (1.0 - math.cos(a)) / c,
+        (a - math.sin(a)) / (2.0 * c * c),
+        (1.0 - math.cos(a) - 0.5 * math.sin(a) ** 2) / c ** 3,
+        (0.5 * a + 0.25 * math.sin(2.0 * a) - math.sin(a)) / c ** 3,
+    ])
+    g = exp_map(Covector(0.0, c, 0.0, 0.0), t).as_array()
+    # relative to the size of the endpoint: single coordinates can be tiny
+    # differences of O(1/c^3) terms, which the closed form itself cancels
+    assert np.max(np.abs(g - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
 def test_exp_against_hamiltonian_form(rng):
     """Cross-check the theta-chart integration against the h-coordinates ODE."""
     from scipy.integrate import solve_ivp
@@ -179,6 +198,15 @@ def test_casimir_conservation(rng):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
         dE, dh4, dh5 = casimir_drift(lam, 50.0)
         assert dE < 1e-9 and dh4 < 1e-9 and dh5 < 1e-9
+
+
+def test_verify_casimir_drift_seed_13():
+    # a 5th-order integrator at the same tolerances drifts 1.3e-9 on this
+    # seed's extremals; the check keeps its 1e-9 bound
+    from cartanconj.verify import run_suites
+
+    (casimir,) = [r for r in run_suites(["flow"], seed=13) if "Casimir" in r.name]
+    assert casimir.passed, casimir
 
 
 def test_arclength(rng):
@@ -236,6 +264,22 @@ def test_jacobian_nonzero_for_short_arcs(rng):
         vals = jp.values(np.linspace(0.3, 1.0, 10))
         assert np.all(vals != 0.0)
         assert np.all(np.sign(vals) == np.sign(vals[0]))
+
+
+@pytest.mark.parametrize("stratum,k", [(Stratum.C1, 0.7), (Stratum.C2, 0.6)])
+def test_jacobian_values_match_pointwise(stratum, k):
+    lam = from_elliptic(EllipticCoord(stratum, 0.3, k, 1.2, 0.4))
+    jp = JacobianPath(lam, 15.0)
+    ts = np.linspace(0.1, 15.0, 900)
+
+    def pointwise(t):
+        # one 5x5 matrix from the scalar dense-output call
+        Y = jp._sol.sol(t).reshape(5, 7)
+        return np.linalg.det(np.column_stack([*Y[1:, 2:], _gdot(Y[0])]))
+
+    vals = jp.values(ts)
+    assert np.array_equal(vals, [jp(t) for t in ts])
+    assert np.array_equal(vals, [pointwise(t) for t in ts])
 
 
 def test_jacobian_fd_agreement(rng):

@@ -34,7 +34,7 @@ GOLDEN = [
      "C2,0.9,0,1,0,2.22222222222,5.84901387677,6.0105502468,true,true,\n"
      "C2,0.9,2.05249422458,1,0,0.968644209676,5.84901387677,6.0105502468,true,true,\n"),
     (("exp", "--theta", "0", "--c", "1", "--alpha", "0", "--beta", "0", "--t", "3.14"),
-     "0.00159265291653 1.99999873173 1.56920367354 1.99999746346 1.56761102164\n"),
+     "0.00159265291648 1.99999873173 1.56920367354 1.99999746346 1.56761102164\n"),
 ]
 
 
