@@ -30,8 +30,9 @@ it the k**2..k**17-suppressed coefficients drown in float64 roundoff; the
 leading p**16 behavior of J1 is one-signed there), count a sign change
 only when both endpoints clear the tracked noise bound, re-evaluate
 ambiguous panels under mpmath, and polish with Brent.  For small C2
-moduli the whole scan runs under mpmath.  The variational Jacobian of
-``flow`` cross-checks the located zero on demand.
+moduli the scan runs under mpmath, point by point, and stops at the
+first sign change.  The variational Jacobian of ``flow`` cross-checks
+the located zero on demand.
 """
 
 from __future__ import annotations
@@ -407,7 +408,11 @@ class ConjugateResult:
 
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
-    """First zero of t -> J1 on (t_lo, t_cap], or None."""
+    """First zero of t -> J1 on (t_lo, t_cap], or None.
+
+    The float64 scan evaluates the whole grid in one array call; the mpmath
+    scan (small C2 moduli) evaluates J1 only up to its first sign change.
+    """
     dt = min(SCAN_DT, ec.period() / 200.0)
     fmp = lambda t: _j1_scalar_mp(ec, t, MP_DPS)
 
@@ -416,8 +421,10 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
         return root, (float(a), float(b)), abs(fa_fn(root))
 
     if ec.stratum is Stratum.C2 and ec.k < C2_MP_K:
-        # a few hundred mp evaluations suffice: in this regime J1 tracks
-        # a0(p), whose zeros are spaced on the K(k) scale
+        # a few hundred grid times suffice: in this regime J1 tracks a0(p),
+        # whose zeros are spaced on the K(k) scale.  The scan stops at the
+        # first sign change, which lies just past t_max, at most a third of
+        # the way into the grid.
         ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
         hits = grid_roots(fmp, ts)
         if not hits:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -66,13 +67,23 @@ class EllipticValues:
 
 
 def _agm_chain(k):
-    """AGM sequences a_i, b_i, c_i for modulus k in [0, 1).
+    """(a_i, c_i, E(k)/K(k)) of the AGM for modulus k in [0, 1).
 
     Floats for a float k; mpf values at the working precision for an mpf k.
+    The chain depends only on k and that arithmetic, so it is built once per
+    (k, precision) and shared as immutable tuples.
     """
-    mp = isinstance(k, mpmath.mpf)
+    return _agm_chain_at(k, mpmath.mp.prec if isinstance(k, mpmath.mpf) else None)
+
+
+@lru_cache(maxsize=256)
+def _agm_chain_at(k, prec):
+    # prec is None for float64; it only keys the cache, since an mpf k and a
+    # float k of the same value are equal keys otherwise
+    mp = prec is not None
     sqrt = mpmath.sqrt if mp else math.sqrt
     eps = mpmath.eps if mp else _EPS
+    fsum = mpmath.fsum if mp else math.fsum
     a = [1.0]
     b = [sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
@@ -85,7 +96,8 @@ def _agm_chain(k):
         a.append(an)
         b.append(bn)
         c.append(cn)
-    return a, b, c
+    e_over_k = 1.0 - fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(len(c)))
+    return tuple(a), tuple(c), e_over_k
 
 
 def _landen(u, k):
@@ -95,23 +107,26 @@ def _landen(u, k):
     the arithmetic follows k.
     """
     if isinstance(k, mpmath.mpf):
-        sin, cos, sqrt, asin, fsum = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin, mpmath.fsum
-        clip = lambda s: max(min(s, 1), -1)
+        sin, cos, sqrt, asin = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin
+        # constants converted once: a float literal in mpf arithmetic pays a
+        # conversion at every use (all three are exact, so the bits are the same)
+        half, one, two = mpmath.mpf(0.5), mpmath.mpf(1), mpmath.mpf(2)
+        clip = lambda s: max(min(s, one), -one)
     else:
-        sin, cos, sqrt, asin, fsum = np.sin, np.cos, np.sqrt, np.arcsin, math.fsum
+        sin, cos, sqrt, asin = np.sin, np.cos, np.sqrt, np.arcsin
+        half, one, two = 0.5, 1.0, 2.0
         clip = lambda s: np.clip(s, -1.0, 1.0)
-    a, _, c = _agm_chain(k)
+    a, c, e_over_k = _agm_chain(k)
     n = len(a) - 1
-    phi = (2.0 ** n * a[n]) * u
+    phi = (two ** n * a[n]) * u
     sn = sin(phi)
     esum = c[n] * sn if n >= 1 else 0.0
     for i in range(n, 0, -1):
-        phi = 0.5 * (phi + asin(clip(c[i] / a[i] * sn)))
+        phi = half * (phi + asin(clip(c[i] / a[i] * sn)))
         sn = sin(phi)
         if i > 1:
             esum = esum + c[i - 1] * sn
-    dn = sqrt(1.0 - (k * sn) ** 2)
-    e_over_k = 1.0 - fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(n + 1))
+    dn = sqrt(one - (k * sn) ** 2)
     return sn, cos(phi), dn, phi, e_over_k * u + esum
 
 
@@ -147,8 +162,7 @@ def complete_K(k) -> float:
         raise ValueError("divergent period: K(k) has no finite value at k = 1")
     if k == 0.0:
         return math.pi / 2.0
-    a, _, _ = _agm_chain(k)
-    return math.pi / (2.0 * a[-1])
+    return math.pi / (2.0 * _agm_chain(k)[0][-1])
 
 
 def complete_E(k) -> float:
@@ -158,8 +172,7 @@ def complete_E(k) -> float:
         return 1.0
     if k == 0.0:
         return math.pi / 2.0
-    a, _, c = _agm_chain(k)
-    e_over_k = 1.0 - math.fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(len(c)))
+    a, _, e_over_k = _agm_chain(k)
     return e_over_k * math.pi / (2.0 * a[-1])
 
 

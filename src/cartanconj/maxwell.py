@@ -370,16 +370,39 @@ def sign_changes(vals):
     return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
+def _scan_to_first_flip(f, xs):
+    """f along xs, in order, up to the first panel where it changes sign.
+
+    Returns (vals, i): vals holds f on xs[:i + 2] and xs[i], xs[i + 1] bound
+    the first panel with strictly opposite signs (the test of
+    ``sign_changes``: a zero or NaN value is no change), or f on all of xs
+    and i None when there is no such panel.
+    """
+    vals = []
+    for x in xs:
+        v = f(x)
+        vals.append(v)
+        if len(vals) > 1 and (vals[-2] < 0 < v or v < 0 < vals[-2]):
+            return np.array(vals), len(vals) - 2
+    return np.array(vals), None
+
+
 def grid_roots(f, xs, vals=None, count=1):
     """Brent roots of f in the first ``count`` panels of the grid xs where f
     changes sign (all of them for count=None), as (root, (a, b)) pairs.
 
-    ``vals`` holds f on xs when the caller has it already.
+    ``vals`` holds f on xs when the caller has it already.  Without it and
+    with count=1, f is evaluated along xs only up to the first sign change.
     """
-    if vals is None:
-        vals = np.array([f(x) for x in xs])
+    if vals is None and count == 1:
+        i = _scan_to_first_flip(f, xs)[1]
+        hits = [] if i is None else [i]
+    else:
+        if vals is None:
+            vals = np.array([f(x) for x in xs])
+        hits = sign_changes(vals)[:count]
     roots = []
-    for i in sign_changes(vals)[:count]:
+    for i in hits:
         a, b = float(xs[i]), float(xs[i + 1])
         roots.append((brent_root(f, a, b), (a, b)))
     return roots
@@ -391,37 +414,34 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     Where |f| dips by orders of magnitude inside one panel without a sign
     change at its ends, the panel is rescanned finely: near-tangential root
     pairs (fv develops one near the lower critical modulus) would otherwise
-    be skipped and the first root misreported.
+    be skipped and the first root misreported.  The scan stops at the first
+    sign change, since a dip before it reads no value past that panel.
     """
     ps = np.linspace(lo, hi, panels + 1)
-    vals = np.array([f(p) for p in ps])
+    vals, first_flip = _scan_to_first_flip(f, ps)
 
     def refine(a, b):
         root = brent_root(f, a, b, xtol)
         return RootInfo(root, (float(a), float(b)), abs(float(f(root))))
 
-    hits = sign_changes(vals)
-    first_flip = hits[0] if len(hits) else len(ps)
+    # vals ends with the panel of the first flip, so every dip lies before it
     absv = np.abs(vals)
     scale = np.maximum.accumulate(absv)
-    dips = [j for j in np.nonzero((absv[1:-1] < 1e-2 * scale[1:-1])
-                                  & (absv[1:-1] <= absv[:-2])
-                                  & (absv[1:-1] <= absv[2:]))[0]
-            if j < first_flip]
+    dips = np.nonzero((absv[1:-1] < 1e-2 * scale[1:-1])
+                      & (absv[1:-1] <= absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in dips:
         fine = np.linspace(ps[j], ps[min(j + 2, len(ps) - 1)], 257)
         ff = sign_changes(np.array([f(p) for p in fine]))
         if len(ff):
             return refine(fine[ff[0]], fine[ff[0] + 1])
-    if len(hits) == 0:
+    if first_flip is None:
         exact = np.nonzero(vals == 0.0)[0]
         if len(exact):
             p0 = float(ps[exact[0]])
             return RootInfo(p0, (p0 - xtol, p0 + xtol), 0.0)
         raise NumericalError(
             f"no sign change of {getattr(f, '__name__', 'f')} in ({lo:g}, {hi:g})")
-    i = hits[0]
-    return refine(ps[i], ps[i + 1])
+    return refine(ps[first_flip], ps[first_flip + 1])
 
 
 def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:

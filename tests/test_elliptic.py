@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from cartanconj import elliptic
 from cartanconj.elliptic import (Modulus, am, am_mp, complete_E,
                                  complete_K, E2, incomplete_E, incomplete_F,
                                  jacobi, jacobi_arrays, jacobi_mp)
@@ -181,6 +182,38 @@ def test_mp_backend_against_mpmath(dps):
                     assert abs(got - want) <= scale * max(1, abs(want))
         for u in (mpmath.mpf(1) / 3, -12.0):
             assert am_mp(u, 0) == u
+
+
+def test_agm_cache_keyed_on_precision():
+    import mpmath
+    k, u = 0.13, 2.7
+
+    def fresh(dps):
+        elliptic._agm_chain_at.cache_clear()
+        with mpmath.workdps(dps):
+            return jacobi_mp(u, k)
+
+    want = {dps: fresh(dps) for dps in (15, 40, 50)}
+    assert want[40][0] != want[50][0]
+    for order in ((40, 50), (50, 40)):
+        elliptic._agm_chain_at.cache_clear()
+        for dps in order:
+            with mpmath.workdps(dps):
+                assert jacobi_mp(u, k) == want[dps]
+    # a float chain of the same k is a separate entry, even at 53 bits
+    elliptic._agm_chain_at.cache_clear()
+    jacobi(u, k)
+    with mpmath.workdps(15):
+        assert mpmath.mp.prec == 53
+        assert jacobi_mp(u, k) == want[15]
+    # cached chains are shared, so they are immutable
+    for kk in (k, mpmath.mpf(k)):
+        a, c, e_over_k = elliptic._agm_chain(kk)
+        assert elliptic._agm_chain(kk)[0] is a
+        with pytest.raises(TypeError):
+            a[0] = 0
+        with pytest.raises(TypeError):
+            c[-1] = 0
 
 
 def test_vectorized_matches_scalar(rng):

@@ -3,7 +3,8 @@ byte-identical output, so the exit code and stdout of a few CLI runs are
 pinned here verbatim.  A refactor that moves any digit fails this test.
 
 The sweep row at k = 0.1 takes the mpmath path (C2 below the high-precision
-modulus); the capped conj run covers the second, default-cap search.
+modulus), and so does the C2 conj run at k = 0.083, whose t_conj exceeds
+t_max1 by 8e-8; the capped conj run covers the second, default-cap search.
 """
 
 import pytest
@@ -33,13 +34,20 @@ GOLDEN = [
      "C2,0.5,0.842875177406,1,0,3.46410161514,2.4670472377,2.46914663216,true,true,\n"
      "C2,0.9,0,1,0,2.22222222222,5.84901387677,6.0105502468,true,true,\n"
      "C2,0.9,2.05249422458,1,0,0.968644209676,5.84901387677,6.0105502468,true,true,\n"),
+    (("conj", "--no-cross-check", "--stratum", "C2", "--phi", "0.8663522887117603",
+      "--k", "0.08322389590755905", "--alpha", "1.7715965331749541",
+      "--beta", "-0.2284123710442918", "--direction=-1"),
+     '{"stratum": "C2", "t_max1": 0.28822243337376563, "t_conj": 0.28822251508988783, '
+     '"lower_ok": true, "upper_ok": true, "method": "analytic", '
+     '"residual": 4.315817723032985e-34}\n'),
     (("exp", "--theta", "0", "--c", "1", "--alpha", "0", "--beta", "0", "--t", "3.14"),
      "0.00159265291648 1.99999873173 1.56920367354 1.99999746346 1.56761102164\n"),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN,
-                         ids=["conj_c1", "conj_capped", "maxwell_c6", "sweep_c2", "exp_circle"])
+                         ids=["conj_c1", "conj_capped", "maxwell_c6", "sweep_c2", "conj_c2_mp",
+                              "exp_circle"])
 def test_golden_output(capsys, argv, expected):
     code = main(list(argv))
     assert code == 0

@@ -154,6 +154,86 @@ def test_brent_root_nonconvergence_is_numerical_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# first-sign-change scans
+# ---------------------------------------------------------------------------
+
+def _counting(f):
+    """f, recording every argument it is called at in ``calls``."""
+    def g(x):
+        g.calls.append(float(x))
+        return f(x)
+    g.calls = []
+    return g
+
+
+def _piecewise(ys):
+    """Linear interpolation through (i, ys[i]): f on the grid 0, 1, ... is ys."""
+    xs = np.arange(len(ys), dtype=float)
+    return xs, lambda x: float(np.interp(x, xs, ys))
+
+
+def test_grid_roots_stops_at_first_flip():
+    xs = np.linspace(0.0, 3.0, 61)
+    f = _counting(lambda x: math.cos(7.0 * x))
+    (root, bracket), = maxwell.grid_roots(f, xs)
+    first = int(np.searchsorted(xs, math.pi / 14.0)) - 1     # the panel of the first zero
+    assert bracket == (xs[first], xs[first + 1])
+    # the scan reads xs[:first + 2] in order, then Brent works inside that panel
+    assert f.calls[:first + 2] == list(xs[:first + 2])
+    assert set(f.calls) & set(xs) == set(xs[:first + 2])
+    assert len(f.calls) - (first + 2) < 20
+    assert (root, bracket) == maxwell.grid_roots(f, xs, count=None)[0]
+    assert root == pytest.approx(math.pi / 14.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ys,first", [
+    ([1.0, 0.0, -1.0, -2.0, 3.0], 3),            # +, 0, - is no sign change
+    ([1.0, math.nan, -1.0, 2.0, 4.0], 2),        # neither is a NaN between
+    ([2.0, 1.0, 0.0, 0.0, 1.0, 3.0], None),      # touching zero, no flip
+    ([1.0, 2.0, 0.5, 4.0], None),
+])
+def test_grid_roots_sign_test_matches_sign_changes(ys, first):
+    xs, f = _piecewise(ys)
+    f = _counting(f)
+    lazy = maxwell.grid_roots(f, xs)
+    full = maxwell.grid_roots(f, xs, count=None)
+    hits = maxwell.sign_changes(np.array(ys))
+    if first is None:
+        assert lazy == full == [] and len(hits) == 0
+        # no flip: every grid point was evaluated, once by each search
+        assert f.calls == list(xs) * 2
+    else:
+        assert hits[0] == first
+        assert lazy == full[:1] and lazy[0][1] == (xs[first], xs[first + 1])
+
+
+def test_first_root_rescans_dip_before_first_flip():
+    # a root pair 2e-3 apart near p = 3 inside one panel of the 64-panel grid
+    # on (0, 10), then a simple root at 6.3: the dip must give the pair's root
+    ps = np.linspace(0.0, 10.0, maxwell.SCAN_PANELS + 1)
+    f = _counting(lambda p: ((p - 3.0) ** 2 - 1e-6) * (6.3 - p))
+    info = maxwell._first_root(f, 0.0, 10.0)
+    assert info.root == pytest.approx(2.999, abs=1e-10)
+    # the coarse scan stopped at the flip near 6.3: one grid point past it
+    flip = int(np.searchsorted(ps, 6.3)) - 1
+    assert set(f.calls) & set(ps) == set(ps[:flip + 2])
+    assert len(f.calls) < flip + 2 + 257 + 40
+
+
+def test_first_root_ignores_dip_after_first_flip():
+    # a simple root at 2.11, then a root pair near p = 6: the scan stops at
+    # the first flip and refines its panel, never reading the pair
+    ps = np.linspace(0.0, 10.0, maxwell.SCAN_PANELS + 1)
+    f = _counting(lambda p: (2.11 - p) * ((p - 6.0) ** 2 - 1e-6))
+    info = maxwell._first_root(f, 0.0, 10.0)
+    assert info.root == pytest.approx(2.11, abs=1e-12)
+    flip = int(np.searchsorted(ps, 2.11)) - 1
+    assert info.bracket == (ps[flip], ps[flip + 1])
+    assert set(f.calls) & set(ps) == set(ps[:flip + 2])
+    assert len(f.calls) < flip + 2 + 40
+
+
+# ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
 
