@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: exp, conj, maxwell, sweep, elastica, verify.
+Subcommands: exp, conj, maxwell, sweep, verify.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numerical failure.
 Covectors are accepted either as (theta, c, alpha, beta) or in elliptic
 coordinates (stratum, phi, k, alpha, beta); infinities serialize as "inf".
@@ -103,18 +103,15 @@ def cmd_conj(args) -> int:
     st = fl.classify(lam)
     res = cj.first_conjugate_time(lam, t_cap=args.horizon,
                                   cross_validate=not args.no_cross_check)
-    if st not in (Stratum.C1, Stratum.C2):
-        lower_ok, upper_ok = True, True
-    elif args.horizon is None:
-        lower_ok, upper_ok = res.bounds_ok()
-    else:
-        # the flags judge the default-cap search, not the capped one
-        lower_ok, upper_ok, *_ = cj.two_sided_check(lam)
+    upper_ok = res.upper_ok     # True off C1/C2, where the bound is +inf
+    if args.horizon is not None and st in (Stratum.C1, Stratum.C2):
+        # the flag judges the default-cap search, not the capped one
+        upper_ok = cj.two_sided_check(lam)[1]
     out = {
         "stratum": str(st),
         "t_max1": _jsonable(res.t_max),
         "t_conj": _jsonable(res.t_conj),
-        "lower_ok": lower_ok,
+        "lower_ok": True,           # see conjugate.BOUND_SLACK
         "upper_ok": upper_ok,
         "method": res.method,
         "residual": res.residual,
@@ -201,30 +198,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_elastica(args) -> int:
-    from . import elastica as ela
-    lam = parse_covector(args)
-    if args.t_end <= 0:
-        raise UsageError("--t-end must be positive")
-    markers = {}
-    mres = mx.t_max1(lam)
-    if math.isfinite(mres.t_max) and mres.t_max <= args.t_end:
-        markers["t_max1"] = mres.t_max
-        cres = cj.first_conjugate_time(lam)
-        if cres.finite and cres.t_conj <= args.t_end:
-            markers["t_conj1"] = cres.t_conj
-    plot = ela.build_plot(lam, args.t_end, n=args.steps,
-                          reflections=args.reflections,
-                          marker_times=markers)
-    if args.out.endswith(".csv"):
-        ela.write_csv(plot, args.out)
-    elif args.out.endswith(".svg"):
-        ela.write_svg(plot, args.out)
-    else:
-        raise UsageError("--out must end in .svg or .csv")
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     from . import verify as vf
     names = ["elliptic", "flow", "maxwell", "conjugate"] \
@@ -288,15 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("elastica", help="render the (x, y) projection")
-    add_covector_flags(p)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--reflections", action="store_true",
-                   help="include the three chord reflections")
-    p.add_argument("--out", required=True, help="file.svg or file.csv")
-    p.set_defaults(fn=cmd_elastica)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all",

@@ -63,8 +63,10 @@ SCAN_DT = 0.01
 # its 100 draws.
 AGREEMENT_TOL = 1e-4
 # slack of the two-sided bounds t_max <= t_conj <= upper, and of the guard
-# that rejects a located zero undercutting t_max.  Because the two use one
-# slack, a returned result always has lower_ok true.  The slack is absolute,
+# that rejects a located zero undercutting t_max.  The guard raises
+# NumericalError for any zero below t_max - BOUND_SLACK, so a returned result
+# always meets the lower bound, and the lower_ok flag that ``conj``, ``sweep``
+# and ``two_sided_check`` report is the literal True.  The slack is absolute,
 # so it does not scale with t_max under dilation.
 BOUND_SLACK = 1e-6
 _NOISE_SAFETY = 16.0
@@ -147,12 +149,16 @@ def a21_c2_tables(k, k2, sinu, cosu, dnu):
 
 
 def _table_sum(table, F, E):
+    # each power once, by ** (a running product would round differently)
+    n = 1 + max(map(sum, table))
+    aF, aE = abs(F), abs(E)
+    Fp, Ep = [F ** i for i in range(n)], [E ** j for j in range(n)]
+    aFp, aEp = [aF ** i for i in range(n)], [aE ** j for j in range(n)]
     val = None
     mag = None
-    aF, aE = abs(F), abs(E)
     for (i, j), cf in table.items():
-        term = cf * F ** i * E ** j
-        aterm = abs(cf) * aF ** i * aE ** j
+        term = cf * Fp[i] * Ep[j]
+        aterm = abs(cf) * aFp[i] * aEp[j]
         val = term if val is None else val + term
         mag = aterm if mag is None else mag + aterm
     return val, mag
@@ -401,10 +407,10 @@ class ConjugateResult:
     def finite(self) -> bool:
         return math.isfinite(self.t_conj)
 
-    def bounds_ok(self):
-        """(lower_ok, upper_ok) for t_max <= t_conj <= upper, within BOUND_SLACK."""
-        return (bool(self.t_conj >= self.t_max - BOUND_SLACK),
-                bool(self.t_conj <= self.upper + BOUND_SLACK))
+    @property
+    def upper_ok(self) -> bool:
+        """Whether t_conj <= upper, within BOUND_SLACK."""
+        return bool(self.t_conj <= self.upper + BOUND_SLACK)
 
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
@@ -536,14 +542,14 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
 def two_sided_check(lam: Covector):
     """(lower_ok, upper_ok) for t_max <= t_conj <= the stratum upper bound.
 
-    The flags are read off one default-cap ``first_conjugate_time`` search
-    (``ConjugateResult.bounds_ok``); ``conj`` reads them off its own search,
-    or calls this when ``--horizon`` caps that search.  A failed flag is a
-    reportable finding (the upper bounds are numerical evidence, not
-    theorems), so no exception is raised for it.
+    lower_ok is True (see BOUND_SLACK); upper_ok is read off one default-cap
+    search.  ``conj`` reads it off its own search, or calls this when
+    ``--horizon`` caps that search.  A failed upper flag is a reportable
+    finding (the upper bounds are numerical evidence, not theorems), so no
+    exception is raised for it.
     Returns (lower_ok, upper_ok, t_conj, t_max, upper).
     """
     if classify(lam) not in (Stratum.C1, Stratum.C2):
         raise StratumError("two_sided_check applies to C1 and C2 only")
     res = first_conjugate_time(lam)
-    return (*res.bounds_ok(), res.t_conj, res.t_max, res.upper)
+    return True, res.upper_ok, res.t_conj, res.t_max, res.upper

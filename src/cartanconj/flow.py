@@ -385,7 +385,17 @@ def exp_jacobian(lam: Covector, t: float) -> float:
 
 
 def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4) -> float:
-    """Central-difference J0; the independent oracle for the variational flow.
+    """Finite-difference J0; the independent oracle for the variational flow.
+
+    The Richardson value (4 J(h/2) - J(h)) / 3 of two central differences:
+    it cancels their O(h^2) error, which dominates where J0 itself is small
+    (about 2e-4 relative at J0 = 2.3e-10 with one central difference).
+    """
+    return (4.0 * _jacobian_cd(lam, t, 0.5 * h) - _jacobian_cd(lam, t, h)) / 3.0
+
+
+def _jacobian_cd(lam: Covector, t: float, h: float) -> float:
+    """Central-difference J0 with step h.
 
     Integrates all eight perturbed extremals as one batched system so the
     step-size control is shared.

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -138,37 +137,6 @@ def test_sweep_json_c6(tmp_path):
 
 def test_sweep_bad_counts(capsys):
     code, _, _ = run(capsys, "sweep", "--stratum", "C1", "--nk", "1")
-    assert code == 2
-
-
-def test_elastica_svg(tmp_path):
-    out = tmp_path / "arc.svg"
-    assert main(["elastica", "--stratum", "C1", "--phi", "0.1", "--k", "0.8022",
-                 "--alpha", "1", "--beta", "0", "--t-end", "12", "--reflections",
-                 "--out", str(out)]) == 0
-    root = ET.parse(out).getroot()
-    assert root.tag.endswith("svg")
-    polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-    assert len(polylines) == 4          # curve + three reflections
-    for pl in polylines:
-        assert pl.get("stroke-width") == "2"
-
-
-def test_elastica_csv_straight_segment(tmp_path):
-    out = tmp_path / "line.csv"
-    assert main(["elastica", "--theta", "0", "--c", "0", "--alpha", "0",
-                 "--beta", "0", "--t-end", "3", "--out", str(out)]) == 0
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "t,x,y"
-    last = [float(v) for v in rows[-1].split(",")]
-    assert last[1] == pytest.approx(3.0, abs=1e-9)
-    assert last[2] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_elastica_bad_extension(tmp_path, capsys):
-    code, _, _ = run(capsys, "elastica", "--theta", "0", "--c", "1", "--alpha",
-                     "0", "--beta", "0", "--t-end", "1",
-                     "--out", str(tmp_path / "x.png"))
     assert code == 2
 
 
