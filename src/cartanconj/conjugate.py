@@ -78,6 +78,8 @@ _NOISE_SAFETY = 16.0
 # (``_sign_certain``): on 16 random C1/C2 cross-check arcs the RK45 and
 # DOP853 matrices differ by up to 8.7 such bounds.
 SIGN_MARGIN = 20.0
+# matrices per batched SVD of the lazy sign-certainty scan (``_first_certain``)
+_CERTAIN_CHUNK = 64
 
 
 def _sign_certain(M: np.ndarray) -> np.ndarray:
@@ -90,6 +92,21 @@ def _sign_certain(M: np.ndarray) -> np.ndarray:
     """
     tol = np.linalg.norm(ODE_ATOL + ODE_RTOL * np.abs(M), axis=(1, 2))
     return np.linalg.svd(M, compute_uv=False)[:, -1] > SIGN_MARGIN * tol
+
+
+def _first_certain(M: np.ndarray) -> int:
+    """Index of the first matrix of the stack whose det sign is certain, 0 if none.
+
+    Equals ``int(np.argmax(_sign_certain(M)))``, but takes the SVDs a chunk
+    at a time and stops at the first chunk that holds a certain matrix.  On
+    24 random C1/C2 cross-check grids of 900 times the first certain matrix
+    was at most the tenth, so one chunk of _CERTAIN_CHUNK SVDs replaces 900.
+    """
+    for i in range(0, len(M), _CERTAIN_CHUNK):
+        hits = np.flatnonzero(_sign_certain(M[i:i + _CERTAIN_CHUNK]))
+        if len(hits):
+            return i + int(hits[0])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +494,7 @@ def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float, n: int = 9
     # J0 vanishes to high order at t = 0, so its first grid values can be
     # integration noise of either sign: the search starts at the first point
     # whose sign is certain (at the first point when none is)
-    start = int(np.argmax(_sign_certain(M)))
+    start = _first_certain(M)
     hits = grid_roots(jp, ts[start:], vals=np.linalg.det(M[start:]))
     return hits[0][0] if hits else None
 

@@ -115,7 +115,8 @@ def _landen(u, k):
     else:
         sin, cos, sqrt, asin = np.sin, np.cos, np.sqrt, np.arcsin
         half, one, two = 0.5, 1.0, 2.0
-        clip = lambda s: np.clip(s, -1.0, 1.0)
+        # the same bits as np.clip, without its per-call dispatch overhead
+        clip = lambda s: np.minimum(np.maximum(s, -1.0), 1.0)
     a, c, e_over_k = _agm_chain(k)
     n = len(a) - 1
     phi = (two ** n * a[n]) * u

@@ -318,29 +318,35 @@ def exp_trajectory(lam: Covector, t_end: float, n: int):
 # Variational (Jacobi field) flow and the exponential-map Jacobian
 # ---------------------------------------------------------------------------
 
-_DALPHA = np.array([0.0, 0.0, 1.0, 0.0])
-_DBETA = np.array([0.0, 0.0, 0.0, 1.0])
+# (d alpha, d beta) of the four Jacobi fields, which start along theta0, c0,
+# alpha and beta: the derivatives of the c-row with respect to the parameters.
+_DPARAM = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
+# The 5x7 state (the extremal, then one Jacobi field per parameter) is small
+# enough that numpy's per-operation overhead dominates a row-sliced array
+# form, so every entry is a Python float: about 4x faster per call.  Each
+# entry rounds as it did in that numpy form, so the bits are the same
+# (tests/test_flow.py keeps the numpy form as a reference).  The c-row keeps
+# its terms in d alpha and d beta even where they are 0.0: dropping them would
+# change the signs of zeros (-0.0 * sa - x is +0.0, not -x, where sa < 0 and
+# x is 0.0).
 def _rhs_variational(t, yflat, alpha, beta):
-    Y = yflat.reshape(5, 7)
-    out = np.empty((5, 7))
-    th, c, x, y = Y[0, 0], Y[0, 1], Y[0, 2], Y[0, 3]
+    th, c, x, y, _, _, _, *fields = yflat.tolist()
     st, ct = math.sin(th), math.cos(th)
     sa, ca = math.sin(th - beta), math.cos(th - beta)
     r2h = 0.5 * (x * x + y * y)
-    out[0] = (c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2h * st, -r2h * ct)
-    D = Y[1:]
-    dth, dc, dx, dy = D[:, 0], D[:, 1], D[:, 2], D[:, 3]
-    xdx = x * dx + y * dy
-    out[1:, 0] = dc
-    out[1:, 1] = -_DALPHA * sa - alpha * ca * (dth - _DBETA)
-    out[1:, 2] = -st * dth
-    out[1:, 3] = ct * dth
-    out[1:, 4] = 0.5 * (dx * st - dy * ct) + 0.5 * (x * ct + y * st) * dth
-    out[1:, 5] = xdx * st + r2h * ct * dth
-    out[1:, 6] = -xdx * ct + r2h * st * dth
-    return out.ravel()
+    aca = alpha * ca
+    rot = 0.5 * (x * ct + y * st)
+    r2c, r2s = r2h * ct, r2h * st
+    out = [c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2s, -r2c]
+    for i, (da, db) in enumerate(_DPARAM):
+        dth, dc, dx, dy = fields[7 * i:7 * i + 4]
+        xdx = x * dx + y * dy
+        out += (dc, -da * sa - aca * (dth - db), -st * dth, ct * dth,
+                0.5 * (dx * st - dy * ct) + rot * dth,
+                xdx * st + r2c * dth, -xdx * ct + r2s * dth)
+    return np.array(out)
 
 
 class JacobianPath:

@@ -489,6 +489,53 @@ def test_sign_certain_on_short_and_long_arcs():
     assert cj._sign_certain(M).tolist() == [False, False, True, True]
 
 
+# (covector, t_lo, cap) of two cross-checks: the README C1 example
+# (phi 0.37, k 0.5, alpha 1, beta 0.4) and a C2 arc (phi 0.3, k 0.5, alpha 1,
+# beta 0.2), each over the range that first_conjugate_time passes
+_README_C1_ARC = (Covector(0.7616710142702229, 0.933066837942808, 1.0, 0.4),
+                  0.24654990337075253, 10.082658616228692)
+_C2_ARC = (Covector(1.3833059885400323, 3.8413190472506797, 1.0, 0.2),
+           0.28, 2.5910410960458417)
+
+
+@pytest.mark.parametrize("arc,want", [(_README_C1_ARC, 9.602532015455719),
+                                      (_C2_ARC, 2.4676581866964074)])
+def test_first_zero_variational_pinned(arc, want):
+    # stdout never prints the variational zero, so these pins are the
+    # bit-level guard on J0: the right-hand side, the integrator and the scan
+    assert cj._first_zero_variational(*arc) == want
+
+
+def _certain_stack(rng, n, first):
+    """n random 5x5 matrices; those before ``first`` are far below the ODE tolerance."""
+    M = rng.standard_normal((n, 5, 5))
+    M[:first] *= 1e-14
+    return M
+
+
+@pytest.mark.parametrize("which", ["readme_c1", "short_arc", "beyond_first_chunk", "none"])
+def test_first_certain_matches_full_scan(rng, which):
+    if which == "readme_c1":
+        lam, t_lo, cap = _README_C1_ARC
+        M = JacobianPath(lam, cap).matrices(np.linspace(t_lo, cap, 900))
+    elif which == "short_arc":
+        # the arc of test_cross_check_skips_unresolved_short_arc, whose first
+        # grid matrices are integration noise
+        lam = from_elliptic(EllipticCoord(Stratum.C1, 4.147273909701569, 0.661594253831675,
+                                          1.6299376613589607, 1.0789352206350085))
+        M = JacobianPath(lam, 10.0).matrices(np.linspace(0.19, 10.0, 900))
+    elif which == "beyond_first_chunk":
+        M = _certain_stack(rng, 300, 100)
+        M[150:160] *= 1e-14
+    else:
+        M = _certain_stack(rng, 200, 200)
+    full = cj._sign_certain(M)
+    assert cj._first_certain(M) == int(np.argmax(full))
+    if which == "beyond_first_chunk":
+        assert np.argmax(full) == 100
+    assert full.any() == (which != "none")
+
+
 def test_horizon_below_first_zero_gives_infinity():
     lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
     full = first_conjugate_time(lam)

@@ -226,6 +226,34 @@ def test_vectorized_matches_scalar(rng):
         assert float(eps[i]) == v.E_incomplete
 
 
+def _landen_np_clip(u, k):
+    """The float64 branch of ``elliptic._landen`` as it was, clipping with np.clip."""
+    a, c, e_over_k = elliptic._agm_chain(k)
+    n = len(a) - 1
+    phi = (2.0 ** n * a[n]) * u
+    sn = np.sin(phi)
+    esum = c[n] * sn if n >= 1 else 0.0
+    for i in range(n, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(np.clip(c[i] / a[i] * sn, -1.0, 1.0)))
+        sn = np.sin(phi)
+        if i > 1:
+            esum = esum + c[i - 1] * sn
+    dn = np.sqrt(1.0 - (k * sn) ** 2)
+    return sn, np.cos(phi), dn, phi, e_over_k * u + esum
+
+
+def test_landen_clip_matches_np_clip(rng):
+    us = np.concatenate([rng.uniform(-30.0, 30.0, 257), [0.0, -0.0, 5e-324, -5e-324]])
+    for k in (1e-9, 0.05, 0.3, 0.5, 0.7071067811865476, 0.9, 0.999, 1.0 - 1e-12):
+        for u in (us, *us[[0, 1, -4, -3, -2, -1]].tolist()):
+            got = jacobi_arrays(u, k)
+            want = _landen_np_clip(np.asarray(u, dtype=float), k)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def test_complete_E_against_quadrature():
     for k in (0.3, 0.8):
         oracle = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),

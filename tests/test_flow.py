@@ -10,7 +10,7 @@ from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              exp_trajectory, from_elliptic,
                              pendulum_flow, reflect3, rotate_covector,
                              to_elliptic)
-from cartanconj.flow import _gdot
+from cartanconj.flow import _gdot, _rhs_variational
 from cartanconj.group import dilate, rotate
 from cartanconj.verify import random_c1, random_c2
 
@@ -256,6 +256,47 @@ def test_dilation_commutes(rng):
 # ---------------------------------------------------------------------------
 # variational Jacobian
 # ---------------------------------------------------------------------------
+
+def _rhs_variational_numpy(t, yflat, alpha, beta):
+    """The row-sliced numpy form that the scalar right-hand side replaced."""
+    dalpha = np.array([0.0, 0.0, 1.0, 0.0])
+    dbeta = np.array([0.0, 0.0, 0.0, 1.0])
+    Y = yflat.reshape(5, 7)
+    out = np.empty((5, 7))
+    th, c, x, y = Y[0, 0], Y[0, 1], Y[0, 2], Y[0, 3]
+    st, ct = math.sin(th), math.cos(th)
+    sa, ca = math.sin(th - beta), math.cos(th - beta)
+    r2h = 0.5 * (x * x + y * y)
+    out[0] = (c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2h * st, -r2h * ct)
+    D = Y[1:]
+    dth, dc, dx, dy = D[:, 0], D[:, 1], D[:, 2], D[:, 3]
+    xdx = x * dx + y * dy
+    out[1:, 0] = dc
+    out[1:, 1] = -dalpha * sa - alpha * ca * (dth - dbeta)
+    out[1:, 2] = -st * dth
+    out[1:, 3] = ct * dth
+    out[1:, 4] = 0.5 * (dx * st - dy * ct) + 0.5 * (x * ct + y * st) * dth
+    out[1:, 5] = xdx * st + r2h * ct * dth
+    out[1:, 6] = -xdx * ct + r2h * st * dth
+    return out.ravel()
+
+
+def test_rhs_variational_bits_match_numpy_form(rng):
+    # values and signs of zeros alike, so every J0 is unchanged
+    for scale in (1e-8, 1.0, 100.0):
+        for _ in range(7000):
+            state = scale * rng.standard_normal(35)
+            pick = rng.random(35)
+            state[pick < 0.1] = 0.0
+            state[(pick >= 0.1) & (pick < 0.2)] = -0.0
+            alpha = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 3.0)
+            beta = rng.uniform(-7.0, 7.0)
+            want = _rhs_variational_numpy(0.0, state, alpha, beta)
+            got = _rhs_variational(0.0, state, alpha, beta)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 def test_jacobian_nonzero_for_short_arcs(rng):
     for _ in range(5):
