@@ -11,7 +11,7 @@ from .group import GroupPoint, dilate, frame_field, invariant_coords, rotate
 from .maxwell import MaxwellResult, critical_moduli, f_V0, f_V_C1, f_V_C2, f_z_C1, f_z_C2, p1_V, p1_V0, p1_z, t_max1
 from .conjugate import (ConjugateResult, JacobianFactors, a01_C1, a01_C2,
                         a21_C1, a21_C2, a010, a210, certificate_x1,
-                        certificate_x2, first_conjugate_time, fz0, j1_C1,
-                        j1_C2, two_sided_check)
+                        certificate_x2, first_conjugate_time, fz0, j1_factors,
+                        j1_path, two_sided_check)
 
 __version__ = "0.1.0"

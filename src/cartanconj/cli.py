@@ -104,7 +104,7 @@ def cmd_conj(args) -> int:
     res = cj.first_conjugate_time(lam, t_cap=args.horizon,
                                   cross_validate=not args.no_cross_check)
     upper_ok = res.upper_ok     # True off C1/C2, where the bound is +inf
-    if args.horizon is not None and st in (Stratum.C1, Stratum.C2):
+    if args.horizon is not None and st in mx.FORMS:
         # the flag judges the default-cap search, not the capped one
         upper_ok = cj.two_sided_check(lam)[1]
     out = {
@@ -144,16 +144,13 @@ def cmd_sweep(args) -> int:
         raise UsageError("grid counts must be >= 2")
     st = Stratum(args.stratum)
     rows = []
-    if st in (Stratum.C1, Stratum.C2):
+    if st in mx.FORMS:
         ks = _parse_range(args.k_range, args.nk)
         phis = _parse_range(args.phi_range, args.nphi) if args.phi_range else None
         for k in ks:
             k = float(k)
-            if phis is None:
-                ec0 = EllipticCoord(st, 0.0, k, args.alpha, args.beta)
-                phis_k = np.linspace(0.0, ec0.period(), args.nphi, endpoint=False)
-            else:
-                phis_k = phis
+            phis_k = phis if phis is not None else np.linspace(
+                0.0, mx.FORMS[st].period(k, args.alpha), args.nphi, endpoint=False)
             for phi in phis_k:
                 ec = EllipticCoord(st, float(phi), k, args.alpha, args.beta)
                 lam = fl.from_elliptic(ec)

@@ -15,7 +15,7 @@ the same holds with p = sqrt(alpha) t / (2k), tau = sqrt(alpha)(phi+t/2)/k,
 equivalently J1 = a0 (1 - k^2 xi) - a2 xi (1 - xi), the form used here
 because it avoids the cancellation of assembling a1.
 
-The C2 coefficient tables stored below were cross-derived from the C1
+The C2 coefficient tables (in ``maxwell``) were cross-derived from the C1
 coefficients through the reciprocal-modulus transformation
 
     sn(k p, 1/k) = k sn(p, k),  cn(k p, 1/k) = dn(p, k),
@@ -43,15 +43,13 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from .elliptic import _EPS, complete_K, jacobi_arrays, jacobi_mp
-from .errors import NumericalError, SolverDisagreement, StratumError
+from .elliptic import _EPS, jacobi_arrays, jacobi_mp
+from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (C2_MP_K, K_ONE_CUTOFF, MP_DPS, a01_c1_kernel, a21_c1_kernel,
-                      brent_root, c1_ingredients, c2_ingredients_from_p,
-                      c2_ingredients_from_u1, fv_c1_kernel, fv_c2_kernel,
-                      fz_c1_kernel, fz_c2_kernel, grid_roots, p1_V, p1_z,
-                      sign_changes, t_max1)
+from .maxwell import (K_ONE_CUTOFF, MP_DPS, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
+                      a21_c2_kernel, brent_root, c1_kernel_args, c2_kernel_args_from_u1,
+                      grid_roots, sign_changes, stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -109,104 +107,22 @@ def _first_certain(M: np.ndarray) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# C2 coefficient tables
-# ---------------------------------------------------------------------------
-
-def a01_c2_tables(k, k2, sinu, cosu, dnu):
-    """(i, j) -> coefficient of F^i E^j in a01 (C2)."""
-    s2 = sinu * sinu
-    sc = sinu * cosu
-    one2 = 1 - 2 * s2
-    return {
-        (0, 0): -24 * k2 * s2 * cosu * cosu * dnu,
-        (1, 0): -12 * sc * (4 - 3 * k2 + k2 * (k2 - 2) * s2),
-        (0, 1): 12 * sc * (4 + k2 * (1 - 6 * s2)),
-        (2, 0): 12 * (1 - k2) * dnu * one2,
-        (1, 1): 12 * (2 - k2) * dnu * one2,
-        (0, 2): -36 * dnu * one2,
-        (3, 0): -12 * (1 - k2) * (2 - k2) * sc,
-        (2, 1): 24 * (1 - k2) * sc,
-        (1, 2): 12 * (2 - k2) * sc,
-        (0, 3): -24 * sc,
-    }
-
-
-def a21_c2_tables(k, k2, sinu, cosu, dnu):
-    """(i, j) -> coefficient of F^i E^j in a21 (C2)."""
-    k3 = k2 * k
-    k4 = k2 * k2
-    k6 = k4 * k2
-    s2 = sinu * sinu
-    sc = sinu * cosu
-    s2c2 = s2 * cosu * cosu
-    return {
-        (0, 0): -6 * k6 * k * s2c2 * sc,
-        (0, 1): 20 * k4 * k * s2c2 * dnu,
-        (1, 0): -6 * k4 * k * (2 - k2) * s2c2 * dnu,
-        (0, 2): -2 * k3 * sc * (12 - k2 * (1 + 10 * s2)),
-        (1, 1): (k3 * sc * (32 - 8 * k2 * (1 + 6 * s2) + 3 * k4 * (1 + 8 * s2))) / 2,
-        (2, 0): (k3 * sc * (16 + 3 * k6 * s2 + k4 * (9 - 8 * s2) - 4 * k2 * (7 - 2 * s2))) / 2,
-        (0, 3): 8 * k * (2 - k2) * dnu,
-        (1, 2): -(k * (32 - 32 * k2 + 15 * k4) * dnu) / 2,
-        (2, 1): -(k * (32 - 48 * k2 + 10 * k4 + 3 * k6) * dnu) / 2,
-        (3, 0): (k * (32 - 64 * k2 + 41 * k4 - 9 * k6) * dnu) / 2,
-        (0, 4): -10 * k3 * sc,
-        (1, 3): 12 * k3 * (2 - k2) * sc,
-        (2, 2): -(3 * k3 * (8 - 8 * k2 + 3 * k4) * sc) / 2,
-        (3, 1): -(k3 * (16 - 24 * k2 + 6 * k4 + k6) * sc) / 2,
-        (4, 0): (3 * k3 * (1 - k2) * (2 - k2) ** 2 * sc) / 2,
-        (0, 5): 4 * k * dnu,
-        (1, 4): -6 * k * (2 - k2) * dnu,
-        (2, 3): k * (8 - 8 * k2 + 3 * k4) * dnu,
-        (3, 2): (k * (16 - 24 * k2 + 6 * k4 + k6) * dnu) / 2,
-        (4, 1): -3 * k * (1 - k2) * (2 - k2) ** 2 * dnu,
-        (5, 0): (k * (1 - k2) * (2 - k2) ** 3 * dnu) / 2,
-    }
-
-
-def _table_sum(table, F, E):
-    # each power once, by ** (a running product would round differently)
-    n = 1 + max(map(sum, table))
-    aF, aE = abs(F), abs(E)
-    Fp, Ep = [F ** i for i in range(n)], [E ** j for j in range(n)]
-    aFp, aEp = [aF ** i for i in range(n)], [aE ** j for j in range(n)]
-    val = None
-    mag = None
-    for (i, j), cf in table.items():
-        term = cf * Fp[i] * Ep[j]
-        aterm = abs(cf) * aFp[i] * aEp[j]
-        val = term if val is None else val + term
-        mag = aterm if mag is None else mag + aterm
-    return val, mag
-
-
-def a01_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
-    return _table_sum(a01_c2_tables(k, k2, sinu, cosu, dnu), F, E)
-
-
-def a21_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
-    return _table_sum(a21_c2_tables(k, k2, sinu, cosu, dnu), F, E)
-
-
 # public coefficient functions ------------------------------------------------
 
 def a01_C1(p, k):
-    return a01_c1_kernel(np.asarray(p, dtype=float), *c1_ingredients(p, k))[0]
+    return a01_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
 
 
 def a21_C1(p, k):
-    return a21_c1_kernel(np.asarray(p, dtype=float), *c1_ingredients(p, k))[0]
+    return a21_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
 
 
 def a01_C2(u1, k):
-    F, E, s, c, d = c2_ingredients_from_u1(u1, k)
-    return a01_c2_kernel(k, k * k, F, E, s, c, d)[0]
+    return a01_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
 
 
 def a21_C2(u1, k):
-    F, E, s, c, d = c2_ingredients_from_u1(u1, k)
-    return a21_c2_kernel(k, k * k, F, E, s, c, d)[0]
+    return a21_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +161,7 @@ def certificate_x2(p, k):
     between fz-roots.  The identity pins the + sign on alpha0 (checked
     symbolically against the closed-form a01 and fz)."""
     p = np.asarray(p, dtype=float)
-    k2, sn, cn, dn, e2 = c1_ingredients(p, k)
+    _, k2, sn, cn, dn, e2 = c1_kernel_args(p, k)
     sn2 = sn * sn
     e4 = cn * e2 - 2.0 * sn * dn
     alpha0 = ((1.0 + sn2 - 2.0 * k2 * sn2) * e2 * e2
@@ -260,7 +176,7 @@ def certificate_x1(p, k):
     """x1 >= 0; (a21/fv)' fv^2 = -(4/3) k^2 x1 exactly, so a21/fv decreases
     between fv-roots (identity checked symbolically, like x2's)."""
     p = np.asarray(p, dtype=float)
-    k2, sn, cn, dn, e2 = c1_ingredients(p, k)
+    _, k2, sn, cn, dn, e2 = c1_kernel_args(p, k)
     sn2 = sn * sn
     sn4 = sn2 * sn2
     cd = cn * dn
@@ -301,60 +217,40 @@ class JacobianFactors:
     noise: float
 
 
-def _phase_args(ec: EllipticCoord, t):
-    """(p, tau) at times t: float64 arrays, or mpf values for an mpf time."""
-    sa = mpmath.sqrt(ec.alpha) if isinstance(t, mpmath.mpf) else math.sqrt(ec.alpha)
-    if ec.stratum is Stratum.C1:
-        return sa * t / 2.0, sa * (ec.phi + t / 2.0)
-    return sa * t / (2.0 * ec.k), sa * (ec.phi + t / 2.0) / ec.k
-
-
 def _j1(ec: EllipticCoord, t):
     """(J1, noise, xi, Delta, a0, a2) along a C1 or C2 extremal.
 
     Float64 arrays for an array of times; mpf values at the working
     precision for an mpf time.
     """
+    forms = stratum_forms(ec.stratum)
     mp = isinstance(t, mpmath.mpf)
+    sa = mpmath.sqrt(ec.alpha) if mp else math.sqrt(ec.alpha)
     k = mpmath.mpf(ec.k) if mp else ec.k
     k2 = k * k
-    p, tau = _phase_args(ec, t)
+    p = sa * t / forms.arc_div(ec.k)
+    tau = sa * (ec.phi + t / 2.0) / forms.phase_div(ec.k)
     snt = (jacobi_mp if mp else jacobi_arrays)(tau, k)[0]
     xi = snt * snt
-    if ec.stratum is Stratum.C1:
-        _, sn, cn, dn, e2 = c1_ingredients(p, k)
-        args = (p, k2, sn, cn, dn, e2)
-        kernels = (fv_c1_kernel, fz_c1_kernel, a01_c1_kernel, a21_c1_kernel)
-        a0_scale = 1.0
-        w0 = 1.0 - xi
-        w2 = xi * (1.0 - k2 * xi) / k2
-    else:
-        F, E, sn, cn, dn = c2_ingredients_from_p(p, k)
-        args = (k, k2, F, E, sn, cn, dn)
-        kernels = (fv_c2_kernel, fz_c2_kernel, a01_c2_kernel, a21_c2_kernel)
-        a0_scale = 16.0
-        w0 = 1.0 - k2 * xi
-        w2 = xi * (1.0 - xi)
-    (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (kern(*args) for kern in kernels)
-    a0 = fv * a01 / a0_scale
+    args = forms.args(p, k)
+    (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (
+        kern(*args) for kern in (forms.fv, forms.fz, forms.a01, forms.a21))
+    w0, w2 = forms.weights(xi, k2)
+    a0 = fv * a01 / forms.a0_scale
     a2 = fz * a21
     j1 = a0 * w0 - a2 * w2
     noise = _EPS * _NOISE_SAFETY * (
-        (abs(fv) * m01 + mfv * abs(a01)) / a0_scale * abs(w0)
+        (abs(fv) * m01 + mfv * abs(a01)) / forms.a0_scale * abs(w0)
         + (abs(fz) * m21 + mfz * abs(a21)) * abs(w2))
-    delta = 1.0 - k2 * (sn * snt) ** 2
+    delta = 1.0 - k2 * (args[forms.sn_slot] * snt) ** 2
     return j1, noise, xi, delta, a0, a2
 
 
-# the float64 entry points, one per stratum; _j1_scalar_mp is the mpmath one
+def j1_path(ec: EllipticCoord, t):
+    """(J1, noise, xi, Delta, a0, a2) float64 arrays along a C1 or C2 extremal.
 
-def j1_path_c1(ec: EllipticCoord, t):
-    """(J1, noise, xi, Delta, a0, a2) float64 arrays along a C1 extremal."""
-    return _j1(ec, np.asarray(t, dtype=float))
-
-
-def j1_path_c2(ec: EllipticCoord, t):
-    """(J1, noise, xi, Delta, a0, a2) float64 arrays along a C2 extremal."""
+    The float64 entry point; ``_j1_scalar_mp`` is the mpmath one.
+    """
     return _j1(ec, np.asarray(t, dtype=float))
 
 
@@ -366,28 +262,11 @@ def _j1_scalar_mp(ec: EllipticCoord, t: float, dps: int) -> float:
 
 def j1_factors(ec: EllipticCoord, t: float) -> JacobianFactors:
     """The full decomposition at a single time."""
-    if ec.stratum is Stratum.C1:
-        j1, noise, xi, delta, a0, a2 = (np.atleast_1d(v)[0] for v in j1_path_c1(ec, t))
-        a1 = -a0 - a2 / (ec.k * ec.k)
-    elif ec.stratum is Stratum.C2:
-        j1, noise, xi, delta, a0, a2 = (np.atleast_1d(v)[0] for v in j1_path_c2(ec, t))
-        a1 = -ec.k * ec.k * a0 - a2
-    else:
-        raise StratumError("J1 is defined on C1 and C2")
+    forms = stratum_forms(ec.stratum)
+    j1, noise, xi, delta, a0, a2 = (np.atleast_1d(v)[0] for v in j1_path(ec, t))
+    a1 = forms.a1(a0, a2, ec.k * ec.k)
     return JacobianFactors(ec.stratum, float(a0), float(a1), float(a2),
                            float(xi), float(delta), float(j1), float(noise))
-
-
-def j1_C1(ec: EllipticCoord, t: float) -> JacobianFactors:
-    if ec.stratum is not Stratum.C1:
-        raise StratumError("j1_C1 needs a C1 coordinate")
-    return j1_factors(ec, t)
-
-
-def j1_C2(ec: EllipticCoord, t: float) -> JacobianFactors:
-    if ec.stratum is not Stratum.C2:
-        raise StratumError("j1_C2 needs a C2 coordinate")
-    return j1_factors(ec, t)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +281,7 @@ def scan_start_time(ec: EllipticCoord) -> float:
     (no conjugate points on short arcs), which the mp spot checks in the
     test suite confirm.
     """
-    k = ec.k
-    sa = math.sqrt(ec.alpha)
-    if ec.stratum is Stratum.C1:
-        p_start = max(5e-3, (1e-8 / (k * k * (1.0 - k * k))) ** 0.125)
-        return 2.0 * p_start / sa
-    u_start = max(0.15, 0.14 / k)
-    return 2.0 * k * u_start / sa
+    return stratum_forms(ec.stratum).scan_start(ec.k, math.sqrt(ec.alpha))
 
 
 @dataclass(frozen=True)
@@ -443,7 +316,7 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
         root = brent_root(fa_fn, a, b)
         return root, (float(a), float(b)), abs(fa_fn(root))
 
-    if ec.stratum is Stratum.C2 and ec.k < C2_MP_K:
+    if ec.k < stratum_forms(ec.stratum).mp_k:
         # a few hundred grid times suffice: in this regime J1 tracks a0(p),
         # whose zeros are spaced on the K(k) scale.  The scan stops at the
         # first sign change, which lies just past t_max, at most a third of
@@ -455,13 +328,12 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
         root, bracket = hits[0]
         return root, bracket, abs(fmp(root))
 
-    path = j1_path_c1 if ec.stratum is Stratum.C1 else j1_path_c2
     ts = np.arange(t_lo, t_cap, dt)
     if len(ts) < 4:
         ts = np.linspace(t_lo, t_cap, 8)
-    vals, noise = path(ec, ts)[:2]
+    vals, noise = j1_path(ec, ts)[:2]
     clear = np.abs(vals) > SIGN_MARGIN * noise
-    f64 = lambda t: float(path(ec, np.array([t]))[0][0])
+    f64 = lambda t: float(j1_path(ec, np.array([t]))[0][0])
     for i in sign_changes(vals):
         if clear[i] and clear[i + 1]:
             return refine(ts[i], ts[i + 1], f64)
@@ -480,7 +352,7 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
                       & (absv[1:-1] < absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in cand:
         fine = np.linspace(ts[j], ts[min(j + 2, len(ts) - 1)], 256)
-        ff = sign_changes(path(ec, fine)[0])
+        ff = sign_changes(j1_path(ec, fine)[0])
         if len(ff):
             return refine(fine[ff[0]], fine[ff[0] + 1], f64)
     return None
@@ -522,11 +394,7 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     ec = to_elliptic(lam)
     if ec.k > K_ONE_CUTOFF or not math.isfinite(mr.t_max):
         return ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max)
-    sa = math.sqrt(ec.alpha)
-    if st is Stratum.C1:
-        upper = 2.0 / sa * max(p1_z(ec.k), p1_V(ec.k, Stratum.C1))
-    else:
-        upper = 4.0 * ec.k * complete_K(ec.k) / sa
+    upper = stratum_forms(st).upper(ec.k, math.sqrt(ec.alpha))
     cap = t_cap if t_cap is not None else max(3.0 * mr.t_max, 1.1 * upper)
     if cap <= 0.0:
         raise ValueError("search horizon must be positive")
@@ -566,7 +434,6 @@ def two_sided_check(lam: Covector):
     exception is raised for it.
     Returns (lower_ok, upper_ok, t_conj, t_max, upper).
     """
-    if classify(lam) not in (Stratum.C1, Stratum.C2):
-        raise StratumError("two_sided_check applies to C1 and C2 only")
+    stratum_forms(classify(lam))           # StratumError off C1/C2
     res = first_conjugate_time(lam)
     return True, res.upper_ok, res.t_conj, res.t_max, res.upper

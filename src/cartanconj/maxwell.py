@@ -25,6 +25,7 @@ monomials and float64 would return noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,7 @@ import numpy as np
 from .elliptic import (_EPS, _kval, am_mp, complete_E, complete_K, incomplete_E,
                        incomplete_F, jacobi_arrays, jacobi_mp)
 from .errors import NumericalError, StratumError
-from .flow import Covector, Stratum, classify, to_elliptic
+from .flow import Covector, EllipticCoord, Stratum, classify, to_elliptic
 
 # modulus this close to 1 means the period diverges: report +inf times
 K_ONE_CUTOFF = 1.0 - 1e-9
@@ -210,6 +211,82 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
     return (4 * val) / 3, (4 * mag) / 3
 
 
+def a01_c2_tables(k, k2, sinu, cosu, dnu):
+    """(i, j) -> coefficient of F^i E^j in a01 (C2)."""
+    s2 = sinu * sinu
+    sc = sinu * cosu
+    one2 = 1 - 2 * s2
+    return {
+        (0, 0): -24 * k2 * s2 * cosu * cosu * dnu,
+        (1, 0): -12 * sc * (4 - 3 * k2 + k2 * (k2 - 2) * s2),
+        (0, 1): 12 * sc * (4 + k2 * (1 - 6 * s2)),
+        (2, 0): 12 * (1 - k2) * dnu * one2,
+        (1, 1): 12 * (2 - k2) * dnu * one2,
+        (0, 2): -36 * dnu * one2,
+        (3, 0): -12 * (1 - k2) * (2 - k2) * sc,
+        (2, 1): 24 * (1 - k2) * sc,
+        (1, 2): 12 * (2 - k2) * sc,
+        (0, 3): -24 * sc,
+    }
+
+
+def a21_c2_tables(k, k2, sinu, cosu, dnu):
+    """(i, j) -> coefficient of F^i E^j in a21 (C2)."""
+    k3 = k2 * k
+    k4 = k2 * k2
+    k6 = k4 * k2
+    s2 = sinu * sinu
+    sc = sinu * cosu
+    s2c2 = s2 * cosu * cosu
+    return {
+        (0, 0): -6 * k6 * k * s2c2 * sc,
+        (0, 1): 20 * k4 * k * s2c2 * dnu,
+        (1, 0): -6 * k4 * k * (2 - k2) * s2c2 * dnu,
+        (0, 2): -2 * k3 * sc * (12 - k2 * (1 + 10 * s2)),
+        (1, 1): (k3 * sc * (32 - 8 * k2 * (1 + 6 * s2) + 3 * k4 * (1 + 8 * s2))) / 2,
+        (2, 0): (k3 * sc * (16 + 3 * k6 * s2 + k4 * (9 - 8 * s2) - 4 * k2 * (7 - 2 * s2))) / 2,
+        (0, 3): 8 * k * (2 - k2) * dnu,
+        (1, 2): -(k * (32 - 32 * k2 + 15 * k4) * dnu) / 2,
+        (2, 1): -(k * (32 - 48 * k2 + 10 * k4 + 3 * k6) * dnu) / 2,
+        (3, 0): (k * (32 - 64 * k2 + 41 * k4 - 9 * k6) * dnu) / 2,
+        (0, 4): -10 * k3 * sc,
+        (1, 3): 12 * k3 * (2 - k2) * sc,
+        (2, 2): -(3 * k3 * (8 - 8 * k2 + 3 * k4) * sc) / 2,
+        (3, 1): -(k3 * (16 - 24 * k2 + 6 * k4 + k6) * sc) / 2,
+        (4, 0): (3 * k3 * (1 - k2) * (2 - k2) ** 2 * sc) / 2,
+        (0, 5): 4 * k * dnu,
+        (1, 4): -6 * k * (2 - k2) * dnu,
+        (2, 3): k * (8 - 8 * k2 + 3 * k4) * dnu,
+        (3, 2): (k * (16 - 24 * k2 + 6 * k4 + k6) * dnu) / 2,
+        (4, 1): -3 * k * (1 - k2) * (2 - k2) ** 2 * dnu,
+        (5, 0): (k * (1 - k2) * (2 - k2) ** 3 * dnu) / 2,
+    }
+
+
+def _table_sum(table, F, E):
+    # each power once, by ** (a running product would round differently)
+    n = 1 + max(map(sum, table))
+    aF, aE = abs(F), abs(E)
+    Fp, Ep = [F ** i for i in range(n)], [E ** j for j in range(n)]
+    aFp, aEp = [aF ** i for i in range(n)], [aE ** j for j in range(n)]
+    val = None
+    mag = None
+    for (i, j), cf in table.items():
+        term = cf * Fp[i] * Ep[j]
+        aterm = abs(cf) * aFp[i] * aEp[j]
+        val = term if val is None else val + term
+        mag = aterm if mag is None else mag + aterm
+    return val, mag
+
+
+def a01_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
+    return _table_sum(a01_c2_tables(k, k2, sinu, cosu, dnu), F, E)
+
+
+def a21_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
+    return _table_sum(a21_c2_tables(k, k2, sinu, cosu, dnu), F, E)
+
+
 def fv0_kernel(u):
     """Unscaled numerator whose first positive root is p1v0."""
     return (32 * u * u - 1) * np.cos(2 * u) - 8 * u * np.sin(2 * u) + np.cos(6 * u)
@@ -231,26 +308,27 @@ def _jacobi_at(p, k):
     return np.asarray(p, dtype=float), k, sn, cn, dn, eps
 
 
-def c1_ingredients(p, k):
-    """(k^2, sn, cn, dn, 2E - p) at p; mpf values when p is an mpf."""
+def c1_kernel_args(p, k):
+    """The C1 kernels' arguments (p, k^2, sn, cn, dn, 2E - p) at p; mpf
+    values when p is an mpf."""
+    pa, k, sn, cn, dn, eps = _jacobi_at(p, k)
+    return p, k * k, sn, cn, dn, 2 * eps - pa
+
+
+def c2_kernel_args(p, k):
+    """The C2 kernels' arguments (k, k^2, F, E, sin u1, cos u1, dn u1) with
+    u1 = am(p, k), so F(u1) = p; mpf values when p is an mpf."""
     p, k, sn, cn, dn, eps = _jacobi_at(p, k)
-    return k * k, sn, cn, dn, 2 * eps - p
+    return k, k * k, p, eps, sn, cn, dn
 
 
-def c2_ingredients_from_p(p, k):
-    """(F, E, sin u1, cos u1, dn u1) with u1 = am(p, k), so F(u1) = p;
-    mpf values when p is an mpf."""
-    p, _, sn, cn, dn, eps = _jacobi_at(p, k)
-    return p, eps, sn, cn, dn
-
-
-def c2_ingredients_from_u1(u1, k):
+def c2_kernel_args_from_u1(u1, k):
+    """The C2 kernels' arguments at the amplitude u1 (float64 only)."""
     k = _kval(k)
     u1 = np.asarray(u1, dtype=float)
-    F = incomplete_F(u1, k)
-    E = incomplete_E(u1, k)
     s = np.sin(u1)
-    return F, E, s, np.cos(u1), np.sqrt(1.0 - (k * s) ** 2)
+    return (k, k * k, incomplete_F(u1, k), incomplete_E(u1, k), s, np.cos(u1),
+            np.sqrt(1.0 - (k * s) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +336,20 @@ def c2_ingredients_from_u1(u1, k):
 # ---------------------------------------------------------------------------
 
 def f_z_C1(p, k):
-    k = _kval(k)
-    k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-    return fz_c1_kernel(np.asarray(p, dtype=float), k2, sn, cn, dn, e2)[0]
+    return fz_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
 
 
 def f_V_C1(p, k):
-    k = _kval(k)
-    k2, sn, cn, dn, e2 = c1_ingredients(p, k)
-    return fv_c1_kernel(np.asarray(p, dtype=float), k2, sn, cn, dn, e2)[0]
+    return fv_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
 
 
 def f_z_C2(u1, k):
-    k = _kval(k)
-    F, E, s, c, d = c2_ingredients_from_u1(u1, k)
-    return fz_c2_kernel(k, k * k, F, E, s, c, d)[0]
+    return fz_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
 
 
 def f_V_C2(u1, k):
     """Evaluated from the u1-form; never by substitution into the C1 form."""
-    k = _kval(k)
-    F, E, s, c, d = c2_ingredients_from_u1(u1, k)
-    return fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
+    return fv_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
 
 
 def f_V0(u1):
@@ -470,26 +540,23 @@ def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
         return info
 
 
-def _branch_fn(kernel, stratum, k, mp=False):
-    """p -> float value of the fz or fv kernel of the stratum at modulus k.
+def _branch_fn(kernel, forms, k, mp=False):
+    """p -> float value of a kernel of the stratum record ``forms`` at modulus k.
 
     With mp the kernel runs under mpmath at the caller's working precision.
     """
     def f(p):
         if mp:
             p = mpmath.mpf(p)
-        if stratum is Stratum.C1:
-            return float(kernel(p, *c1_ingredients(p, k))[0])
-        kk = mpmath.mpf(k) if mp else k
-        return float(kernel(kk, kk * kk, *c2_ingredients_from_p(p, k))[0])
+        return float(kernel(*forms.args(p, k))[0])
     return f
 
 
 @lru_cache(maxsize=4096)
 def _p1_z_cached(k: float) -> RootInfo:
     K = complete_K(k)
-    info = _first_root(_branch_fn(fz_c1_kernel, Stratum.C1, k), 0.02, 3.0 * K - 1e-9)
-    info = _polish_root_mp(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True), info)
+    info = _first_root(_branch_fn(fz_c1_kernel, C1_FORMS, k), 0.02, 3.0 * K - 1e-9)
+    info = _polish_root_mp(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True), info)
     if not K < info.root < 3.0 * K:
         raise NumericalError(f"p1z(k={k}) = {info.root} escaped (K, 3K)")
     return info
@@ -498,8 +565,8 @@ def _p1_z_cached(k: float) -> RootInfo:
 @lru_cache(maxsize=4096)
 def _p1_v_c1_cached(k: float) -> RootInfo:
     K = complete_K(k)
-    info = _first_root(_branch_fn(fv_c1_kernel, Stratum.C1, k), 0.02, 4.0 * K - 1e-9)
-    info = _polish_root_mp(_branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True), info)
+    info = _first_root(_branch_fn(fv_c1_kernel, C1_FORMS, k), 0.02, 4.0 * K - 1e-9)
+    info = _polish_root_mp(_branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True), info)
     if not 2.0 * K - 1e-6 <= info.root < 4.0 * K:
         raise NumericalError(f"p1v(k={k}) = {info.root} escaped [2K, 4K)")
     return info
@@ -510,11 +577,11 @@ def _p1_v_c2_cached(k: float) -> RootInfo:
     K = complete_K(k)
     if k < C2_MP_K:
         with mpmath.workdps(MP_DPS):
-            info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True),
+            info = _first_root(_branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True),
                                1e-3, 2.0 * K - 1e-9)
     else:
-        info = _first_root(_branch_fn(fv_c2_kernel, Stratum.C2, k), 0.02, 2.0 * K - 1e-9)
-        info = _polish_root_mp(_branch_fn(fv_c2_kernel, Stratum.C2, k, mp=True), info)
+        info = _first_root(_branch_fn(fv_c2_kernel, C2_FORMS, k), 0.02, 2.0 * K - 1e-9)
+        info = _polish_root_mp(_branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True), info)
     if not K < info.root < 2.0 * K:
         raise NumericalError(f"p1v_C2(k={k}) = {info.root} escaped (K, 2K)")
     return info
@@ -573,7 +640,7 @@ def critical_moduli():
     # when fv vanishes at p1z(k); that formulation stays smooth through the
     # steep region where the first fv root emerges from a tangential pair.
     def shared(k):
-        return _branch_fn(fv_c1_kernel, Stratum.C1, k)(_p1_z_cached(k).root)
+        return _branch_fn(fv_c1_kernel, C1_FORMS, k)(_p1_z_cached(k).root)
     roots = grid_roots(shared, np.linspace(0.02, 0.98, 121), count=None)
     if len(roots) != 2:
         raise NumericalError(f"expected 2 critical moduli, found {len(roots)}")
@@ -603,9 +670,102 @@ def _polished_shared_sign(k):
     """fv at the first fz root, evaluated fully under mpmath."""
     with mpmath.workdps(POLISH_DPS):
         pz = _p1_z_cached(k).root
-        pz = brent_root(_branch_fn(fz_c1_kernel, Stratum.C1, k, mp=True),
+        pz = brent_root(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True),
                         pz - 1e-3, pz + 1e-3, xtol=1e-14)
-        return _branch_fn(fv_c1_kernel, Stratum.C1, k, mp=True)(pz)
+        return _branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True)(pz)
+
+
+# ---------------------------------------------------------------------------
+# the stratum record: everything that differs between C1 and C2
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StratumForms:
+    """What differs between C1 and C2, the two strata that carry J1.
+
+    Along an extremal (phi, k, alpha, beta) the half-arc is p = sqrt(alpha)
+    t / arc_div(k) and the arc-midpoint phase tau = sqrt(alpha) (phi + t/2) /
+    phase_div(k); at xi = sn^2 tau, J1 = a0 w0 - a2 w2 with a0 = fv a01 /
+    a0_scale, a2 = fz a21 and (w0, w2) = weights(xi, k^2), each kernel taking
+    ``args(p, k)``.  Methods take sqrt(alpha) as ``sa``.
+    """
+
+    stratum: Stratum
+    fz: Callable
+    fv: Callable
+    a01: Callable
+    a21: Callable
+    args: Callable          # (p, k) -> the kernels' arguments at half-arc p
+    sn_slot: int            # position of sn(p, k) among them
+    a0_scale: float
+    weights: Callable
+    a1: Callable            # (a0, a2, k^2) -> a1 of J1 = a0 + a1 xi + a2 xi^2
+    arc_div: Callable
+    phase_div: Callable
+    maxwell_root: Callable  # k -> RootInfo of the half-arc p1 of t_max1
+    upper: Callable         # (k, sa) -> the upper bound on t_conj1
+    scan_p: Callable        # k -> half-arc where the float64 J1 scan starts
+    j1_sign: float          # the sign of J1 on (0, t_max1)
+    loci: Callable          # k -> phi + t_max1/2 (alpha = 1) where t_conj1 = t_max1
+    mp_k: float = 0.0       # below this modulus the J1 scan runs under mpmath
+
+    def maxwell_time(self, k, sa=1.0):
+        """(t_max1, RootInfo of its half-arc) at modulus k."""
+        info = self.maxwell_root(k)
+        return self.arc_div(k) / sa * info.root, info
+
+    def period(self, k, alpha=1.0) -> float:
+        return EllipticCoord(self.stratum, 0.0, k, alpha, 0.0).period()
+
+    def scan_start(self, k, sa) -> float:
+        return self.arc_div(k) * self.scan_p(k) / sa
+
+    def equality_phases(self, k) -> list:
+        """The phases phi at alpha = 1 on the equality loci of modulus k."""
+        tm = self.maxwell_time(k)[0]
+        return [m - tm / 2.0 for m in self.loci(k)]
+
+
+def _c1_loci(k):
+    # cn tau = 0 (tau = K) off (k1, k0) and sn tau = 0 (tau = 2K) inside;
+    # at k1 and k0 every phase is an equality case
+    k1, k0 = critical_moduli()
+    K = complete_K(k)
+    return (2.0 * K,) if k1 < k < k0 else (K,)
+
+
+C1_FORMS = StratumForms(
+    Stratum.C1, fz_c1_kernel, fv_c1_kernel, a01_c1_kernel, a21_c1_kernel, c1_kernel_args, 2,
+    a0_scale=1.0,
+    weights=lambda xi, k2: (1.0 - xi, xi * (1.0 - k2 * xi) / k2),
+    a1=lambda a0, a2, k2: -a0 - a2 / k2,
+    arc_div=lambda k: 2.0, phase_div=lambda k: 1.0,
+    maxwell_root=lambda k: min(_p1_z_cached(k), _p1_v_c1_cached(k), key=lambda i: i.root),
+    upper=lambda k, sa: 2.0 / sa * max(p1_z(k), p1_V(k, Stratum.C1)),
+    scan_p=lambda k: max(5e-3, (1e-8 / (k * k * (1.0 - k * k))) ** 0.125),
+    j1_sign=-1.0, loci=_c1_loci)
+
+C2_FORMS = StratumForms(
+    Stratum.C2, fz_c2_kernel, fv_c2_kernel, a01_c2_kernel, a21_c2_kernel, c2_kernel_args, 4,
+    a0_scale=16.0,
+    weights=lambda xi, k2: (1.0 - k2 * xi, xi * (1.0 - xi)),
+    a1=lambda a0, a2, k2: -k2 * a0 - a2,
+    arc_div=lambda k: 2.0 * k, phase_div=lambda k: k,
+    maxwell_root=lambda k: _p1_v_c2_cached(k),      # by name: perfbench rebinds it
+    upper=lambda k, sa: 4.0 * k * complete_K(k) / sa,
+    scan_p=lambda k: max(0.15, 0.14 / k),
+    j1_sign=1.0, loci=lambda k: (2.0 * k * complete_K(k), k * complete_K(k)),   # sn^2 tau = 0, 1
+    mp_k=C2_MP_K)
+
+FORMS = {Stratum.C1: C1_FORMS, Stratum.C2: C2_FORMS}
+
+
+def stratum_forms(stratum: Stratum) -> StratumForms:
+    """The record of C1 or C2; StratumError on any other stratum."""
+    try:
+        return FORMS[stratum]
+    except KeyError:
+        raise StratumError(f"J1 and its bounds are defined on C1 and C2, not {stratum}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +783,14 @@ class MaxwellResult:
 
 def t_max1(lam: Covector) -> MaxwellResult:
     st = classify(lam)
-    if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
-        return MaxwellResult(math.inf, None, None, 0.0, st)
     if st is Stratum.C6:
         info = _p1_v0_cached()
         return MaxwellResult(4.0 / abs(lam.c) * info.root, info.root,
                              info.bracket, info.residual, st)
+    if st not in FORMS:                     # C3, C4, C5, C7
+        return MaxwellResult(math.inf, None, None, 0.0, st)
     ec = to_elliptic(lam)
-    sa = math.sqrt(ec.alpha)
     if ec.k > K_ONE_CUTOFF:
         return MaxwellResult(math.inf, None, None, 0.0, st)
-    if st is Stratum.C1:
-        iz = _p1_z_cached(ec.k)
-        iv = _p1_v_c1_cached(ec.k)
-        info = iz if iz.root <= iv.root else iv
-        return MaxwellResult(2.0 / sa * info.root, info.root,
-                             info.bracket, info.residual, st)
-    info = _p1_v_c2_cached(ec.k)
-    return MaxwellResult(2.0 * ec.k / sa * info.root, info.root,
-                         info.bracket, info.residual, st)
+    t, info = FORMS[st].maxwell_time(ec.k, math.sqrt(ec.alpha))
+    return MaxwellResult(t, info.root, info.bracket, info.residual, st)

@@ -18,8 +18,7 @@ from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              reflect3, rotate_covector)
 from cartanconj import conjugate as cj
 from cartanconj import maxwell as mx
-from cartanconj.group import GroupPoint, invariant_coords
-from cartanconj.verify import random_c1, random_c2
+from cartanconj.verify import check_coordinate_jacobian, random_c1, random_c2
 
 
 class Criterion:
@@ -67,23 +66,23 @@ def test_criterion_02_series_anchors():
         pm = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients(pm, k)
-            a01 = mx.a01_c1_kernel(pm, k2, sn, cn, dn, e2)[0]
-            a21 = mx.a21_c1_kernel(pm, k2, sn, cn, dn, e2)[0]
-            assert float(a01 / (mpmath.mpf(4) / 1575 * k2 * (1 - k2) * pm ** 10)) \
+            args = mx.c1_kernel_args(pm, k)
+            a01 = mx.a01_c1_kernel(*args)[0]
+            a21 = mx.a21_c1_kernel(*args)[0]
+            assert float(a01 / (mpmath.mpf(4) / 1575 * k * k * (1 - k * k) * pm ** 10)) \
                 == pytest.approx(1.0, rel=2e-2)
-            assert float(a21 / (mpmath.mpf(16) / 1488375 * k2 ** 2 * (1 - k2) * pm ** 15)) \
+            assert float(a21 / (mpmath.mpf(16) / 1488375 * k ** 4 * (1 - k * k) * pm ** 15)) \
                 == pytest.approx(1.0, rel=2e-2)
         # rotating stratum, small modulus
         k = mpmath.mpf("0.01")
         for pp in ("0.8", "1.7", "2.4"):
             pv = mpmath.mpf(pp)
-            F, E, s, c, d = mx.c2_ingredients_from_p(pv, k)
+            args = mx.c2_kernel_args(pv, k)
             u1 = float(am_mp(pv, k))
-            fz = mx.fz_c2_kernel(k, k * k, F, E, s, c, d)[0]
-            fv = mx.fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
-            a01 = cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0]
-            a21 = cj.a21_c2_kernel(k, k * k, F, E, s, c, d)[0]
+            fz = mx.fz_c2_kernel(*args)[0]
+            fv = mx.fv_c2_kernel(*args)[0]
+            a01 = mx.a01_c2_kernel(*args)[0]
+            a21 = mx.a21_c2_kernel(*args)[0]
             assert float(fz / (k ** 3 * float(cj.fz0(float(pv))))) == pytest.approx(1.0, rel=5e-2)
             assert float(fv / (k ** 8 / 512 * float(mx.f_V0(u1)))) == pytest.approx(1.0, rel=5e-2)
             assert float(a01 / (mpmath.mpf(3) / 2048 * k ** 8 * float(cj.a010(u1)))) \
@@ -132,23 +131,18 @@ def test_criterion_05_critical_moduli():
     crit.done()
 
 
-def _theorem2_grid(stratum, k_grid, n_phi, n_t, want_negative):
+def _theorem2_grid(forms, k_grid, n_phi, n_t):
     """Sign-constancy of J1 on (0, t_max - 1e-6) with noise-aware handling."""
     ambiguous_rechecked = 0
     for k in k_grid:
         k = float(k)
-        if stratum is Stratum.C1:
-            tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-            period = 4.0 * complete_K(k)
-        else:
-            tm = 2.0 * k * mx.p1_V(k, Stratum.C2)
-            period = 2.0 * k * complete_K(k)
-        for phi in np.linspace(0.0, period, n_phi, endpoint=False):
-            ec = EllipticCoord(stratum, float(phi), k, 1.0, 0.0)
+        tm = forms.maxwell_time(k)[0]
+        for phi in np.linspace(0.0, forms.period(k), n_phi, endpoint=False):
+            ec = EllipticCoord(forms.stratum, float(phi), k, 1.0, 0.0)
             t_lo = cj.scan_start_time(ec)
             ts = np.linspace(min(t_lo, 0.5 * tm), tm - 1e-6, n_t)
-            j1, noise = (cj.j1_path_c1 if stratum is Stratum.C1 else cj.j1_path_c2)(ec, ts)[:2]
-            wrong = (j1 >= 0.0) if want_negative else (j1 <= 0.0)
+            j1, noise = cj.j1_path(ec, ts)[:2]
+            wrong = forms.j1_sign * j1 <= 0.0
             clear_wrong = wrong & (np.abs(j1) > 20.0 * noise)
             assert not np.any(clear_wrong), \
                 f"J1 sign violation at k={k}, phi={phi}, t={ts[clear_wrong][:3]}"
@@ -158,50 +152,43 @@ def _theorem2_grid(stratum, k_grid, n_phi, n_t, want_negative):
                 i = amb[np.argmax(np.abs(j1[amb]))]
                 val = cj._j1_scalar_mp(ec, float(ts[i]), 50)
                 ambiguous_rechecked += 1
-                ok = (val < 0.0) if want_negative else (val > 0.0)
-                assert ok or abs(val) < 1e-30, \
+                assert forms.j1_sign * val > 0.0 or abs(val) < 1e-30, \
                     f"mp recheck failed at k={k}, phi={phi}, t={ts[i]}: {val}"
     return ambiguous_rechecked
 
 
-def _theorem2_smallt_spotchecks(stratum, k_grid, want_negative):
+def _theorem2_smallt_spotchecks(forms, k_grid):
     # below the float64 scan start J1 behaves like a one-signed power; a few
     # high-precision samples confirm the sign there
     for k in k_grid[::8]:
         k = float(k)
-        if stratum is Stratum.C1:
-            period = 4.0 * complete_K(k)
-        else:
-            period = 2.0 * k * complete_K(k)
-        ec = EllipticCoord(stratum, period / 3.0, k, 1.0, 0.0)
+        ec = EllipticCoord(forms.stratum, forms.period(k) / 3.0, k, 1.0, 0.0)
         t_lo = cj.scan_start_time(ec)
         for frac in (0.3, 0.7):
-            val = cj._j1_scalar_mp(ec, frac * t_lo, 60)
-            assert (val < 0.0) if want_negative else (val > 0.0)
+            assert forms.j1_sign * cj._j1_scalar_mp(ec, frac * t_lo, 60) > 0.0
 
 
 def test_criterion_06_theorem2_grid_c1():
     crit = Criterion(6, "J1 < 0 before t_max on a 40x40 C1 grid", 60.0)
     ks = np.linspace(0.03, 0.97, 40)
-    _theorem2_grid(Stratum.C1, ks, 40, 400, want_negative=True)
-    _theorem2_smallt_spotchecks(Stratum.C1, ks, want_negative=True)
+    _theorem2_grid(mx.C1_FORMS, ks, 40, 400)
+    _theorem2_smallt_spotchecks(mx.C1_FORMS, ks)
     crit.done()
 
 
 def test_criterion_07_theorem2_grid_c2():
     crit = Criterion(7, "J1 > 0 before t_max on a 40x40 C2 grid; J1 = 0 at the"
                         " endpoint with xi in {0, 1}", 60.0)
+    c2 = mx.C2_FORMS
     ks = np.linspace(0.2, 0.95, 40)
-    _theorem2_grid(Stratum.C2, ks, 40, 400, want_negative=False)
-    _theorem2_smallt_spotchecks(Stratum.C2, ks, want_negative=False)
+    _theorem2_grid(c2, ks, 40, 400)
+    _theorem2_smallt_spotchecks(c2, ks)
     worst = 0.0
     for k in ks[::4]:
         k = float(k)
-        t1 = 2.0 * k * mx.p1_V(k, Stratum.C2)
-        K = complete_K(k)
-        for tau_target in (2.0 * K, K):        # sn^2 tau = 0 and 1
-            phi = k * tau_target - t1 / 2.0
-            ec = EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0)
+        t1 = c2.maxwell_time(k)[0]
+        for phi in c2.equality_phases(k):      # sn^2 tau = 0 and 1
+            ec = EllipticCoord(c2.stratum, phi, k, 1.0, 0.0)
             worst = max(worst, abs(cj.j1_factors(ec, t1).J1))
     assert worst < 1e-9
     crit.done(worst)
@@ -244,22 +231,14 @@ def test_criterion_09_equality_cases():
     crit = Criterion(9, "equality cases give |t_conj - t_max| < 1e-6", 30.0)
     k1, k0 = mx.critical_moduli()
     worst = 0.0
-    cases = []
-    for k in (k1, k0):
-        for phi in (0.17, 0.45):
-            cases.append(EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0))
-    for k in (0.3, 0.6, 0.95):                 # cn tau = 0, k in (0,k1) u (k0,1)
-        assert k < k1 or k > k0
-        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-        cases.append(EllipticCoord(Stratum.C1, complete_K(k) - tm / 2.0, k, 1.0, 0.0))
-    for k in (0.82, 0.88):                     # sn tau = 0, k in (k1, k0)
-        assert k1 < k < k0
-        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-        cases.append(EllipticCoord(Stratum.C1, 2.0 * complete_K(k) - tm / 2.0, k, 1.0, 0.0))
-    for k in (0.45, 0.7):                      # C2 with sn^2 tau in {0, 1}
-        tm = 2.0 * k * mx.p1_V(k, Stratum.C2)
-        for tau_target in (2.0 * complete_K(k), complete_K(k)):
-            cases.append(EllipticCoord(Stratum.C2, k * tau_target - tm / 2.0, k, 1.0, 0.0))
+    cases = [EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0)
+             for k in (k1, k0) for phi in (0.17, 0.45)]
+    # cn tau = 0 at 0.3, 0.6, 0.95 (off (k1, k0)), sn tau = 0 at 0.82, 0.88;
+    # C2 with sn^2 tau in {0, 1}
+    assert all(k < k1 or k > k0 for k in (0.3, 0.6, 0.95)) and k1 < 0.82 < 0.88 < k0
+    for forms, k in [(mx.C1_FORMS, k) for k in (0.3, 0.6, 0.95, 0.82, 0.88)] + \
+            [(mx.C2_FORMS, 0.45), (mx.C2_FORMS, 0.7)]:
+        cases += [EllipticCoord(forms.stratum, phi, k, 1.0, 0.0) for phi in forms.equality_phases(k)]
     for ec in cases:
         res = cj.first_conjugate_time(from_elliptic(ec))
         worst = max(worst, abs(res.t_conj - res.t_max))
@@ -274,24 +253,19 @@ def test_criterion_10_two_sided_bounds():
     crit = Criterion(10, "two-sided bounds on the criterion-6/7 grids;"
                          " phi-periodicity of t_conj", 120.0)
     slack = 1e-6
-    for stratum, ks in ((Stratum.C1, np.linspace(0.03, 0.97, 40)),
-                        (Stratum.C2, np.linspace(0.2, 0.95, 40))):
+    for forms, ks in ((mx.C1_FORMS, np.linspace(0.03, 0.97, 40)),
+                      (mx.C2_FORMS, np.linspace(0.2, 0.95, 40))):
         for k in ks:
             k = float(k)
-            if stratum is Stratum.C1:
-                upper = 2.0 * max(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-                period = 4.0 * complete_K(k)
-            else:
-                upper = 4.0 * k * complete_K(k)
-                period = 2.0 * k * complete_K(k)
-            for phi in np.linspace(0.0, period, 40, endpoint=False):
-                lam = from_elliptic(EllipticCoord(stratum, float(phi), k, 1.0, 0.0))
+            upper = forms.upper(k, 1.0)
+            for phi in np.linspace(0.0, forms.period(k), 40, endpoint=False):
+                lam = from_elliptic(EllipticCoord(forms.stratum, float(phi), k, 1.0, 0.0))
                 res = cj.first_conjugate_time(lam)
                 assert res.t_conj >= res.t_max - slack
                 assert res.t_conj <= upper + slack
     # periodicity in phi (and nonconstancy), fixed k = 0.5 in C1
     k = 0.5
-    period = 4.0 * complete_K(k)
+    period = mx.C1_FORMS.period(k)
     phis = np.linspace(0.0, period, 9, endpoint=False)
     tcs = [cj.first_conjugate_time(
         from_elliptic(EllipticCoord(Stratum.C1, float(p), k, 1.0, 0.0))).t_conj
@@ -354,21 +328,6 @@ def test_criterion_13_casimirs_and_chart_jacobian():
         dE, dh4, dh5 = casimir_drift(lam, 50.0)
         worst = max(worst, dE, dh4, dh5)
         assert max(dE, dh4, dh5) < 1e-9
-    h = 1e-6
-    worst_j = 0.0
-    for _ in range(20):
-        g = GroupPoint(*rng.uniform(-2.0, 2.0, 5))
-        if g.r < 0.3:
-            g = GroupPoint(g.x + 1.0, g.y, g.z, g.v, g.w)
-        arr = g.as_array()
-        M = np.empty((5, 5))
-        for col in range(5):
-            ap = arr.copy(); ap[col] += h
-            am_ = arr.copy(); am_[col] -= h
-            M[:, col] = (np.array(invariant_coords(GroupPoint.from_array(ap)))
-                         - np.array(invariant_coords(GroupPoint.from_array(am_)))) / (2 * h)
-        det = float(np.linalg.det(M))
-        rel = abs(det - 1.0 / (2.0 * g.r ** 9)) * 2.0 * g.r ** 9
-        worst_j = max(worst_j, rel)
-        assert rel < 1e-6
-    crit.done(max(worst, worst_j))
+    jac = check_coordinate_jacobian(rng)      # the chart Jacobian at 20 points
+    assert jac.passed and jac.tolerance == 1e-6
+    crit.done(max(worst, jac.worst))

@@ -13,7 +13,8 @@ from cartanconj import conjugate as cj
 from cartanconj import maxwell as mx
 from cartanconj.conjugate import (a01_C1, a21_C1, a010, a210, certificate_x1,
                                   certificate_x2, first_conjugate_time, fz0,
-                                  j1_C1, j1_C2, j1_factors, two_sided_check)
+                                  j1_factors, j1_path, scan_start_time,
+                                  two_sided_check)
 from cartanconj.verify import random_c1, random_c2
 
 
@@ -26,9 +27,9 @@ def test_a01_c1_small_p_anchor_mp():
         p = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients(p, k)
-            val = mx.a01_c1_kernel(p, k2, sn, cn, dn, e2)[0]
-            target = mpmath.mpf(4) / 1575 * k2 * (1 - k2) * p ** 10
+            args = mx.c1_kernel_args(p, k)
+            val = mx.a01_c1_kernel(*args)[0]
+            target = mpmath.mpf(4) / 1575 * k * k * (1 - k * k) * p ** 10
             assert float(val / target) == pytest.approx(1.0, rel=2e-2)
 
 
@@ -37,9 +38,9 @@ def test_a21_c1_small_p_anchor_mp():
         p = mpmath.mpf("0.01")
         for kk in ("0.3", "0.6", "0.9"):
             k = mpmath.mpf(kk)
-            k2, sn, cn, dn, e2 = mx.c1_ingredients(p, k)
-            val = mx.a21_c1_kernel(p, k2, sn, cn, dn, e2)[0]
-            target = mpmath.mpf(16) / 1488375 * k2 ** 2 * (1 - k2) * p ** 15
+            args = mx.c1_kernel_args(p, k)
+            val = mx.a21_c1_kernel(*args)[0]
+            target = mpmath.mpf(16) / 1488375 * k ** 4 * (1 - k * k) * p ** 15
             assert float(val / target) == pytest.approx(1.0, rel=2e-2)
 
 
@@ -50,10 +51,10 @@ def test_c2_table_smallk_anchors_mp():
         k = mpmath.mpf("0.01")
         for pp in ("0.8", "1.7", "2.4"):
             p = mpmath.mpf(pp)
-            F, E, s, c, d = mx.c2_ingredients_from_p(p, k)
+            args = mx.c2_kernel_args(p, k)
             u1 = float(am_mp(p, k))
-            a01 = cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0]
-            a21 = cj.a21_c2_kernel(k, k * k, F, E, s, c, d)[0]
+            a01 = mx.a01_c2_kernel(*args)[0]
+            a21 = mx.a21_c2_kernel(*args)[0]
             t01 = mpmath.mpf(3) / 2048 * k ** 8 * mpmath.mpf(float(a010(u1)))
             t21 = k ** 17 / 4194304 * mpmath.mpf(float(a210(u1)))
             assert float(a01 / t01) == pytest.approx(1.0, rel=5e-2)
@@ -67,10 +68,10 @@ def test_j1_c2_joint_origin_anchor_mp():
         for kk in ("0.05", "0.02"):
             k = mpmath.mpf(kk)
             p = k   # u1 = am(p, k) ~ p
-            F, E, s, c, d = mx.c2_ingredients_from_p(p, k)
+            args = mx.c2_kernel_args(p, k)
             u1 = am_mp(p, k)
-            a0 = (mx.fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
-                  * cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0]) / 16
+            a0 = (mx.fv_c2_kernel(*args)[0]
+                  * mx.a01_c2_kernel(*args)[0]) / 16
             target = mpmath.mpf(4) / 70875 * k ** 16 * u1 ** 16
             assert float(a0 / target) == pytest.approx(1.0, rel=0.2)
 
@@ -125,11 +126,11 @@ def _transform_c1_kernel(kernel, p, k):
 def test_c2_functions_are_transformed_c1(rng, k):
     for _ in range(10):
         p = rng.uniform(0.2, 2.0 * complete_K(k) - 0.2)
-        F, E, s, c, d = mx.c2_ingredients_from_p(p, k)
-        fz2 = float(mx.fz_c2_kernel(k, k * k, F, E, s, c, d)[0])
-        fv2 = float(mx.fv_c2_kernel(k, k * k, F, E, s, c, d)[0])
-        a012 = float(cj.a01_c2_kernel(k, k * k, F, E, s, c, d)[0])
-        a212 = float(cj.a21_c2_kernel(k, k * k, F, E, s, c, d)[0])
+        args = mx.c2_kernel_args(p, k)
+        fz2 = float(mx.fz_c2_kernel(*args)[0])
+        fv2 = float(mx.fv_c2_kernel(*args)[0])
+        a012 = float(mx.a01_c2_kernel(*args)[0])
+        a212 = float(mx.a21_c2_kernel(*args)[0])
         assert fz2 == pytest.approx(
             2.0 * _transform_c1_kernel(mx.fz_c1_kernel, p, k), rel=1e-9)
         assert fv2 == pytest.approx(
@@ -148,7 +149,7 @@ def test_j1_factor_relations(rng):
     for _ in range(20):
         lam = random_c1(rng, k_range=(0.2, 0.9))
         ec = to_elliptic(lam)
-        f = j1_C1(ec, rng.uniform(0.5, 4.0))
+        f = j1_factors(ec, rng.uniform(0.5, 4.0))
         k2 = ec.k * ec.k
         scale = max(abs(f.a0), abs(f.a2) / k2, 1e-300)
         assert abs(f.a1 + f.a0 + f.a2 / k2) / scale < 1e-10
@@ -159,27 +160,27 @@ def test_j1_factor_relations(rng):
 
         lam = random_c2(rng, k_range=(0.35, 0.9))
         ec = to_elliptic(lam)
-        f = j1_C2(ec, rng.uniform(0.5, 2.0))
+        f = j1_factors(ec, rng.uniform(0.5, 2.0))
         k2 = ec.k * ec.k
         scale = max(abs(f.a0), abs(f.a2), 1e-300)
         assert abs(f.a1 + k2 * f.a0 + f.a2) / scale < 1e-10
         assert 0.0 < f.Delta <= 1.0
 
 
-def test_j1_wrong_stratum_rejected(rng):
-    ec = to_elliptic(random_c1(rng))
-    with pytest.raises(StratumError):
-        j1_C2(ec, 1.0)
+def test_j1_wrong_stratum_rejected():
+    # C3 has elliptic coordinates (k = 1) but no J1 and no scan start
+    ec = EllipticCoord(Stratum.C3, 0.3, 1.0, 1.0, 0.0)
+    for fn in (j1_path, j1_factors, lambda ec, t: scan_start_time(ec)):
+        with pytest.raises(StratumError):
+            fn(ec, 1.0)
 
 
 def test_j1_zero_at_uv1_boundary_xi():
+    c2 = mx.C2_FORMS
     for k in (0.35, 0.6, 0.85):
-        pv = mx.p1_V(k, Stratum.C2)
-        t1 = 2.0 * k * pv
-        K = complete_K(k)
-        for tau_target, xi_val in ((2.0 * K, 0.0), (K, 1.0)):
-            phi = k * tau_target - t1 / 2.0
-            ec = EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0)
+        t1 = c2.maxwell_time(k)[0]
+        for phi, xi_val in zip(c2.equality_phases(k), (0.0, 1.0)):
+            ec = EllipticCoord(c2.stratum, phi, k, 1.0, 0.0)
             f = j1_factors(ec, t1)
             assert abs(f.xi - xi_val) < 1e-12
             assert abs(f.J1) < 1e-9
@@ -190,7 +191,7 @@ def test_j1_endpoint_factorization_c2():
     # since a2 is k**17-suppressed against float64 noise in a0
     from cartanconj.elliptic import jacobi_mp
     for k in (0.4, 0.7):
-        t1 = 2.0 * k * mx.p1_V(k, Stratum.C2)
+        t1 = mx.C2_FORMS.maxwell_time(k)[0]
         for phi in (0.15, 0.6):
             ec = EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0)
             f = j1_factors(ec, t1)
@@ -200,9 +201,9 @@ def test_j1_endpoint_factorization_c2():
                 j1 = cj._j1_scalar_mp(ec, t1, 50)
                 p = mpmath.mpf(t1) / (2 * km)
                 tau = (mpmath.mpf(phi) + mpmath.mpf(t1) / 2) / km
-                F, E, s, c, d = mx.c2_ingredients_from_p(p, km)
-                a2 = float(mx.fz_c2_kernel(km, km * km, F, E, s, c, d)[0]
-                           * cj.a21_c2_kernel(km, km * km, F, E, s, c, d)[0])
+                args = mx.c2_kernel_args(p, km)
+                a2 = float(mx.fz_c2_kernel(*args)[0]
+                           * mx.a21_c2_kernel(*args)[0])
                 xi = float(jacobi_mp(tau, km)[0]) ** 2
             assert j1 == pytest.approx(-a2 * xi * (1.0 - xi), rel=1e-9)
 
@@ -214,9 +215,8 @@ def test_j1_mp_matches_float64_within_noise(stratum):
     for k in (0.3, 0.6, 0.9):
         for phi in (0.0, 1.1):
             ec = EllipticCoord(stratum, phi, k, 1.3, 0.2)
-            path = cj.j1_path_c1 if stratum is Stratum.C1 else cj.j1_path_c2
-            ts = np.linspace(cj.scan_start_time(ec), 3.0 * ec.period(), 10)
-            j1, noise = path(ec, ts)[:2]
+            ts = np.linspace(scan_start_time(ec), 3.0 * ec.period(), 10)
+            j1, noise = j1_path(ec, ts)[:2]
             for t, val, nz in zip(ts, j1, noise):
                 assert abs(cj._j1_scalar_mp(ec, float(t), 50) - val) <= 20.0 * nz
 
@@ -226,12 +226,12 @@ def test_c1_sign_structure(rng):
         k = rng.uniform(0.1, 0.9)
         p1 = min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
         ps = np.linspace(0.3, p1 - 1e-6, 50)
-        k2, sn, cn, dn, e2 = mx.c1_ingredients(ps, k)
-        a0 = mx.fv_c1_kernel(ps, k2, sn, cn, dn, e2)[0] * mx.a01_c1_kernel(ps, k2, sn, cn, dn, e2)[0]
-        a2 = mx.fz_c1_kernel(ps, k2, sn, cn, dn, e2)[0] * mx.a21_c1_kernel(ps, k2, sn, cn, dn, e2)[0]
+        args = mx.c1_kernel_args(ps, k)
+        a0 = mx.fv_c1_kernel(*args)[0] * mx.a01_c1_kernel(*args)[0]
+        a2 = mx.fz_c1_kernel(*args)[0] * mx.a21_c1_kernel(*args)[0]
         assert np.all(a0 < 0)
         assert np.all(a2 > 0)
-        assert np.all(a0 + (-a0 - a2 / k2) + a2 < 0)
+        assert np.all(a0 + (-a0 - a2 / (k * k)) + a2 < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,45 +307,25 @@ def test_cross_validation_agrees(rng):
         assert res.method == "analytic+variational"
 
 
-def test_equality_cases_critical_moduli():
+@pytest.mark.parametrize("stratum,ks,inside", [
+    pytest.param("C1", ("k1", "k0"), None, id="critical_moduli"),    # every phase
+    pytest.param("C1", (0.4, 0.75, 0.93, 0.96), False, id="cn_tau_zero"),
+    pytest.param("C1", (0.82, 0.88), True, id="sn_tau_zero"),
+    pytest.param("C2", (0.45, 0.7), None, id="c2"),                  # sn^2 tau in {0, 1}
+])
+def test_equality_cases(stratum, ks, inside):
+    """t_conj = t_max on the loci; ``inside``: whether the moduli lie in (k1, k0)."""
+    forms = mx.FORMS[Stratum(stratum)]
     k1, k0 = mx.critical_moduli()
-    for k in (k1, k0):
-        for phi in (0.17, 0.45):
-            lam = from_elliptic(EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0))
-            res = first_conjugate_time(lam)
-            assert abs(res.t_conj - res.t_max) < 1e-6
-
-
-def test_equality_cases_cn_tau_zero():
-    k1, k0 = mx.critical_moduli()
-    for k in (0.4, 0.75, 0.93, 0.96):
-        assert k < k1 or k > k0
-        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-        phi = complete_K(k) - tm / 2.0     # tau = K: cn tau = 0
-        lam = from_elliptic(EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0))
-        res = first_conjugate_time(lam)
-        assert abs(res.t_conj - res.t_max) < 1e-6
-
-
-def test_equality_cases_sn_tau_zero():
-    k1, k0 = mx.critical_moduli()
-    for k in (0.82, 0.88):
-        assert k1 < k < k0
-        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-        phi = 2.0 * complete_K(k) - tm / 2.0   # tau = 2K: sn tau = 0
-        lam = from_elliptic(EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0))
-        res = first_conjugate_time(lam)
-        assert abs(res.t_conj - res.t_max) < 1e-6
-
-
-def test_equality_cases_c2():
-    for k in (0.45, 0.7):
-        tm = 2.0 * k * mx.p1_V(k, Stratum.C2)
-        K = complete_K(k)
-        for tau_target in (2.0 * K, K):     # sn^2 tau in {0, 1}
-            phi = k * tau_target - tm / 2.0
-            lam = from_elliptic(EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0))
-            res = first_conjugate_time(lam)
+    for k in ks:
+        if k in ("k1", "k0"):
+            k, phis = (k1 if k == "k1" else k0), (0.17, 0.45)
+        else:
+            phis = forms.equality_phases(k)
+        if inside is not None:
+            assert (k1 < k < k0) == inside
+        for phi in phis:
+            res = first_conjugate_time(from_elliptic(EllipticCoord(forms.stratum, phi, k, 1.0, 0.0)))
             assert abs(res.t_conj - res.t_max) < 1e-6
 
 
@@ -375,8 +355,7 @@ def test_discontinuity_at_c4_limit():
     C4 limit point has t_conj = +inf."""
     limit = 2.0 * mx.p1_z(1e-6)     # -> 2 p1z(0) ~ 8.99 for alpha = 1
     for k in (0.05, 0.02):
-        tm = 2.0 * min(mx.p1_z(k), mx.p1_V(k, Stratum.C1))
-        phi = complete_K(k) - tm / 2.0
+        phi, = mx.C1_FORMS.equality_phases(k)      # tau = K: cn tau = 0
         lam = from_elliptic(EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0))
         res = first_conjugate_time(lam)
         assert math.isfinite(res.t_conj)
@@ -411,10 +390,8 @@ def test_two_sided_flags(rng):
 
 
 def test_two_sided_equality_case():
-    k = 0.6
-    tm = 2.0 * k * mx.p1_V(k, Stratum.C2)
-    phi = 2.0 * k * complete_K(k) - tm / 2.0
-    lam = from_elliptic(EllipticCoord(Stratum.C2, phi, k, 1.0, 0.0))
+    phi = mx.C2_FORMS.equality_phases(0.6)[0]     # sn tau = 0
+    lam = from_elliptic(EllipticCoord(Stratum.C2, phi, 0.6, 1.0, 0.0))
     lower, upper, tc, tm2, _ = two_sided_check(lam)
     assert lower and upper
     assert tc == pytest.approx(tm2, abs=1e-6)
@@ -558,8 +535,7 @@ def test_c6_chart_degeneracy():
 def test_cross_validation_low_k_c2(rng):
     # the noise-guarded float64 region just above the mp switchover
     for k in (0.22, 0.27):
-        period = 2.0 * k * complete_K(k)
-        lam = from_elliptic(EllipticCoord(Stratum.C2, 0.3 * period, k, 1.0, 0.8))
+        lam = from_elliptic(EllipticCoord(Stratum.C2, 0.3 * mx.C2_FORMS.period(k), k, 1.0, 0.8))
         res = first_conjugate_time(lam, cross_validate=True)
         assert res.method == "analytic+variational"
         assert res.t_conj >= res.t_max - 1e-6

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from cartanconj import maxwell
-from cartanconj.elliptic import complete_E, complete_K
+from cartanconj.elliptic import complete_E, complete_K, jacobi_arrays
 from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic
-from cartanconj.conjugate import a01_C2, a01_c2_kernel, a21_C2, a21_c2_kernel
-from cartanconj.maxwell import (brent_root, c2_ingredients_from_p, critical_moduli, f_V0,
-                                f_V_C1, f_V_C2, f_z_C1, f_z_C2, fv_c2_kernel,
-                                fz_c2_kernel, p1_V, p1_V0, p1_z, t_max1, u_v1)
+from cartanconj.conjugate import a01_C2, a21_C2
+from cartanconj.maxwell import (C1_FORMS, C2_FORMS, a01_c2_kernel, a21_c2_kernel, brent_root,
+                                c2_kernel_args, critical_moduli, f_V0, f_V_C1, f_V_C2,
+                                f_z_C1, f_z_C2, fv_c2_kernel, fz_c2_kernel, p1_V, p1_V0,
+                                p1_z, t_max1, u_v1)
 from cartanconj.verify import random_c1, random_c2
 
 
@@ -71,8 +72,8 @@ def test_fv_c2_matches_p_form(rng, u1_form, kernel):
         p = rng.uniform(0.2, 2.0 * complete_K(k) - 0.1)
         u1 = float(jacobi_arrays(p, k)[3])
         direct = float(u1_form(u1, k))
-        F, E, s, c, d = c2_ingredients_from_p(p, k)
-        via_p = float(kernel(k, k * k, F, E, s, c, d)[0])
+        args = c2_kernel_args(p, k)
+        via_p = float(kernel(*args)[0])
         assert direct == pytest.approx(via_p, rel=1e-9, abs=1e-12)
 
 
@@ -80,15 +81,13 @@ def test_c2_smallk_asymptotics_mp():
     """fz ~ k^3 fz0(p) and fv ~ (k^8/512) fv0(u1) at k = 1e-2 (needs mp)."""
     from cartanconj.conjugate import fz0
     from cartanconj.elliptic import am_mp
-    from cartanconj.maxwell import (c2_ingredients_from_p, fv_c2_kernel,
-                                    fz_c2_kernel)
     with mpmath.workdps(60):
         k = mpmath.mpf("0.01")
         for p in (mpmath.mpf("0.8"), mpmath.mpf("1.9")):
-            F, E, s, c, d = c2_ingredients_from_p(p, k)
+            args = c2_kernel_args(p, k)
             u1 = am_mp(p, k)
-            fz = fz_c2_kernel(k, k * k, F, E, s, c, d)[0]
-            fv = fv_c2_kernel(k, k * k, F, E, s, c, d)[0]
+            fz = fz_c2_kernel(*args)[0]
+            fv = fv_c2_kernel(*args)[0]
             assert float(fz / (k ** 3 * mpmath.mpf(float(fz0(float(p)))))) == pytest.approx(1.0, rel=5e-2)
             fv0 = (32 * u1 ** 2 - 1) * mpmath.cos(2 * u1) - 8 * u1 * mpmath.sin(2 * u1) + mpmath.cos(6 * u1)
             assert float(fv / (k ** 8 / 512 * fv0)) == pytest.approx(1.0, rel=5e-2)
@@ -391,3 +390,36 @@ def test_p1v_zero_modulus_is_c2_limit_only():
     assert p1_V(0.0, Stratum.C2) == p1_V0()
     with pytest.raises(StratumError):
         p1_V(0.0, Stratum.C1)
+
+
+# ---------------------------------------------------------------------------
+# the stratum record against the paper's formulas, written out here once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.85, 0.95])
+def test_stratum_record_matches_paper_formulas(k):
+    K = complete_K(k)
+    pz, pv1, pv2 = p1_z(k), p1_V(k, Stratum.C1), p1_V(k, Stratum.C2)
+    for alpha in (1.0, 1.7):
+        sa = math.sqrt(alpha)
+        # period, t_max1, upper bound and scan start, each times sqrt(alpha)
+        for forms, period, t_max, upper, scan in (
+                (C1_FORMS, 4 * K, 2 * min(pz, pv1), 2 * max(pz, pv1),
+                 2 * max(5e-3, (1e-8 / (k * k * (1 - k * k))) ** 0.125)),
+                (C2_FORMS, 2 * k * K, 2 * k * pv2, 4 * k * K, 2 * k * max(0.15, 0.14 / k))):
+            assert forms.period(k, alpha) == pytest.approx(period / sa, rel=1e-15)
+            assert forms.maxwell_time(k, sa)[0] == pytest.approx(t_max / sa, rel=1e-15)
+            assert forms.upper(k, sa) == pytest.approx(upper / sa, rel=1e-15)
+            assert forms.scan_start(k, sa) == pytest.approx(scan / sa, rel=1e-15)
+    # the equality loci: xi = sn^2 tau at t_max1, tau = phi + t/2 on C1 and
+    # (phi + t/2)/k on C2 (alpha = 1); on C1 xi = 1 (cn tau = 0) off (k1, k0)
+    # and xi = 0 (sn tau = 0) inside
+    k1, k0 = critical_moduli()
+    for forms, phase_div, xis in ((C1_FORMS, 1.0, [0.0] if k1 < k < k0 else [1.0]),
+                                  (C2_FORMS, k, [0.0, 1.0])):
+        tm = forms.maxwell_time(k)[0]
+        got = [float(jacobi_arrays((phi + tm / 2) / phase_div, k)[0]) ** 2
+               for phi in forms.equality_phases(k)]
+        assert got == pytest.approx(xis, abs=1e-12)
+    # the sign of J1 before t_max1
+    assert (C1_FORMS.j1_sign, C2_FORMS.j1_sign) == (-1.0, 1.0)
