@@ -47,9 +47,9 @@ from .elliptic import _EPS, jacobi_arrays, jacobi_mp
 from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (K_ONE_CUTOFF, MP_DPS, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
-                      a21_c2_kernel, brent_root, c1_kernel_args, c2_kernel_args_from_u1,
-                      grid_roots, sign_changes, stratum_forms, t_max1)
+from .maxwell import (K_ONE_CUTOFF, MP_DPS, _brent, _scan_to_first_flip, a01_c1_kernel,
+                      a01_c2_kernel, a21_c1_kernel, a21_c2_kernel, c1_kernel_args,
+                      c2_kernel_args_from_u1, grid_roots, sign_changes, stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -303,47 +303,68 @@ class ConjugateResult:
         return bool(self.t_conj <= self.upper + BOUND_SLACK)
 
 
-def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
+def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
+                         t_split: float = math.inf):
     """First zero of t -> J1 on (t_lo, t_cap], or None.
 
-    The float64 scan evaluates the whole grid in one array call; the mpmath
-    scan (small C2 moduli) evaluates J1 only up to its first sign change.
+    The float64 scan evaluates J1 in two array calls at most: on the grid up
+    to the first time past t_split (the caller's upper bound on the zero),
+    then on the rest only when the first part holds no decided sign change.
+    Panels are decided in grid order, so the zero is the one a scan of the
+    whole grid finds, and the dip rescan runs only when the whole grid holds
+    no decided sign change.  The mpmath scan (small C2 moduli) evaluates J1
+    point by point up to its first sign change.  Brent starts from the
+    values that the scan or an ambiguous panel's mpmath check holds.
     """
+    forms = stratum_forms(ec.stratum)
+    where = f"on {ec.stratum.value} at k={ec.k!r}, phi={ec.phi!r}"
     dt = min(SCAN_DT, ec.period() / 200.0)
-    fmp = lambda t: _j1_scalar_mp(ec, t, MP_DPS)
 
-    def refine(a, b, fa_fn):
-        root = brent_root(fa_fn, a, b)
-        return root, (float(a), float(b)), abs(fa_fn(root))
+    def fmp(t):
+        return _j1_scalar_mp(ec, t, MP_DPS)
 
-    if ec.k < stratum_forms(ec.stratum).mp_k:
+    def f64(t):     # a 1-element array: the same bits as the scan's array call
+        return float(j1_path(ec, np.array([t]))[0][0])
+
+    fmp.__name__ = f"J1 (mpmath) {where}"
+    f64.__name__ = f"J1 {where}"
+
+    def refine(xs, fx, i, f):
+        a, b = float(xs[i]), float(xs[i + 1])
+        root, froot = _brent(f, a, b, fa=fx[i], fb=fx[i + 1])
+        return root, (a, b), abs(froot)
+
+    if ec.k < forms.mp_k:
         # a few hundred grid times suffice: in this regime J1 tracks a0(p),
         # whose zeros are spaced on the K(k) scale.  The scan stops at the
         # first sign change, which lies just past t_max, at most a third of
         # the way into the grid.
         ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
-        hits = grid_roots(fmp, ts)
-        if not hits:
-            return None
-        root, bracket = hits[0]
-        return root, bracket, abs(fmp(root))
+        vals, i = _scan_to_first_flip(fmp, ts)
+        return None if i is None else refine(ts, vals, i, fmp)
 
     ts = np.arange(t_lo, t_cap, dt)
     if len(ts) < 4:
         ts = np.linspace(t_lo, t_cap, 8)
-    vals, noise = j1_path(ec, ts)[:2]
-    clear = np.abs(vals) > SIGN_MARGIN * noise
-    f64 = lambda t: float(j1_path(ec, np.array([t]))[0][0])
-    for i in sign_changes(vals):
-        if clear[i] and clear[i + 1]:
-            return refine(ts[i], ts[i + 1], f64)
-        # ambiguous panel: decide under mpmath
-        va, vb = fmp(float(ts[i])), fmp(float(ts[i + 1]))
-        if va == 0.0 or vb == 0.0:
-            t0 = float(ts[i]) if va == 0.0 else float(ts[i + 1])
-            return t0, (float(ts[i]), float(ts[i + 1])), 0.0
-        if va * vb < 0.0:
-            return refine(ts[i], ts[i + 1], fmp)
+    split = min(len(ts), int(np.searchsorted(ts, t_split, side="right")) + 1)
+    vals = noise = np.empty(0)
+    for part in (ts[:split], ts[split:]):
+        if not len(part):
+            continue
+        first = max(len(vals) - 1, 0)       # the panel across the split is new
+        v, nz = j1_path(ec, part)[:2]
+        vals, noise = np.concatenate((vals, v)), np.concatenate((noise, nz))
+        clear = np.abs(vals) > SIGN_MARGIN * noise
+        for i in first + sign_changes(vals[first:]):
+            if clear[i] and clear[i + 1]:
+                return refine(ts, vals, i, f64)
+            # ambiguous panel: decide under mpmath
+            va, vb = fmp(float(ts[i])), fmp(float(ts[i + 1]))
+            if va == 0.0 or vb == 0.0:
+                t0 = float(ts[i]) if va == 0.0 else float(ts[i + 1])
+                return t0, (float(ts[i]), float(ts[i + 1])), 0.0
+            if va * vb < 0.0:
+                return refine(ts[i:i + 2], (va, vb), 0, fmp)
     # near-tangential pair hiding inside one panel: refine panels whose
     # interior dips far below the neighborhood scale without a sign change
     absv = np.abs(vals)
@@ -352,9 +373,10 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float):
                       & (absv[1:-1] < absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in cand:
         fine = np.linspace(ts[j], ts[min(j + 2, len(ts) - 1)], 256)
-        ff = sign_changes(j1_path(ec, fine)[0])
+        fine_vals = j1_path(ec, fine)[0]
+        ff = sign_changes(fine_vals)
         if len(ff):
-            return refine(fine[ff[0]], fine[ff[0] + 1], f64)
+            return refine(fine, fine_vals, ff[0], f64)
     return None
 
 
@@ -399,7 +421,7 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     if cap <= 0.0:
         raise ValueError("search horizon must be positive")
     t_lo = min(scan_start_time(ec), 0.5 * mr.t_max)
-    hit = _first_zero_analytic(ec, t_lo, cap)
+    hit = _first_zero_analytic(ec, t_lo, cap, upper)
     if hit is None:
         result = ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max, upper)
     else:

@@ -378,10 +378,21 @@ def brent_root(f, a, b, xtol=ROOT_XTOL):
     bracket without a sign change or a NaN value raises ValueError, and no
     convergence within BRENT_MAXITER steps raises NumericalError.
     """
+    return _brent(f, a, b, xtol)[0]
+
+
+def _brent(f, a, b, xtol=ROOT_XTOL, fa=None, fb=None):
+    """``brent_root`` returning (root, f(root)).
+
+    fa and fb are f(a) and f(b) when the caller holds them already: f is
+    deterministic, so the iteration and the root are those of an unseeded
+    call, and no point is evaluated twice.  f(root) is the value of the
+    last step, so a caller's residual needs no further evaluation.
+    """
     name = getattr(f, "__name__", "f")
 
-    def call(x):
-        fx = float(f(x))
+    def checked(x, fx):
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"{name}({x!r}) is NaN; Brent cannot continue")
         return fx
@@ -389,11 +400,11 @@ def brent_root(f, a, b, xtol=ROOT_XTOL):
     a, b, xtol = float(a), float(b), float(xtol)
     rtol = 4 * _EPS
     xpre, xcur = a, b
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError(f"{name} has the same sign at both ends of [{xpre!r}, {xcur!r}]")
     xblk = fblk = spre = scur = 0.0
@@ -407,7 +418,7 @@ def brent_root(f, a, b, xtol=ROOT_XTOL):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:    # secant
@@ -429,7 +440,7 @@ def brent_root(f, a, b, xtol=ROOT_XTOL):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = checked(xcur, None)
     raise NumericalError(f"Brent on {name} over [{a!r}, {b!r}] did not converge "
                          f"in {BRENT_MAXITER} steps (last x = {xcur!r})")
 
@@ -441,12 +452,15 @@ def sign_changes(vals):
 
 
 def _scan_to_first_flip(f, xs):
-    """f along xs, in order, up to the first panel where it changes sign.
+    """f along xs, in order and point by point, up to the first panel where
+    it changes sign.
 
     Returns (vals, i): vals holds f on xs[:i + 2] and xs[i], xs[i + 1] bound
     the first panel with strictly opposite signs (the test of
     ``sign_changes``: a zero or NaN value is no change), or f on all of xs
-    and i None when there is no such panel.
+    and i None when there is no such panel.  The scan for a function
+    without an array form (an mpmath one, say); ``_first_root`` evaluates a
+    float64 branch function on its whole grid in one call instead.
     """
     vals = []
     for x in xs:
@@ -463,9 +477,10 @@ def grid_roots(f, xs, vals=None, count=1):
 
     ``vals`` holds f on xs when the caller has it already.  Without it and
     with count=1, f is evaluated along xs only up to the first sign change.
+    Brent starts from the grid values, so it evaluates f only inside a panel.
     """
     if vals is None and count == 1:
-        i = _scan_to_first_flip(f, xs)[1]
+        vals, i = _scan_to_first_flip(f, xs)
         hits = [] if i is None else [i]
     else:
         if vals is None:
@@ -474,7 +489,7 @@ def grid_roots(f, xs, vals=None, count=1):
     roots = []
     for i in hits:
         a, b = float(xs[i]), float(xs[i + 1])
-        roots.append((brent_root(f, a, b), (a, b)))
+        roots.append((_brent(f, a, b, fa=vals[i], fb=vals[i + 1])[0], (a, b)))
     return roots
 
 
@@ -484,15 +499,34 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     Where |f| dips by orders of magnitude inside one panel without a sign
     change at its ends, the panel is rescanned finely: near-tangential root
     pairs (fv develops one near the lower critical modulus) would otherwise
-    be skipped and the first root misreported.  The scan stops at the first
-    sign change, since a dip before it reads no value past that panel.
+    be skipped and the first root misreported.  Only the values up to the
+    first sign change are read, since a dip before it reads no value past
+    that panel.
+
+    A float64 branch function of ``_branch_fn`` carries ``on_array``: the
+    grid and each dip rescan are then one array call each, and the values
+    past the first flip are dropped.  Any other f is scanned point by point
+    up to that flip (``_scan_to_first_flip``), a dip rescan reuses the grid
+    values it meets, and Brent starts from the values at the panel's ends.
+    Brent re-reads those ends for an array-scanned f: the scalar call
+    computes in numpy scalars, whose ``x ** n`` can round differently from
+    the array loop, and the root keeps the bits of that scalar iteration.
     """
     ps = np.linspace(lo, hi, panels + 1)
-    vals, first_flip = _scan_to_first_flip(f, ps)
+    on_array = getattr(f, "on_array", None)
+    if on_array is None:
+        vals, first_flip = _scan_to_first_flip(f, ps)
+    else:
+        vals = on_array(ps)
+        flips = sign_changes(vals)
+        first_flip = int(flips[0]) if len(flips) else None
+        if first_flip is not None:
+            vals = vals[:first_flip + 2]
 
-    def refine(a, b):
-        root = brent_root(f, a, b, xtol)
-        return RootInfo(root, (float(a), float(b)), abs(float(f(root))))
+    def refine(xs, fx, i):
+        fa, fb = (None, None) if on_array is not None else (fx[i], fx[i + 1])
+        root, froot = _brent(f, xs[i], xs[i + 1], xtol, fa, fb)
+        return RootInfo(root, (float(xs[i]), float(xs[i + 1])), abs(froot))
 
     # vals ends with the panel of the first flip, so every dip lies before it
     absv = np.abs(vals)
@@ -500,10 +534,16 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     dips = np.nonzero((absv[1:-1] < 1e-2 * scale[1:-1])
                       & (absv[1:-1] <= absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in dips:
-        fine = np.linspace(ps[j], ps[min(j + 2, len(ps) - 1)], 257)
-        ff = sign_changes(np.array([f(p) for p in fine]))
+        fine = np.linspace(ps[j], ps[j + 2], 257)
+        if on_array is not None:
+            fine_vals = on_array(fine)
+        else:
+            # the ends and (mostly) the midpoint of the fine grid are ps[j:j + 3]
+            held = dict(zip(ps[j:j + 3], vals[j:j + 3]))
+            fine_vals = np.array([held[p] if p in held else f(p) for p in fine])
+        ff = sign_changes(fine_vals)
         if len(ff):
-            return refine(fine[ff[0]], fine[ff[0] + 1])
+            return refine(fine, fine_vals, ff[0])
     if first_flip is None:
         exact = np.nonzero(vals == 0.0)[0]
         if len(exact):
@@ -511,7 +551,7 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
             return RootInfo(p0, (p0 - xtol, p0 + xtol), 0.0)
         raise NumericalError(
             f"no sign change of {getattr(f, '__name__', 'f')} in ({lo:g}, {hi:g})")
-    return refine(ps[first_flip], ps[first_flip + 1])
+    return refine(ps, vals, first_flip)
 
 
 def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
@@ -530,8 +570,8 @@ def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
         if fa == 0.0 or fb == 0.0:
             return info
         if fa * fb < 0.0:
-            root = brent_root(fmp, a, b)
-            return RootInfo(root, (a, b), abs(fmp(root)))
+            root, froot = _brent(fmp, a, b, fa=fa, fb=fb)
+            return RootInfo(root, (a, b), abs(froot))
         from scipy.optimize import minimize_scalar     # tangency only: rare
         res = minimize_scalar(lambda p: abs(fmp(p)), bounds=(a, b),
                               method="bounded", options={"xatol": ROOT_XTOL})
@@ -543,12 +583,17 @@ def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
 def _branch_fn(kernel, forms, k, mp=False):
     """p -> float value of a kernel of the stratum record ``forms`` at modulus k.
 
-    With mp the kernel runs under mpmath at the caller's working precision.
+    With mp the kernel runs under mpmath at the caller's working precision;
+    without, ``f.on_array(ps)`` gives its values on an array of p in one
+    call.  The function's name gives the kernel and k for error messages.
     """
     def f(p):
         if mp:
             p = mpmath.mpf(p)
         return float(kernel(*forms.args(p, k))[0])
+    if not mp:
+        f.on_array = lambda ps: kernel(*forms.args(ps, k))[0]
+    f.__name__ = f"{kernel.__name__}{' (mpmath)' if mp else ''} at k={float(k)!r}"
     return f
 
 
@@ -589,7 +634,9 @@ def _p1_v_c2_cached(k: float) -> RootInfo:
 
 @lru_cache(maxsize=1)
 def _p1_v0_cached() -> RootInfo:
-    info = _first_root(lambda u: float(fv0_kernel(u)), 0.05, math.pi - 1e-12, 256, 1e-13)
+    def fv0(u):
+        return float(fv0_kernel(u))
+    info = _first_root(fv0, 0.05, math.pi - 1e-12, 256, 1e-13)
     if not math.pi / 2.0 < info.root < math.pi:
         raise NumericalError(f"p1v0 = {info.root} escaped (pi/2, pi)")
     return info

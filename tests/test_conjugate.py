@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cartanconj.elliptic import complete_K, jacobi_arrays
-from cartanconj.errors import StratumError
+from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              dilate_covector, from_elliptic, reflect3,
                              rotate_covector, to_elliptic)
@@ -546,3 +546,75 @@ def test_mp_path_c2_small_k():
     res = first_conjugate_time(lam)
     assert res.finite
     assert 0.0 <= res.t_conj - res.t_max < 1e-3
+
+
+@pytest.mark.parametrize("stratum", [Stratum.C1, Stratum.C2])
+def test_j1_array_calls_match_one_element_calls(rng, stratum):
+    # precondition of the split J1 scan and of Brent started from its
+    # values: J1 on an array has the bits of J1 on any part of it and of its
+    # 1-element calls (the refinement's calls)
+    for _ in range(6):
+        ec = EllipticCoord(stratum, rng.uniform(0.0, 6.0), rng.uniform(mx.C2_MP_K, 0.97),
+                           rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
+        ts = np.sort(rng.uniform(0.05, 3.0 * ec.period(), 300))
+        full = j1_path(ec, ts)
+        part = j1_path(ec, ts[17:230])
+        ones = [j1_path(ec, ts[i:i + 1]) for i in range(0, 300, 7)]
+        for j in range(6):
+            assert full[j][17:230].tobytes() == part[j].tobytes()
+            assert full[j][::7].tobytes() == np.concatenate([o[j] for o in ones]).tobytes()
+
+
+def test_split_scan_finds_the_whole_grid_zero():
+    # the J1 grid is evaluated up to one time past the split first; wherever
+    # the split falls, the zero, its bracket and its residual are unchanged
+    for stratum, k in ((Stratum.C1, 0.5), (Stratum.C1, 0.9), (Stratum.C2, 0.6)):
+        lam = from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4))
+        ec = to_elliptic(lam)
+        res = first_conjugate_time(lam)
+        t_lo = min(scan_start_time(ec), 0.5 * res.t_max)
+        cap = max(3.0 * res.t_max, 1.1 * res.upper)
+        whole = cj._first_zero_analytic(ec, t_lo, cap)
+        assert whole[0] == res.t_conj
+        for split in (t_lo, res.t_max, res.bracket[0], res.bracket[1], res.upper, cap):
+            assert cj._first_zero_analytic(ec, t_lo, cap, split) == whole
+
+
+def _recording_j1(monkeypatch, name):
+    """Patch conjugate.<name> to record every time it evaluates J1 at."""
+    times = []
+    orig = getattr(cj, name)
+
+    def rec(ec, t, *args):
+        times.extend(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        return orig(ec, t, *args)
+    monkeypatch.setattr(cj, name, rec)
+    return times
+
+
+def test_float64_search_evaluates_each_time_once(monkeypatch):
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
+    t_max = first_conjugate_time(lam).t_max          # warm the Maxwell roots
+    times = _recording_j1(monkeypatch, "j1_path")
+    res = first_conjugate_time(lam)
+    assert len(set(times)) == len(times)
+    # the scan stopped short of the 3 t_max horizon: it read up to the upper bound
+    assert max(times) < res.upper + 2 * cj.SCAN_DT < 3.0 * t_max
+    assert res.residual == abs(float(j1_path(to_elliptic(lam), np.array([res.t_conj]))[0][0]))
+
+
+def test_mpmath_search_evaluates_each_time_once(monkeypatch):
+    lam = from_elliptic(EllipticCoord(Stratum.C2, 0.05, 0.12, 1.0, 0.0))
+    first_conjugate_time(lam)
+    times = _recording_j1(monkeypatch, "_j1_scalar_mp")
+    res = first_conjugate_time(lam)
+    assert res.finite and len(times) > 10
+    assert len(set(times)) == len(times)
+
+
+def test_j1_brent_error_names_stratum_modulus_and_phase(monkeypatch):
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
+    first_conjugate_time(lam)                         # warm the Maxwell roots
+    monkeypatch.setattr(mx, "BRENT_MAXITER", 2)
+    with pytest.raises(NumericalError, match=r"Brent on J1 on C1 at k=0\.5, phi=0\.3699"):
+        first_conjugate_time(lam)

@@ -10,7 +10,7 @@ from cartanconj.elliptic import complete_E, complete_K, jacobi_arrays
 from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic
 from cartanconj.conjugate import a01_C2, a21_C2
-from cartanconj.maxwell import (C1_FORMS, C2_FORMS, a01_c2_kernel, a21_c2_kernel, brent_root,
+from cartanconj.maxwell import (C1_FORMS, C2_FORMS, C2_MP_K, a01_c2_kernel, a21_c2_kernel, brent_root,
                                 c2_kernel_args, critical_moduli, f_V0, f_V_C1, f_V_C2,
                                 f_z_C1, f_z_C2, fv_c2_kernel, fz_c2_kernel, p1_V, p1_V0,
                                 p1_z, t_max1, u_v1)
@@ -122,6 +122,11 @@ def test_brent_root_matches_scipy_brentq(family):
         xtol = 10.0 ** rng.uniform(-14.0, -6.0)
         expected = brentq(f, a, b, xtol=xtol, rtol=rtol)
         root = brent_root(f, a, b, xtol=xtol)
+        # started from held end values, Brent runs the same iteration and
+        # returns f at the root it found
+        seeded, f_seeded = maxwell._brent(f, a, b, xtol, fa=f(a), fb=f(b))
+        assert (seeded.hex(), f_seeded) == (root.hex(), maxwell._brent(f, a, b, xtol)[1])
+        assert f_seeded == f(root)
         if exact:
             assert root.hex() == expected.hex()
         else:
@@ -165,6 +170,10 @@ def _counting(f):
     return g
 
 
+def _each_once(calls):
+    return len(set(calls)) == len(calls)
+
+
 def _piecewise(ys):
     """Linear interpolation through (i, ys[i]): f on the grid 0, 1, ... is ys."""
     xs = np.arange(len(ys), dtype=float)
@@ -181,7 +190,10 @@ def test_grid_roots_stops_at_first_flip():
     assert f.calls[:first + 2] == list(xs[:first + 2])
     assert set(f.calls) & set(xs) == set(xs[:first + 2])
     assert len(f.calls) - (first + 2) < 20
+    assert _each_once(f.calls)
+    f.calls = []
     assert (root, bracket) == maxwell.grid_roots(f, xs, count=None)[0]
+    assert _each_once(f.calls)
     assert root == pytest.approx(math.pi / 14.0, abs=1e-12)
 
 
@@ -195,12 +207,14 @@ def test_grid_roots_sign_test_matches_sign_changes(ys, first):
     xs, f = _piecewise(ys)
     f = _counting(f)
     lazy = maxwell.grid_roots(f, xs)
+    lazy_calls, f.calls = f.calls, []
     full = maxwell.grid_roots(f, xs, count=None)
+    assert _each_once(lazy_calls) and _each_once(f.calls)
     hits = maxwell.sign_changes(np.array(ys))
     if first is None:
         assert lazy == full == [] and len(hits) == 0
         # no flip: every grid point was evaluated, once by each search
-        assert f.calls == list(xs) * 2
+        assert lazy_calls == f.calls == list(xs)
     else:
         assert hits[0] == first
         assert lazy == full[:1] and lazy[0][1] == (xs[first], xs[first + 1])
@@ -217,6 +231,8 @@ def test_first_root_rescans_dip_before_first_flip():
     flip = int(np.searchsorted(ps, 6.3)) - 1
     assert set(f.calls) & set(ps) == set(ps[:flip + 2])
     assert len(f.calls) < flip + 2 + 257 + 40
+    # the fine grid's ends and midpoint are grid points, read once
+    assert _each_once(f.calls)
 
 
 def test_first_root_ignores_dip_after_first_flip():
@@ -230,6 +246,63 @@ def test_first_root_ignores_dip_after_first_flip():
     assert info.bracket == (ps[flip], ps[flip + 1])
     assert set(f.calls) & set(ps) == set(ps[:flip + 2])
     assert len(f.calls) < flip + 2 + 40
+    assert _each_once(f.calls)
+    assert info.residual == abs(f(info.root))
+
+
+def test_polish_evaluates_each_point_once():
+    k = 0.5
+    info = maxwell._first_root(maxwell._branch_fn(maxwell.fz_c1_kernel, C1_FORMS, k),
+                               0.02, 3.0 * complete_K(k) - 1e-9)
+    fmp = _counting(maxwell._branch_fn(maxwell.fz_c1_kernel, C1_FORMS, k, mp=True))
+    polished = maxwell._polish_root_mp(fmp, info)
+    assert _each_once(fmp.calls) and len(fmp.calls) < 20
+    assert polished == maxwell._p1_z_cached(k)
+    with mpmath.workdps(maxwell.POLISH_DPS):
+        assert polished.residual == abs(fmp(polished.root))
+
+
+# the branches a Maxwell root scan runs in float64, each with its scan interval
+F64_BRANCHES = {
+    "fz_c1": (maxwell.fz_c1_kernel, C1_FORMS, 3.0),
+    "fv_c1": (maxwell.fv_c1_kernel, C1_FORMS, 4.0),
+    "fv_c2": (fv_c2_kernel, C2_FORMS, 2.0),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(F64_BRANCHES))
+def test_array_scan_matches_point_scan(branch):
+    # precondition of the array scan: on an array the kernel gives the bits
+    # of its 1-element calls, and the first root found from the array values
+    # is the root a point-by-point scan finds, bracket and residual included.
+    # (A scalar call computes in numpy scalars, whose x ** n can round
+    # differently, so scalar and array values are not compared bit for bit.)
+    kernel, forms, n_k = F64_BRANCHES[branch]
+    rng = np.random.default_rng(sorted(F64_BRANCHES).index(branch))
+    ks = list(rng.uniform(C2_MP_K if forms is C2_FORMS else 0.02, 0.98, 12))
+    if forms is C1_FORMS:
+        ks += [0.8022, 0.80223, 0.8023]       # around k1: fv's near-tangential pair
+    for k in map(float, ks):
+        f = maxwell._branch_fn(kernel, forms, k)
+        hi = n_k * complete_K(k) - 1e-9
+        ps = np.linspace(0.02, hi, 97)
+        arr = f.on_array(ps)
+        assert arr.tobytes() == np.concatenate([f.on_array(ps[i:i + 1]) for i in range(97)]).tobytes()
+        assert arr[5:60].tobytes() == f.on_array(ps[5:60]).tobytes()
+
+        def point(p):
+            return f(p)
+        assert maxwell._first_root(f, 0.02, hi) == maxwell._first_root(point, 0.02, hi)
+
+
+def test_first_root_error_names_the_kernel_and_modulus():
+    f = maxwell._branch_fn(maxwell.fz_c1_kernel, C1_FORMS, 0.5)
+    with pytest.raises(NumericalError,
+                       match=r"no sign change of fz_c1_kernel at k=0\.5 in \(0\.02, 0\.5\)"):
+        maxwell._first_root(f, 0.02, 0.5)
+    fmp = maxwell._branch_fn(fv_c2_kernel, C2_FORMS, 0.1, mp=True)
+    with pytest.raises(ValueError, match=r"fv_c2_kernel \(mpmath\) at k=0\.1 has the same sign"):
+        brent_root(fmp, 0.5, 0.6)
 
 
 # ---------------------------------------------------------------------------
