@@ -30,9 +30,11 @@ it the k**2..k**17-suppressed coefficients drown in float64 roundoff; the
 leading p**16 behavior of J1 is one-signed there), count a sign change
 only when both endpoints clear the tracked noise bound, re-evaluate
 ambiguous panels under mpmath, and polish with Brent.  For small C2
-moduli the scan runs under mpmath, point by point, and stops at the
-first sign change.  The variational Jacobian of ``flow`` cross-checks
-the located zero on demand.
+moduli J1 is below float64 resolution; there the float64 small-k series of
+the kernels screens the grid, mpmath evaluates the times whose sign it
+leaves open, up to the first sign change, and Brent runs under mpmath.
+The variational Jacobian of ``flow`` cross-checks the located zero on
+demand.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from .elliptic import _EPS, jacobi_arrays, jacobi_mp
 from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (K_ONE_CUTOFF, MP_DPS, _brent, _scan_to_first_flip, a01_c1_kernel,
-                      a01_c2_kernel, a21_c1_kernel, a21_c2_kernel, c1_kernel_args,
-                      c2_kernel_args_from_u1, grid_roots, sign_changes, stratum_forms, t_max1)
+from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent,
+                      _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
+                      a21_c2_kernel, c1_kernel_args, c2_kernel_args_from_u1, c2_series,
+                      grid_roots, sign_changes, stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -67,15 +70,6 @@ AGREEMENT_TOL = 1e-4
 # and ``two_sided_check`` report is the literal True.  The slack is absolute,
 # so it does not scale with t_max under dilation.
 BOUND_SLACK = 1e-6
-_NOISE_SAFETY = 16.0
-# A float64 J1 sign is trusted only where |J1| exceeds this many noise
-# bounds.  The noise bound covers cancellation in the J1 sum but not the
-# ~1e-13 relative error of the elliptic kernels feeding it, which has been
-# measured at up to 5.8 noise bounds; 20 leaves about 3.5x to spare.  The
-# variational J0 takes the same margin over its ODE tolerance bound
-# (``_sign_certain``): on 16 random C1/C2 cross-check arcs the RK45 and
-# DOP853 matrices differ by up to 8.7 such bounds.
-SIGN_MARGIN = 20.0
 # matrices per batched SVD of the lazy sign-certainty scan (``_first_certain``)
 _CERTAIN_CHUNK = 64
 
@@ -260,6 +254,27 @@ def _j1_scalar_mp(ec: EllipticCoord, t: float, dps: int) -> float:
         return float(_j1(ec, mpmath.mpf(t))[0])
 
 
+def _j1_c2_series(ec: EllipticCoord, t):
+    """(J1, bound) float64 arrays along a C2 extremal from the kernels'
+    small-k series (``maxwell.c2_series``): the sign screen of the mpmath
+    scan.  The bound carries the kernels' bounds through J1 = a0 w0 - a2 w2
+    and adds that sum's roundoff.
+    """
+    forms = stratum_forms(ec.stratum)
+    sa, k = math.sqrt(ec.alpha), ec.k
+    t = np.asarray(t, dtype=float)
+    u1 = jacobi_arrays(sa * t / forms.arc_div(k), k)[3]
+    snt = jacobi_arrays(sa * (ec.phi + t / 2.0) / forms.phase_div(k), k)[0]
+    w0, w2 = forms.weights(snt * snt, k * k)
+    (fv, bfv), (fz, bfz), (a01, b01), (a21, b21) = (
+        c2_series(name, u1, k) for name in ("fv", "fz", "a01", "a21"))
+    a0, a2 = fv * a01 / forms.a0_scale, fz * a21
+    bound = ((abs(fv) * b01 + bfv * abs(a01) + bfv * b01) / forms.a0_scale * abs(w0)
+             + (abs(fz) * b21 + bfz * abs(a21) + bfz * b21) * abs(w2)
+             + _EPS * _NOISE_SAFETY * (abs(a0 * w0) + abs(a2 * w2)))
+    return a0 * w0 - a2 * w2, bound
+
+
 def j1_factors(ec: EllipticCoord, t: float) -> JacobianFactors:
     """The full decomposition at a single time."""
     forms = stratum_forms(ec.stratum)
@@ -312,9 +327,16 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     then on the rest only when the first part holds no decided sign change.
     Panels are decided in grid order, so the zero is the one a scan of the
     whole grid finds, and the dip rescan runs only when the whole grid holds
-    no decided sign change.  The mpmath scan (small C2 moduli) evaluates J1
-    point by point up to its first sign change.  Brent starts from the
-    values that the scan or an ambiguous panel's mpmath check holds.
+    no decided sign change.  Brent starts from the values that the scan or
+    an ambiguous panel's mpmath check holds.
+
+    Below ``mp_k`` (small C2 moduli) J1 lies under float64 resolution.  The
+    kernels' small-k series (``_j1_c2_series``) decide the sign of J1 at the
+    grid times where it exceeds SIGN_MARGIN of their bound; mpmath evaluates
+    J1 at the other times, in order, up to the first sign change, and Brent
+    runs under mpmath from that panel's mpmath end values.  Whenever each
+    screened sign is J1's (the tests check it on the series' range), the
+    zero, bracket and residual are those of a point-by-point mpmath scan.
     """
     forms = stratum_forms(ec.stratum)
     where = f"on {ec.stratum.value} at k={ec.k!r}, phi={ec.phi!r}"
@@ -340,8 +362,15 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         # first sign change, which lies just past t_max, at most a third of
         # the way into the grid.
         ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
-        vals, i = _scan_to_first_flip(fmp, ts)
-        return None if i is None else refine(ts, vals, i, fmp)
+        screen, bound = _j1_c2_series(ec, ts)
+        sure = np.abs(screen) > SIGN_MARGIN * bound
+        vals, i = _screen_to_first_flip(fmp, ts, screen, sure)
+        if i is None:
+            return None
+        a, b = float(ts[i]), float(ts[i + 1])
+        root, froot = _brent(fmp, a, b, fa=None if sure[i] else vals[i],
+                             fb=None if sure[i + 1] else vals[i + 1])
+        return root, (a, b), abs(froot)
 
     ts = np.arange(t_lo, t_cap, dt)
     if len(ts) < 4:

@@ -19,7 +19,9 @@ run unchanged on numpy arrays and on mpmath scalars; rational constants
 are written as integer multiply/divide so the mp path keeps full
 precision.  For small moduli the C2 functions are evaluated under mpmath,
 since their values are suppressed by k**3 (fz) and k**8 (fv) against O(1)
-monomials and float64 would return noise.
+monomials and float64 would return noise.  There a float64 series in k
+(``c2_series``) screens the mpmath scans: it decides the signs it is sure
+of, and mpmath evaluates every value that reaches a root.
 """
 
 from __future__ import annotations
@@ -59,12 +61,25 @@ SCAN_PANELS = 64
 # working digits of the high-precision path: C2's a21 falls off like k**17
 # against O(1) monomials, so at k = 0.1 about 33 of 50 digits survive.
 MP_DPS = 50
-# below this modulus every C2 formula (the fv root, u_v1, the J1 scan) runs
-# under mpmath.  With 0.15 instead, the float64 fv scan at k = 0.16 stops on
-# noise and its root escapes (K, 2K).
+# below this modulus every C2 value that reaches a result (the fv root and
+# its scan's undecided points, u_v1, the J1 scan's undecided points and its
+# Brent) is computed under mpmath, and the small-k series screens the scans'
+# signs.  With 0.15 instead, the float64 fv scan at k = 0.16 stops on noise
+# and its root escapes (K, 2K).
 C2_MP_K = 0.2
 # digits of the mpmath re-location of a float64 root near a degeneracy
 POLISH_DPS = 40
+# factor on eps times the summed monomial magnitudes in a float64 noise bound
+_NOISE_SAFETY = 16.0
+# A float64 sign is trusted only where the value exceeds this many of its
+# error bounds.  The J1 noise bound covers cancellation in the J1 sum but not
+# the ~1e-13 relative error of the elliptic kernels feeding it, which has been
+# measured at up to 5.8 noise bounds; 20 leaves about 3.5x to spare.  The
+# small-k series screen of the mpmath scans (``c2_series``) and the
+# variational J0 (``conjugate._sign_certain``, over its ODE tolerance bound:
+# on 16 random C1/C2 cross-check arcs the RK45 and DOP853 matrices differ by
+# up to 8.7 such bounds) take the same margin.
+SIGN_MARGIN = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +308,52 @@ def fv0_kernel(u):
 
 
 # ---------------------------------------------------------------------------
+# small-k series of the C2 kernels: the sign screen of the mpmath scans
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _series_table(name):
+    """(leading power of k, monomial exponents (a, b, e), coefficients with
+    one column per order) of the small-k series of a C2 kernel."""
+    from .c2_series_tables import SERIES        # first small-k use only
+    lead, monos, orders = SERIES[name]
+    return lead, np.array(monos), np.array(orders).T
+
+
+def c2_series(name, u1, k):
+    """(value, bound) of the C2 kernel ``name`` ("fz", "fv", "a01" or "a21")
+    at the amplitudes u1 (an array) and modulus k, from its small-k series.
+
+    The series (``c2_series_tables``, written by tools/gen_c2_series.py) is
+    the kernel's expansion in k**2 at fixed u1 after its leading power k**n
+    (n = 3, 8, 8, 17), with polynomial coefficients in u1, sin u1 and
+    cos u1.  Six orders are summed.  The bound adds the float64 roundoff
+    (eps times the summed monomial magnitudes, times _NOISE_SAFETY) to twice
+    the magnitude of the seventh order: over u1 in [1e-3, 7.5] the summed
+    monomial magnitudes grow by at most 1.21x from the sixth order to the
+    seventh (at most 3x at any earlier step), while k**2 < 0.04 shrinks
+    each order, so the omitted tail stays within about 1.1 of the seventh
+    order.  The tests check the bound against 80-digit mpmath for k in
+    [0.005, 0.2).
+    """
+    lead, monos, coef = _series_table(name)
+    u = np.asarray(u1, dtype=float)
+    s = np.sin(u)
+    a, b, e = monos.T
+    terms = (u[..., None] ** np.arange(a.max() + 1))[..., a]
+    # |s| ** b and the sign apart: pow is many times slower on a negative base
+    terms *= (np.abs(s)[..., None] ** np.arange(b.max() + 1))[..., b]
+    terms[..., b % 2 == 1] *= np.sign(s)[..., None]
+    terms[..., e == 1] *= np.cos(u)[..., None]
+    vals = terms @ coef
+    mags = np.abs(terms, out=terms) @ np.abs(coef)
+    w = k ** (lead + 2 * np.arange(coef.shape[1]))
+    value = vals[..., :-1] @ w[:-1]
+    bound = _EPS * _NOISE_SAFETY * (mags[..., :-1] @ w[:-1]) + 2.0 * w[-1] * mags[..., -1]
+    return value, bound
+
+
+# ---------------------------------------------------------------------------
 # ingredient providers
 # ---------------------------------------------------------------------------
 
@@ -462,30 +523,38 @@ def _scan_to_first_flip(f, xs):
     without an array form (an mpmath one, say); ``_first_root`` evaluates a
     float64 branch function on its whole grid in one call instead.
     """
-    vals = []
-    for x in xs:
-        v = f(x)
-        vals.append(v)
-        if len(vals) > 1 and (vals[-2] < 0 < v or v < 0 < vals[-2]):
-            return np.array(vals), len(vals) - 2
-    return np.array(vals), None
+    return _screen_to_first_flip(f, xs, np.empty(len(xs)), np.zeros(len(xs), dtype=bool))
+
+
+def _screen_to_first_flip(f, xs, vals, sure):
+    """``_scan_to_first_flip(f, xs)`` from a screen: vals approximates f on
+    xs, and sure marks the values whose sign is f's.
+
+    f is called, in order, only at the unsure points up to the first panel
+    with strictly opposite signs.  Returns (vals, i) as the scan does, with
+    f's own values at the points it was called at, so the panel is the
+    scan's whenever each sure value has the sign of f.  With nothing sure
+    it is the scan.
+    """
+    vals = np.array(vals, dtype=float)
+    for j in range(len(xs)):
+        if not sure[j]:
+            vals[j] = f(xs[j])
+        if j and (vals[j - 1] < 0 < vals[j] or vals[j] < 0 < vals[j - 1]):
+            return vals[:j + 1], j - 1
+    return vals, None
 
 
 def grid_roots(f, xs, vals=None, count=1):
     """Brent roots of f in the first ``count`` panels of the grid xs where f
     changes sign (all of them for count=None), as (root, (a, b)) pairs.
 
-    ``vals`` holds f on xs when the caller has it already.  Without it and
-    with count=1, f is evaluated along xs only up to the first sign change.
-    Brent starts from the grid values, so it evaluates f only inside a panel.
+    ``vals`` holds f on xs when the caller has it already.  Brent starts
+    from the grid values, so it evaluates f only inside a panel.
     """
-    if vals is None and count == 1:
-        vals, i = _scan_to_first_flip(f, xs)
-        hits = [] if i is None else [i]
-    else:
-        if vals is None:
-            vals = np.array([f(x) for x in xs])
-        hits = sign_changes(vals)[:count]
+    if vals is None:
+        vals = np.array([f(x) for x in xs])
+    hits = sign_changes(vals)[:count]
     roots = []
     for i in hits:
         a, b = float(xs[i]), float(xs[i + 1])
@@ -511,6 +580,9 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     Brent re-reads those ends for an array-scanned f: the scalar call
     computes in numpy scalars, whose ``x ** n`` can round differently from
     the array loop, and the root keeps the bits of that scalar iteration.
+    A screened mpmath branch (``_screened_fv_c2``) carries ``on_array`` too:
+    its array values are series values where their sign is sure, so Brent
+    re-reads the ends under mpmath.
     """
     ps = np.linspace(lo, hi, panels + 1)
     on_array = getattr(f, "on_array", None)
@@ -597,6 +669,24 @@ def _branch_fn(kernel, forms, k, mp=False):
     return f
 
 
+def _screened_fv_c2(k):
+    """The mpmath branch of fv on C2, with ``on_array`` taken from its small-k
+    series.
+
+    ``f.on_array(ps)`` returns the series values where their sign is sure
+    and f's own values at the other points, up to the first sign change
+    only; so ``_first_root`` finds the panel of the point-by-point mpmath
+    scan, and its Brent re-reads the panel's ends under mpmath.
+    """
+    f = _branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True)
+
+    def on_array(ps):
+        value, bound = c2_series("fv", jacobi_arrays(ps, k)[3], k)
+        return _screen_to_first_flip(f, ps, value, np.abs(value) > SIGN_MARGIN * bound)[0]
+    f.on_array = on_array
+    return f
+
+
 @lru_cache(maxsize=4096)
 def _p1_z_cached(k: float) -> RootInfo:
     K = complete_K(k)
@@ -622,8 +712,7 @@ def _p1_v_c2_cached(k: float) -> RootInfo:
     K = complete_K(k)
     if k < C2_MP_K:
         with mpmath.workdps(MP_DPS):
-            info = _first_root(_branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True),
-                               1e-3, 2.0 * K - 1e-9)
+            info = _first_root(_screened_fv_c2(k), 1e-3, 2.0 * K - 1e-9)
     else:
         info = _first_root(_branch_fn(fv_c2_kernel, C2_FORMS, k), 0.02, 2.0 * K - 1e-9)
         info = _polish_root_mp(_branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True), info)
@@ -754,7 +843,7 @@ class StratumForms:
     scan_p: Callable        # k -> half-arc where the float64 J1 scan starts
     j1_sign: float          # the sign of J1 on (0, t_max1)
     loci: Callable          # k -> phi + t_max1/2 (alpha = 1) where t_conj1 = t_max1
-    mp_k: float = 0.0       # below this modulus the J1 scan runs under mpmath
+    mp_k: float = 0.0       # below this modulus the J1 scan is screened, then mpmath
 
     def maxwell_time(self, k, sa=1.0):
         """(t_max1, RootInfo of its half-arc) at modulus k."""

@@ -603,13 +603,72 @@ def test_float64_search_evaluates_each_time_once(monkeypatch):
     assert res.residual == abs(float(j1_path(to_elliptic(lam), np.array([res.t_conj]))[0][0]))
 
 
+def _search_range(lam):
+    """(ec, t_lo, cap) of first_conjugate_time's default search."""
+    ec = to_elliptic(lam)
+    t_max = mx.t_max1(lam).t_max
+    upper = mx.C2_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+    return ec, min(scan_start_time(ec), 0.5 * t_max), max(3.0 * t_max, 1.1 * upper)
+
+
+def _mp_scan_grid(ec, t_lo, cap):
+    return np.arange(t_lo, cap, max(min(cj.SCAN_DT, ec.period() / 200.0), (cap - t_lo) / 300.0))
+
+
 def test_mpmath_search_evaluates_each_time_once(monkeypatch):
     lam = from_elliptic(EllipticCoord(Stratum.C2, 0.05, 0.12, 1.0, 0.0))
     first_conjugate_time(lam)
     times = _recording_j1(monkeypatch, "_j1_scalar_mp")
     res = first_conjugate_time(lam)
-    assert res.finite and len(times) > 10
+    ec, t_lo, cap = _search_range(lam)
+    ts = _mp_scan_grid(ec, t_lo, cap)
+    screen, bound = cj._j1_c2_series(ec, ts)
+    flagged = set(ts[np.abs(screen) <= mx.SIGN_MARGIN * bound])
+    # the series screen leaves mpmath Brent's panel and the times it cannot
+    # decide: at most 12 (a point-by-point scan took 72), none twice
+    assert res.finite and len(times) <= 12
+    assert all(t in flagged or res.bracket[0] <= t <= res.bracket[1] for t in times)
     assert len(set(times)) == len(times)
+
+
+def _mp_scan_reference(ec, t_lo, cap):
+    """The point-by-point mpmath J1 scan and Brent that the screen replaces."""
+    def fmp(t):
+        return cj._j1_scalar_mp(ec, t, mx.MP_DPS)
+    ts = _mp_scan_grid(ec, t_lo, cap)
+    vals, i = mx._scan_to_first_flip(fmp, ts)
+    if i is None:
+        return None
+    a, b = float(ts[i]), float(ts[i + 1])
+    root, froot = mx._brent(fmp, a, b, fa=vals[i], fb=vals[i + 1])
+    return root, (a, b), abs(froot)
+
+
+def _small_k_arcs():
+    rng = np.random.default_rng(14)
+    arcs = []
+    for k in (0.005, 0.02, 0.05, 0.1, 0.15, 0.19, 0.1999):
+        # an equality-locus phase (t_conj = t_max1) and a random arc
+        phi = mx.C2_FORMS.equality_phases(k)[len(arcs) % 2]
+        arcs.append(EllipticCoord(Stratum.C2, phi, k, 1.0, rng.uniform(-2.0, 2.0)))
+        arcs.append(EllipticCoord(Stratum.C2, rng.uniform(0.0, 6.0), k, rng.uniform(0.3, 3.0),
+                                  rng.uniform(-2.0, 2.0)))
+    for k in rng.uniform(0.005, mx.C2_MP_K, 6):
+        arcs.append(EllipticCoord(Stratum.C2, rng.uniform(0.0, 6.0), float(k),
+                                  rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)))
+    return arcs
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_screened_j1_search_is_the_mpmath_scan(i):
+    # the series screen changes which times mpmath evaluates, not the zero:
+    # root, bracket and residual are those of the point-by-point scan
+    ec = _small_k_arcs()[i]
+    lam = from_elliptic(ec)
+    ec, t_lo, cap = _search_range(lam)
+    upper = mx.C2_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+    hit = cj._first_zero_analytic(ec, t_lo, cap, upper)
+    assert hit is not None and hit == _mp_scan_reference(ec, t_lo, cap)
 
 
 def test_j1_brent_error_names_stratum_modulus_and_phase(monkeypatch):

@@ -8,6 +8,12 @@ t_max1 by 8e-8; the capped conj run covers the second, default-cap search.
 The C1 sweep pins C1's period (through its phi grid) and t_max1; the
 conjugate verify suite pins the lines that read the stratum records.
 
+The series canaries are small-k C2 runs whose mpmath scans the small-k
+series screens: conj at k = 0.02, at k = 0.15 on an equality locus (the
+phase of ``C2_FORMS.equality_phases(0.15)[0]``, where t_conj - t_max1 is
+1.6e-14) and at k = 0.1999, next to the high-precision modulus, and the
+Maxwell root at k = 0.03.
+
 The root canaries print full reprs of a polished C1 root, a polished C2
 root and an mpmath C2 root (k = 0.1) with bracket and residual.  The C2
 sweep near k = 0.34 at beta = -2.2 is the most bit-sensitive output found:
@@ -113,6 +119,25 @@ GOLDEN = [
      "PASS: 5/5 checks\n"),
     (("exp", "--theta", "0", "--c", "1", "--alpha", "0", "--beta", "0", "--t", "3.14"),
      "0.00159265291648 1.99999873173 1.56920367354 1.99999746346 1.56761102164\n"),
+    (("conj", "--no-cross-check", "--stratum", "C2", "--phi", "0.31", "--k", "0.02",
+      "--alpha", "1.3", "--beta", "0.7"),
+     '{"stratum": "C2", "t_max1": 0.08072533025534386, "t_conj": 0.08072533033756615, '
+     '"lower_ok": true, "upper_ok": true, "method": "analytic", '
+     '"residual": 4.3351708906457646e-45}\n'),
+    (("conj", "--no-cross-check", "--stratum", "C2", "--phi", "0.12683994171907925",
+      "--k", "0.15", "--alpha", "1", "--beta", "0.3"),
+     '{"stratum": "C2", "t_max1": 0.6941675133368418, "t_conj": 0.6941675133368581, '
+     '"lower_ok": true, "upper_ok": true, "method": "analytic", '
+     '"residual": 1.562930243337118e-28}\n'),
+    (("conj", "--no-cross-check", "--stratum", "C2", "--phi", "1.6", "--k", "0.1999",
+      "--alpha", "0.6", "--beta", "-1.1", "--direction=-1"),
+     '{"stratum": "C2", "t_max1": 1.1996487459213712, "t_conj": 1.1996663327768644, '
+     '"lower_ok": true, "upper_ok": true, "method": "analytic", '
+     '"residual": 3.5908704513979954e-29}\n'),
+    (("maxwell", "--stratum", "C2", "--phi", "0.2", "--k", "0.03", "--alpha", "1", "--beta", "0.4"),
+     '{"stratum": "C2", "t_max1": 0.1380788242703561, "root_p": 2.3013137378392683, '
+     '"bracket": [2.258809280849283, 2.307892091302528], '
+     '"residual": 8.19322810710579e-29}\n'),
     (("verify", "--suite", "conjugate", "--seed", "0"),
      "[PASS] conjugate: J1 < 0 on (0, t_max) over a C1 (k,phi,alpha,beta) grid: worst 0.000e+00 vs tol 5.0e-01\n"
      "[PASS] conjugate: J1 > 0 on (0, t_max) over a C2 (k,psi,alpha,beta) grid: worst 0.000e+00 vs tol 5.0e-01\n"
@@ -133,6 +158,8 @@ GOLDEN = [
                          ids=["conj_c1", "conj_capped", "maxwell_c6", "sweep_c2", "sweep_c1",
                               "conj_c2_mp", "maxwell_c1", "maxwell_c2", "maxwell_c2_mp",
                               "sweep_c2_ulp", "verify_maxwell", "exp_circle",
+                              "conj_c2_series_k002", "conj_c2_series_locus",
+                              "conj_c2_series_k01999", "maxwell_c2_series_k003",
                               "verify_conjugate"])
 def test_golden_output(capsys, argv, expected):
     code = main(list(argv))

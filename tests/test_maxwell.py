@@ -180,19 +180,22 @@ def _piecewise(ys):
     return xs, lambda x: float(np.interp(x, xs, ys))
 
 
-def test_grid_roots_stops_at_first_flip():
+def test_scan_to_first_flip_stops_at_first_flip():
     xs = np.linspace(0.0, 3.0, 61)
     f = _counting(lambda x: math.cos(7.0 * x))
-    (root, bracket), = maxwell.grid_roots(f, xs)
+    vals, i = maxwell._scan_to_first_flip(f, xs)
     first = int(np.searchsorted(xs, math.pi / 14.0)) - 1     # the panel of the first zero
-    assert bracket == (xs[first], xs[first + 1])
-    # the scan reads xs[:first + 2] in order, then Brent works inside that panel
-    assert f.calls[:first + 2] == list(xs[:first + 2])
+    assert i == first
+    # the scan reads xs[:first + 2] in order, each once
+    assert f.calls == list(xs[:first + 2])
+    assert vals.tolist() == [math.cos(7.0 * x) for x in xs[:first + 2]]
+    # Brent from the scan's values works inside that panel only
+    root = maxwell._brent(f, xs[i], xs[i + 1], fa=vals[i], fb=vals[i + 1])[0]
     assert set(f.calls) & set(xs) == set(xs[:first + 2])
     assert len(f.calls) - (first + 2) < 20
     assert _each_once(f.calls)
     f.calls = []
-    assert (root, bracket) == maxwell.grid_roots(f, xs, count=None)[0]
+    assert (root, (xs[i], xs[i + 1])) == maxwell.grid_roots(f, xs, count=None)[0]
     assert _each_once(f.calls)
     assert root == pytest.approx(math.pi / 14.0, abs=1e-12)
 
@@ -204,20 +207,29 @@ def test_grid_roots_stops_at_first_flip():
     ([1.0, 2.0, 0.5, 4.0], None),
 ])
 def test_grid_roots_sign_test_matches_sign_changes(ys, first):
-    xs, f = _piecewise(ys)
-    f = _counting(f)
-    lazy = maxwell.grid_roots(f, xs)
-    lazy_calls, f.calls = f.calls, []
+    # the point-by-point scan, its screened form and grid_roots take the
+    # sign test of sign_changes
+    xs, g = _piecewise(ys)
+    f = _counting(g)
+    vals, i = maxwell._scan_to_first_flip(f, xs)
+    scan_calls, f.calls = f.calls, []
     full = maxwell.grid_roots(f, xs, count=None)
-    assert _each_once(lazy_calls) and _each_once(f.calls)
+    assert _each_once(scan_calls) and _each_once(f.calls)
     hits = maxwell.sign_changes(np.array(ys))
+    # a screen sure of the sign of every nonzero value, as |v| > margin * bound
+    # is (not of a zero or a NaN, which it asks f for)
+    screened = _counting(g)
+    svals, si = maxwell._screen_to_first_flip(screened, xs, np.sign(ys), np.abs(ys) > 0.0)
+    assert si == i
+    assert screened.calls == [x for x, y in zip(xs[:len(svals)], ys) if not y or math.isnan(y)]
     if first is None:
-        assert lazy == full == [] and len(hits) == 0
-        # no flip: every grid point was evaluated, once by each search
-        assert lazy_calls == f.calls == list(xs)
+        assert i is None and full == [] and len(hits) == 0
+        # no flip: every grid point was evaluated once
+        assert scan_calls == f.calls == list(xs)
     else:
-        assert hits[0] == first
-        assert lazy == full[:1] and lazy[0][1] == (xs[first], xs[first + 1])
+        assert hits[0] == first == i
+        assert full[0][1] == (xs[first], xs[first + 1])
+        assert scan_calls == list(xs[:first + 2])
 
 
 def test_first_root_rescans_dip_before_first_flip():
@@ -349,6 +361,48 @@ def test_p1v_c2_bracket_below_c2_mp_k():
         k = float(k)
         K = complete_K(k)
         assert K < p1_V(k, Stratum.C2) < 2.0 * K
+
+
+# moduli of the small-k identity test: test_p1v_c2_bracket_below_c2_mp_k's,
+# the edges of the series range and a spread below
+SCREEN_KS = [0.005, 0.01, 0.02, 0.03, 0.05, 0.075, 0.1, 0.125,
+             *np.linspace(0.15, 0.2, 41, endpoint=False)[[0, 8, 9, 16, 23, 24, 32, 40]],
+             0.1614865489887826, 0.1999]
+
+
+@pytest.mark.parametrize("k", SCREEN_KS)
+def test_screened_fv_root_is_the_mpmath_scan_root(k):
+    # the series screen changes which points mpmath evaluates, not the root:
+    # root, bracket and residual are those of the point-by-point mpmath scan
+    k = float(k)
+    hi = 2.0 * complete_K(k) - 1e-9
+    with mpmath.workdps(maxwell.MP_DPS):
+        point = maxwell._first_root(maxwell._branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True), 1e-3, hi)
+    assert maxwell._p1_v_c2_cached.__wrapped__(k) == point
+
+
+def test_screened_fv_root_evaluates_few_points_once(monkeypatch):
+    k = 0.1
+    branch = maxwell._branch_fn
+    calls = []
+
+    def counting_branch(kernel, forms, k, mp=False):
+        f = branch(kernel, forms, k, mp)
+        if not mp:
+            return f
+        g = _counting(f)
+        g.__name__, g.calls = f.__name__, calls
+        return g
+    monkeypatch.setattr(maxwell, "_branch_fn", counting_branch)
+    info = maxwell._p1_v_c2_cached.__wrapped__(k)
+    ps = np.linspace(1e-3, 2.0 * complete_K(k) - 1e-9, maxwell.SCAN_PANELS + 1)
+    value, bound = maxwell.c2_series("fv", jacobi_arrays(ps, k)[3], k)
+    flagged = set(ps[np.abs(value) <= maxwell.SIGN_MARGIN * bound])
+    # at most 12 mpmath values (a scan took 48), each at a point the screen
+    # could not decide or in Brent's panel, and none twice
+    assert len(calls) <= 12
+    assert all(p in flagged or info.bracket[0] <= p <= info.bracket[1] for p in calls)
+    assert _each_once(calls)
 
 
 def test_u_v1_bracket():
