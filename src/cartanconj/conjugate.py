@@ -45,11 +45,11 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from .elliptic import _EPS, jacobi_arrays, jacobi_mp
+from .elliptic import _EPS, ipow, jacobi_arrays
 from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent,
+from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent, _jacobi_at,
                       _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
                       a21_c2_kernel, c1_kernel_args, c2_kernel_args_from_u1, c2_series,
                       grid_roots, sign_changes, stratum_forms, t_max1)
@@ -214,17 +214,22 @@ class JacobianFactors:
 def _j1(ec: EllipticCoord, t):
     """(J1, noise, xi, Delta, a0, a2) along a C1 or C2 extremal.
 
-    Float64 arrays for an array of times; mpf values at the working
-    precision for an mpf time.
+    Float64 arrays for an array of times; Python floats for a Python float
+    time, with the bits of the call on the 1-element array [t] (the
+    arithmetics of ``elliptic``); mpf values at the working precision for an
+    mpf time.
     """
     forms = stratum_forms(ec.stratum)
     mp = isinstance(t, mpmath.mpf)
     sa = mpmath.sqrt(ec.alpha) if mp else math.sqrt(ec.alpha)
-    k = mpmath.mpf(ec.k) if mp else ec.k
+    # Python floats: a numpy scalar from the coordinate would carry numpy's
+    # scalar rounding of ** into the float route
+    kf, phi = float(ec.k), float(ec.phi)
+    k = mpmath.mpf(kf) if mp else kf
     k2 = k * k
-    p = sa * t / forms.arc_div(ec.k)
-    tau = sa * (ec.phi + t / 2.0) / forms.phase_div(ec.k)
-    snt = (jacobi_mp if mp else jacobi_arrays)(tau, k)[0]
+    p = sa * t / forms.arc_div(kf)
+    tau = sa * (phi + t / 2.0) / forms.phase_div(kf)
+    snt = _jacobi_at(tau, k)[2]
     xi = snt * snt
     args = forms.args(p, k)
     (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (
@@ -236,7 +241,7 @@ def _j1(ec: EllipticCoord, t):
     noise = _EPS * _NOISE_SAFETY * (
         (abs(fv) * m01 + mfv * abs(a01)) / forms.a0_scale * abs(w0)
         + (abs(fz) * m21 + mfz * abs(a21)) * abs(w2))
-    delta = 1.0 - k2 * (args[forms.sn_slot] * snt) ** 2
+    delta = 1.0 - k2 * ipow(args[forms.sn_slot] * snt, 2)
     return j1, noise, xi, delta, a0, a2
 
 
@@ -276,12 +281,12 @@ def _j1_c2_series(ec: EllipticCoord, t):
 
 
 def j1_factors(ec: EllipticCoord, t: float) -> JacobianFactors:
-    """The full decomposition at a single time."""
+    """The full decomposition at a single time, with the bits of ``j1_path``
+    on the array [t]."""
     forms = stratum_forms(ec.stratum)
-    j1, noise, xi, delta, a0, a2 = (np.atleast_1d(v)[0] for v in j1_path(ec, t))
-    a1 = forms.a1(a0, a2, ec.k * ec.k)
-    return JacobianFactors(ec.stratum, float(a0), float(a1), float(a2),
-                           float(xi), float(delta), float(j1), float(noise))
+    j1, noise, xi, delta, a0, a2 = _j1(ec, float(t))
+    a1 = float(forms.a1(a0, a2, ec.k * ec.k))
+    return JacobianFactors(ec.stratum, a0, a1, a2, xi, delta, j1, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +350,8 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     def fmp(t):
         return _j1_scalar_mp(ec, t, MP_DPS)
 
-    def f64(t):     # a 1-element array: the same bits as the scan's array call
-        return float(j1_path(ec, np.array([t]))[0][0])
+    def f64(t):     # the float route: the bits of the scan's array call
+        return _j1(ec, float(t))[0]
 
     fmp.__name__ = f"J1 (mpmath) {where}"
     f64.__name__ = f"J1 {where}"

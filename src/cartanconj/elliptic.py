@@ -14,9 +14,20 @@ modulus is always a scalar.  Degenerate moduli k = 0 and k = 1 are
 explicit analytic branches (trig and tanh/sech respectively); the AGM is
 never run at k = 1.
 
-The AGM chain and the Landen loop are written once and run in the
-arithmetic of the modulus: float64 (the elliptic argument a scalar or an
-ndarray) for a float k, mpmath at the working precision for an mpf k.
+The AGM chain and the Landen loop are written once and run in one of
+three arithmetics, picked from the types of the modulus and the argument:
+
+- float64 numpy, for a float k and an ndarray (or 0-d) argument;
+- Python floats, for a float k and a Python ``float`` argument
+  (``jacobi_float``).  They give
+  the bits of the numpy call on the 1-element array [u] at a fraction of
+  its dispatch cost: ``+ - * /``, ``abs`` and ``sqrt`` are IEEE in both,
+  ``sin``, ``cos`` and ``arcsin`` call numpy's ufunc on the scalar (its
+  1-element loop; ``math.asin`` differs from it in the last bit on some
+  inputs), and every power of an argument-derived value goes through
+  ``ipow``;
+- mpmath at the working precision, for an mpf k.
+
 Float64 targets 1e-13 relative over k in [0, 1); the mpmath entry points
 (suffixed ``_mp``) serve downstream code where float64 cancellation would
 destroy k**8-and-smaller suppressed combinations.
@@ -100,11 +111,26 @@ def _agm_chain_at(k, prec):
     return tuple(a), tuple(c), e_over_k
 
 
+def ipow(x, n: int):
+    """x ** n, with the bits of numpy's array loop when x is a Python float.
+
+    numpy squares an array by x * x and takes higher powers with its pow
+    loop; Python's ``**`` calls libm's pow, which differs from both in the
+    last bit on some inputs.  Any other x (an ndarray, a numpy scalar, an
+    mpf) is raised with its own ``**``.
+    """
+    if type(x) is float and n >= 2:
+        return x * x if n == 2 else float(np.power(x, n))
+    return x ** n
+
+
 def _landen(u, k):
     """(sn, cn, dn, am, E) by descending Landen on the AGM chain of k in [0, 1).
 
-    u is a float64 scalar or array with a float k, or an mpf with an mpf k;
-    the arithmetic follows k.
+    u is a float64 ndarray (or 0-d array) or a Python float with a Python
+    float k, or an mpf with an mpf k.  The arithmetic follows k, and for a
+    float k the type of u: a Python float u gives Python floats with the
+    bits of the call on the array [u].
     """
     if isinstance(k, mpmath.mpf):
         sin, cos, sqrt, asin = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin
@@ -112,6 +138,15 @@ def _landen(u, k):
         # conversion at every use (all three are exact, so the bits are the same)
         half, one, two = mpmath.mpf(0.5), mpmath.mpf(1), mpmath.mpf(2)
         clip = lambda s: max(min(s, one), -one)
+    elif type(u) is float:
+        # numpy's own loops for the transcendentals, IEEE sqrt, and a clip
+        # that keeps NaN and the sign of zero as np.minimum/np.maximum do
+        sin = lambda x: float(np.sin(x))
+        cos = lambda x: float(np.cos(x))
+        asin = lambda x: float(np.arcsin(x))
+        sqrt = math.sqrt
+        half, one, two = 0.5, 1.0, 2.0
+        clip = lambda s: min(max(s, -1.0), 1.0)
     else:
         sin, cos, sqrt, asin = np.sin, np.cos, np.sqrt, np.arcsin
         half, one, two = 0.5, 1.0, 2.0
@@ -127,7 +162,7 @@ def _landen(u, k):
         sn = sin(phi)
         if i > 1:
             esum = esum + c[i - 1] * sn
-    dn = sqrt(one - (k * sn) ** 2)
+    dn = sqrt(one - ipow(k * sn, 2))
     return sn, cos(phi), dn, phi, e_over_k * u + esum
 
 
@@ -142,6 +177,19 @@ def jacobi_arrays(u, k):
         cn = 1.0 / np.cosh(u)
         return sn, cn, cn.copy(), np.arctan(np.sinh(u)), sn.copy()
     return _landen(u, k)
+
+
+def jacobi_float(u: float, k):
+    """(sn, cn, dn, am, E) at a Python float u, with the bits of
+    ``jacobi_arrays`` on the array [u].
+
+    For k in (0, 1) the Landen loop runs in Python floats; at k = 0 and
+    k = 1 it is ``jacobi_arrays``' own analytic branch.
+    """
+    k = _kval(k)
+    if 0.0 < k < 1.0:
+        return _landen(u, k)
+    return jacobi_arrays(u, k)
 
 
 def jacobi(u: float, k) -> EllipticValues:

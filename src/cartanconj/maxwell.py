@@ -15,8 +15,10 @@ fv0 is stored as the unscaled trigonometric numerator (a conventional
 Every kernel returns (value, magnitude) where magnitude is the sum of the
 absolute values of the summed monomials: eps * magnitude bounds the
 float64 cancellation noise, which downstream sign logic uses.  All kernels
-run unchanged on numpy arrays and on mpmath scalars; rational constants
-are written as integer multiply/divide so the mp path keeps full
+run unchanged on numpy arrays, on mpmath scalars and on Python floats (the
+arithmetics of ``elliptic``: every power of a p-derived value is an
+``ipow``, so a Python float gives the bits of the array [p]); rational
+constants are written as integer multiply/divide so the mp path keeps full
 precision.  For small moduli the C2 functions are evaluated under mpmath,
 since their values are suppressed by k**3 (fz) and k**8 (fv) against O(1)
 monomials and float64 would return noise.  There a float64 series in k
@@ -35,7 +37,7 @@ import mpmath
 import numpy as np
 
 from .elliptic import (_EPS, _kval, am_mp, complete_E, complete_K, incomplete_E,
-                       incomplete_F, jacobi_arrays, jacobi_mp)
+                       incomplete_F, ipow, jacobi_arrays, jacobi_float, jacobi_mp)
 from .errors import NumericalError, StratumError
 from .flow import Covector, EllipticCoord, Stratum, classify, to_elliptic
 
@@ -103,7 +105,7 @@ def fv_c1_kernel(p, k2, sn, cn, dn, e2):
     inner, m_inner = _sum_terms([
         -p,
         -2 * (1 - 2 * k2 + 6 * k2 * cn * cn) * e2,
-        e2 ** 3,
+        ipow(e2, 3),
         8 * k2 * cn * sn * dn,
     ])
     lead = 4 * sn * dn
@@ -127,7 +129,7 @@ def a01_c1_kernel(p, k2, sn, cn, dn, e2):
         8 * k2 * k2 * sn2 * sn2,
     ])
     B, mB = _sum_terms([
-        -e2 ** 3,
+        -ipow(e2, 3),
         -2 * p,
         (2 - 4 * k2) * e2 * e2 * p,
         8 * k2 * p,
@@ -145,22 +147,23 @@ def a01_c1_kernel(p, k2, sn, cn, dn, e2):
 def a21_c1_kernel(p, k2, sn, cn, dn, e2):
     k4 = k2 * k2
     sn2 = sn * sn
+    e3, e4 = ipow(e2, 3), ipow(e2, 4)
     C, mC = _sum_terms([
-        -e2 ** 5,
-        (2 - 4 * k2) * e2 ** 4 * p,
+        -ipow(e2, 5),
+        (2 - 4 * k2) * e4 * p,
         -(9 - 64 * k2 + 64 * k4) * e2 * e2 * p,
-        p ** 3,
-        (8 - 16 * k2) * e2 ** 3,
-        -e2 ** 3 * p * p,
+        ipow(p, 3),
+        (8 - 16 * k2) * e3,
+        -e3 * p * p,
     ])
     D, mD = _sum_terms([
         -4 * e2 * e2,
-        5 * e2 ** 4,
+        5 * e4,
         48 * k2 * e2 * e2,
         2 * e2 * p,
-        -8 * e2 ** 3 * p,
+        -8 * e3 * p,
         -96 * k2 * e2 * p,
-        16 * k2 * e2 ** 3 * p,
+        16 * k2 * e3 * p,
         128 * k4 * e2 * p,
         2 * p * p,
         3 * e2 * e2 * p * p,
@@ -191,14 +194,14 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
     D = 2 * E - (2 - k2) * F
     Dmag = 2 * abs(E) + (2 - k2) * abs(F)
     br, m_br = _sum_terms([
-        8 * E ** 3,
+        8 * ipow(E, 3),
         -4 * E * (4 + k2),
         -12 * E * E * (2 - k2) * F,
         6 * E * (2 - k2) ** 2 * F * F,
         16 * F,
         -4 * k2 * F,
         -3 * k4 * F,
-        -(2 - k2) ** 3 * F ** 3,
+        -(2 - k2) ** 3 * ipow(F, 3),
     ])
     s2 = sinu * sinu
     terms = [
@@ -279,11 +282,11 @@ def a21_c2_tables(k, k2, sinu, cosu, dnu):
 
 
 def _table_sum(table, F, E):
-    # each power once, by ** (a running product would round differently)
+    # each power once, by ipow (a running product would round differently)
     n = 1 + max(map(sum, table))
     aF, aE = abs(F), abs(E)
-    Fp, Ep = [F ** i for i in range(n)], [E ** j for j in range(n)]
-    aFp, aEp = [aF ** i for i in range(n)], [aE ** j for j in range(n)]
+    Fp, Ep = [ipow(F, i) for i in range(n)], [ipow(E, j) for j in range(n)]
+    aFp, aEp = [ipow(aF, i) for i in range(n)], [ipow(aE, j) for j in range(n)]
     val = None
     mag = None
     for (i, j), cf in table.items():
@@ -358,27 +361,31 @@ def c2_series(name, u1, k):
 # ---------------------------------------------------------------------------
 
 def _jacobi_at(p, k):
-    """(p, k, sn, cn, dn, E) at p: under mpmath (current precision) when p is
-    an mpf, else float64 arrays."""
+    """(p, k, sn, cn, dn, E) at p in the arithmetic of p: mpmath (current
+    precision) for an mpf, the bits of the array [p] for a Python float
+    (``jacobi_float``), else float64 arrays."""
     if isinstance(p, mpmath.mpf):
         k = mpmath.mpf(k)
         sn, cn, dn, _, eps = jacobi_mp(p, k)
         return p, k, sn, cn, dn, eps
     k = _kval(k)
+    if type(p) is float:
+        sn, cn, dn, _, eps = jacobi_float(p, k)
+        return p, k, sn, cn, dn, eps
     sn, cn, dn, _, eps = jacobi_arrays(p, k)
     return np.asarray(p, dtype=float), k, sn, cn, dn, eps
 
 
 def c1_kernel_args(p, k):
-    """The C1 kernels' arguments (p, k^2, sn, cn, dn, 2E - p) at p; mpf
-    values when p is an mpf."""
+    """The C1 kernels' arguments (p, k^2, sn, cn, dn, 2E - p) at p, in the
+    arithmetic of p (``_jacobi_at``)."""
     pa, k, sn, cn, dn, eps = _jacobi_at(p, k)
     return p, k * k, sn, cn, dn, 2 * eps - pa
 
 
 def c2_kernel_args(p, k):
     """The C2 kernels' arguments (k, k^2, F, E, sin u1, cos u1, dn u1) with
-    u1 = am(p, k), so F(u1) = p; mpf values when p is an mpf."""
+    u1 = am(p, k), so F(u1) = p, in the arithmetic of p (``_jacobi_at``)."""
     p, k, sn, cn, dn, eps = _jacobi_at(p, k)
     return k, k * k, p, eps, sn, cn, dn
 
@@ -656,12 +663,16 @@ def _branch_fn(kernel, forms, k, mp=False):
     """p -> float value of a kernel of the stratum record ``forms`` at modulus k.
 
     With mp the kernel runs under mpmath at the caller's working precision;
-    without, ``f.on_array(ps)`` gives its values on an array of p in one
-    call.  The function's name gives the kernel and k for error messages.
+    without, it runs in numpy scalars (p a np.float64, so ``_jacobi_at``
+    takes the array route on a 0-d array, never the Python-float one), and
+    ``f.on_array(ps)`` gives its values on an array of p in one call.  The
+    numpy-scalar route is what every float64 Maxwell root was located with:
+    its ``x ** n`` is libm's pow, and the Python-float route would move some
+    roots in the last bits.  The function's name gives the kernel and k for
+    error messages.
     """
     def f(p):
-        if mp:
-            p = mpmath.mpf(p)
+        p = mpmath.mpf(p) if mp else np.float64(p)
         return float(kernel(*forms.args(p, k))[0])
     if not mp:
         f.on_array = lambda ps: kernel(*forms.args(ps, k))[0]

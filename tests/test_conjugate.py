@@ -565,6 +565,54 @@ def test_j1_array_calls_match_one_element_calls(rng, stratum):
             assert full[j][::7].tobytes() == np.concatenate([o[j] for o in ones]).tobytes()
 
 
+def _float_route_arcs(stratum, n, rng):
+    """n random arcs of a stratum over the moduli where float64 J1 runs: 1 - k
+    down to 1e-9, C1 k down to 1e-4, C2 k just above C2_MP_K; alpha from
+    1e-2 to 1e2."""
+    lo = 1e-4 if stratum is Stratum.C1 else mx.C2_MP_K
+    arcs = []
+    for i in range(n):
+        k = (1.0 - 10.0 ** rng.uniform(-9.0, -1.0), 10.0 ** rng.uniform(math.log10(lo), -0.3),
+             lo + rng.uniform(0.0, 1e-3), rng.uniform(lo, 1.0))[i % 4]
+        arcs.append(EllipticCoord(stratum, rng.uniform(-6.0, 6.0), float(min(k, 1.0 - 1e-9)),
+                                  10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)))
+    return arcs
+
+
+@pytest.mark.parametrize("stratum", [Stratum.C1, Stratum.C2])
+def test_float_route_has_the_bits_of_one_element_calls(stratum):
+    # J1 at a Python float time (Brent's steps, j1_factors) computes in
+    # Python floats and must give the bits of j1_path on [t]: 10,000 times
+    # per stratum against the array call (which has the bits of its
+    # 1-element calls, see above), every tenth against the 1-element call
+    rng = np.random.default_rng(15 + (stratum is Stratum.C2))
+    for ec in _float_route_arcs(stratum, 100, rng):
+        ts = rng.uniform(0.0, 3.0 * ec.period(), 100)
+        full = j1_path(ec, ts)
+        for i, t in enumerate(ts.tolist()):
+            got = cj._j1(ec, t)
+            assert all(type(g) is float for g in got)
+            assert [g.hex() for g in got] == [float(v[i]).hex() for v in full], (ec, t)
+            if i % 10 == 0:
+                one = j1_path(ec, np.array([t]))
+                assert [g.hex() for g in got] == [float(v[0]).hex() for v in one], (ec, t)
+
+
+def test_j1_factors_has_the_bits_of_j1_path():
+    # one route for J1 at one time: the fields of j1_factors are those of
+    # j1_path on [t], with a1 assembled from its a0 and a2
+    rng = np.random.default_rng(151)
+    for stratum in (Stratum.C1, Stratum.C2):
+        for ec in _float_route_arcs(stratum, 20, rng):
+            t = rng.uniform(0.0, 3.0 * ec.period())
+            f = j1_factors(ec, t)
+            j1, noise, xi, delta, a0, a2 = (float(v[0]) for v in j1_path(ec, np.array([t])))
+            a1 = mx.stratum_forms(stratum).a1(a0, a2, ec.k * ec.k)
+            want = (a0, a1, a2, xi, delta, j1, noise)
+            got = (f.a0, f.a1, f.a2, f.xi, f.Delta, f.J1, f.noise)
+            assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
 def test_split_scan_finds_the_whole_grid_zero():
     # the J1 grid is evaluated up to one time past the split first; wherever
     # the split falls, the zero, its bracket and its residual are unchanged
@@ -580,27 +628,39 @@ def test_split_scan_finds_the_whole_grid_zero():
             assert cj._first_zero_analytic(ec, t_lo, cap, split) == whole
 
 
-def _recording_j1(monkeypatch, name):
-    """Patch conjugate.<name> to record every time it evaluates J1 at."""
+def _recording_j1(monkeypatch, name, calls=None):
+    """Patch conjugate.<name> to record every time it evaluates J1 at, and in
+    ``calls`` the type and size of each call's time argument."""
     times = []
     orig = getattr(cj, name)
 
     def rec(ec, t, *args):
-        times.extend(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+        times.extend(ts)
+        if calls is not None:
+            calls.append((type(t), len(ts)))
         return orig(ec, t, *args)
     monkeypatch.setattr(cj, name, rec)
     return times
 
 
 def test_float64_search_evaluates_each_time_once(monkeypatch):
-    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
-    t_max = first_conjugate_time(lam).t_max          # warm the Maxwell roots
-    times = _recording_j1(monkeypatch, "j1_path")
-    res = first_conjugate_time(lam)
-    assert len(set(times)) == len(times)
-    # the scan stopped short of the 3 t_max horizon: it read up to the upper bound
-    assert max(times) < res.upper + 2 * cj.SCAN_DT < 3.0 * t_max
-    assert res.residual == abs(float(j1_path(to_elliptic(lam), np.array([res.t_conj]))[0][0]))
+    # _j1 takes both routes: the grid's arrays (through j1_path) and Brent's
+    # Python floats, so recording it records every time J1 is evaluated at
+    for stratum, k in ((Stratum.C1, 0.5), (Stratum.C2, 0.6)):
+        lam = from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4))
+        t_max = first_conjugate_time(lam).t_max          # warm the Maxwell roots
+        calls = []
+        times = _recording_j1(monkeypatch, "_j1", calls)
+        res = first_conjugate_time(lam)
+        monkeypatch.undo()
+        assert len(set(times)) == len(times)
+        # Brent ran on the float route, and no 1-element array call is left
+        assert {tp for tp, _ in calls} == {float, np.ndarray}
+        assert all(n > 1 for tp, n in calls if tp is np.ndarray)
+        # the scan stopped short of the 3 t_max horizon: it read up to the upper bound
+        assert max(times) < res.upper + 2 * cj.SCAN_DT < 3.0 * t_max
+        assert res.residual == abs(float(j1_path(to_elliptic(lam), np.array([res.t_conj]))[0][0]))
 
 
 def _search_range(lam):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,41 @@ def test_landen_clip_matches_np_clip(rng):
                 assert type(g) is type(w)
                 assert np.array_equal(g, w)
                 assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_ipow_policy_for_each_input_type(rng):
+    xs = np.concatenate([rng.uniform(-5.0, 5.0, 2000), [0.0, -0.0, 1.0, -1.0, 5e-324]])
+    for n in (2, 3, 4, 5):
+        arr = xs ** n
+        # ndarray: its own **, whose square is x * x and whose higher
+        # powers are numpy's pow loop
+        assert elliptic.ipow(xs, n).tobytes() == arr.tobytes()
+        for x, want in zip(xs.tolist(), arr.tolist()):
+            # Python float: the bits of the array loop, as a Python float
+            got = elliptic.ipow(x, n)
+            assert type(got) is float and got.hex() == want.hex()
+            # numpy scalar: its own ** (libm's pow), not the float route
+            x64 = np.float64(x)
+            got64 = elliptic.ipow(x64, n)
+            assert type(got64) is np.float64 and got64 == x64 ** n
+    for x in (0.7, -2.5):
+        assert elliptic.ipow(x, 0) == 1.0 and elliptic.ipow(x, 1) == x
+    with mpmath.workdps(50):
+        x = mpmath.mpf(1) / 3
+        for n in (2, 3, 5):
+            got = elliptic.ipow(x, n)
+            assert isinstance(got, mpmath.mpf) and got == x ** n
+
+
+def test_jacobi_float_matches_one_element_array(rng):
+    us = [*rng.uniform(-60.0, 60.0, 200).tolist(), 0.0, -0.0, 5e-324, 1e-300, -1e-8]
+    for k in (0.0, 1e-9, 1e-4, 0.05, 0.3, 0.7071067811865476, 0.9, 0.999, 1.0 - 1e-9, 1.0):
+        for u in us:
+            got = elliptic.jacobi_float(u, k)
+            want = elliptic.jacobi_arrays(np.array([u]), k)
+            if 0.0 < k < 1.0:
+                assert all(type(g) is float for g in got)
+            assert [float(g).hex() for g in got] == [float(w[0]).hex() for w in want], (u, k)
 
 
 def test_complete_E_against_quadrature():

@@ -307,6 +307,93 @@ def test_array_scan_matches_point_scan(branch):
         assert maxwell._first_root(f, 0.02, hi) == maxwell._first_root(point, 0.02, hi)
 
 
+# (k, float64 first root, its residual, polished root) as float.hex() for
+# each float64 branch: frozen from the scalar numpy route that located every
+# Maxwell root so far.  Brent's calls of a branch compute in numpy scalars,
+# whose x ** n is libm's pow; on the Python-float route of J1 some of these
+# roots would move in their last bits.
+MAXWELL_BITS = {
+    "fz_c1": [
+        (0.0472, "0x1.1fb931c7787adp+2", "0x1.2000000000000p-48", "0x1.1fb931c7787ebp+2"),
+        (0.0721, "0x1.1feae34193ad7p+2", "0x1.7240000000000p-43", "0x1.1feae34193aeap+2"),
+        (0.1675, "0x1.216e2a1da2192p+2", "0x1.1000000000000p-48", "0x1.216e2a1da21cbp+2"),
+        (0.3537, "0x1.2842051076263p+2", "0x1.eff0000000000p-41", "0x1.2842051076182p+2"),
+        (0.3546, "0x1.284e1832a4d92p+2", "0x1.f7d0000000000p-41", "0x1.284e1832a4cacp+2"),
+        (0.3964, "0x1.2aab063b3a2f6p+2", "0x1.a000000000000p-49", "0x1.2aab063b3a31ap+2"),
+        (0.4596, "0x1.2eef6a94ee76ep+2", "0x1.c000000000000p-51", "0x1.2eef6a94ee78ap+2"),
+        (0.5518, "0x1.36ee663550e07p+2", "0x1.c000000000000p-51", "0x1.36ee663550e18p+2"),
+        (0.5673, "0x1.388429849481bp+2", "0x1.0600000000000p-44", "0x1.3884298494813p+2"),
+        (0.6812, "0x1.46c9932f8cd4ap+2", "0x1.5400000000000p-45", "0x1.46c9932f8cd37p+2"),
+        (0.7056, "0x1.4a85b7b6df42bp+2", "0x1.be00000000000p-46", "0x1.4a85b7b6df43ep+2"),
+        (0.7646, "0x1.5487c813a3c3fp+2", "0x1.2800000000000p-47", "0x1.5487c813a3c38p+2"),
+        (0.7969, "0x1.5a53bec527676p+2", "0x1.0480000000000p-43", "0x1.5a53bec5275fdp+2"),
+        (0.8232, "0x1.5eb9a68837652p+2", "0x1.5300000000000p-44", "0x1.5eb9a6883769ep+2"),
+        (0.8658, "0x1.621f6719e6744p+2", "0x1.8000000000000p-50", "0x1.621f6719e6728p+2"),
+        (0.9151, "0x1.019558e959d50p+2", "0x1.5280000000000p-44", "0x1.019558e959e5fp+2"),
+        (0.9474, "0x1.d510131a66dc3p+1", "0x1.0000000000000p-52", "0x1.d510131a66f7dp+1"),
+        (0.8022, "0x1.5b42377260716p+2", "0x1.4b00000000000p-45", "0x1.5b423772606e8p+2"),
+        (0.80223, "0x1.5b438e47ad03dp+2", "0x1.4f00000000000p-45", "0x1.5b438e47ad010p+2"),
+        (0.8023, "0x1.5b46ae172dd98p+2", "0x1.5c00000000000p-45", "0x1.5b46ae172dd6bp+2"),
+    ],
+    "fv_c1": [
+        (0.1008, "0x1.719e840fefffep+2", "0x1.4400000000000p-40", "0x1.719e840feff2fp+2"),
+        (0.2478, "0x1.758664228637fp+2", "0x1.7000000000000p-42", "0x1.75866422862d6p+2"),
+        (0.2621, "0x1.76179035498d3p+2", "0x1.0000000000000p-42", "0x1.7617903549830p+2"),
+        (0.2636, "0x1.76274e53c04afp+2", "0x1.6800000000000p-41", "0x1.76274e53c040fp+2"),
+        (0.273, "0x1.768c34034369fp+2", "0x1.9800000000000p-41", "0x1.768c340343604p+2"),
+        (0.3411, "0x1.79ddb9a76bd39p+2", "0x1.1800000000000p-41", "0x1.79ddb9a76bcc5p+2"),
+        (0.3698, "0x1.7b8457778a9b9p+2", "0x1.2000000000000p-43", "0x1.7b8457778a956p+2"),
+        (0.4693, "0x1.82765ed8e3f2ap+2", "0x1.a000000000000p-44", "0x1.82765ed8e3f27p+2"),
+        (0.5323, "0x1.87d7e70ed3914p+2", "0x1.8c00000000000p-40", "0x1.87d7e70ed3925p+2"),
+        (0.5825, "0x1.8c95daf02891ap+2", "0x1.3000000000000p-44", "0x1.8c95daf02891ap+2"),
+        (0.6623, "0x1.9421d6a594e00p+2", "0x1.2000000000000p-46", "0x1.9421d6a594e00p+2"),
+        (0.7484, "0x1.95bb7e20a20f9p+2", "0x1.1300000000000p-43", "0x1.95bb7e20a2103p+2"),
+        (0.7664, "0x1.9235bf9f181c4p+2", "0x1.5480000000000p-44", "0x1.9235bf9f181cdp+2"),
+        (0.7821, "0x1.8b93e1fa8a376p+2", "0x1.2900000000000p-46", "0x1.8b93e1fa8a373p+2"),
+        (0.8841, "0x1.1fd7961c588aap+2", "0x1.4000000000000p-49", "0x1.1fd7961c5886bp+2"),
+        (0.918, "0x1.2fdb4efa51873p+2", "0x1.3d00000000000p-48", "0x1.2fdb4efa51869p+2"),
+        (0.9393, "0x1.4ecaddbc09cc2p+2", "0x1.a800000000000p-48", "0x1.4ecaddbc09c67p+2"),
+        (0.8022, "0x1.614e5abc2027ap+2", "0x1.1000000000000p-47", "0x1.614e5abc200ddp+2"),
+        (0.80223, "0x1.59e0ce9d8adc3p+2", "0x1.c000000000000p-50", "0x1.59e0ce9d8a757p+2"),
+        (0.8023, "0x1.5335988f99a50p+2", "0x1.5100000000000p-46", "0x1.5335988f99b66p+2"),
+    ],
+    "fv_c2": [
+        (0.22, "0x1.2a2878f7668d8p+1", "0x1.acaaaaaaaaaabp-47", "0x1.2a2878edd543ep+1"),
+        (0.2306, "0x1.2a878242cf00cp+1", "0x1.9d55555555555p-48", "0x1.2a87823c8ce91p+1"),
+        (0.2684, "0x1.2c03bb01edc39p+1", "0x1.4aaaaaaaaaaabp-50", "0x1.2c03bb02d51ccp+1"),
+        (0.3325, "0x1.2f259ea344f0fp+1", "0x1.d555555555555p-50", "0x1.2f259ea3897d5p+1"),
+        (0.3554, "0x1.3077f274a75f5p+1", "0x1.12aaaaaaaaaabp-47", "0x1.3077f27497ec5p+1"),
+        (0.4004, "0x1.33684f454042ap+1", "0x1.4aaaaaaaaaaabp-49", "0x1.33684f4554ad4p+1"),
+        (0.464, "0x1.386d0cd12eb7bp+1", "0x1.d555555555555p-48", "0x1.386d0cd12e341p+1"),
+        (0.4685, "0x1.38d2dbbd11bd6p+1", "0x1.0000000000000p-47", "0x1.38d2dbbd130bdp+1"),
+        (0.4758, "0x1.397b51d7dbeb2p+1", "0x1.a000000000000p-47", "0x1.397b51d7d73d0p+1"),
+        (0.5214, "0x1.3dfa4c8bc89bcp+1", "0x1.0000000000000p-46", "0x1.3dfa4c8bc9883p+1"),
+        (0.525, "0x1.3e5ce515c3351p+1", "0x1.dd55555555555p-46", "0x1.3e5ce515c1ce5p+1"),
+        (0.5606, "0x1.426f691c1c726p+1", "0x1.eaaaaaaaaaaabp-49", "0x1.426f691c1b611p+1"),
+        (0.6805, "0x1.549b139671a12p+1", "0x1.6aaaaaaaaaaabp-47", "0x1.549b139671a42p+1"),
+        (0.7952, "0x1.708f8877c4de8p+1", "0x1.3555555555555p-47", "0x1.708f8877c4e33p+1"),
+        (0.7964, "0x1.70f13e6d01608p+1", "0x1.2aaaaaaaaaaabp-49", "0x1.70f13e6d01591p+1"),
+        (0.8926, "0x1.9b329e5197e07p+1", "0x1.1eaaaaaaaaaabp-43", "0x1.9b329e5197f3cp+1"),
+        (0.9517, "0x1.cf3b3e9ab2e89p+1", "0x1.3aaaaaaaaaaabp-43", "0x1.cf3b3e9ab2f39p+1"),
+        (0.2001, "0x1.298350ea55c44p+1", "0x1.bd55555555555p-49", "0x1.298350f6351edp+1"),
+        (0.95, "0x1.cd0948009db52p+1", "0x1.6d55555555555p-43", "0x1.cd0948009dc2dp+1"),
+        (0.99, "0x1.1656de7f954fep+2", "0x1.1800000000000p-43", "0x1.1656de7f954c9p+2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("branch", sorted(F64_BRANCHES))
+def test_maxwell_roots_keep_their_bits(branch):
+    kernel, forms, n_k = F64_BRANCHES[branch]
+    cached = {"fz_c1": maxwell._p1_z_cached, "fv_c1": maxwell._p1_v_c1_cached,
+              "fv_c2": maxwell._p1_v_c2_cached}[branch]
+    for k, root, residual, polished in MAXWELL_BITS[branch]:
+        info = maxwell._first_root(maxwell._branch_fn(kernel, forms, k),
+                                   0.02, n_k * complete_K(k) - 1e-9)
+        assert (info.root.hex(), info.residual.hex()) == (root, residual), k
+        assert cached(k).root.hex() == polished, k
+
+
 def test_first_root_error_names_the_kernel_and_modulus():
     f = maxwell._branch_fn(maxwell.fz_c1_kernel, C1_FORMS, 0.5)
     with pytest.raises(NumericalError,
