@@ -72,6 +72,11 @@ AGREEMENT_TOL = 1e-4
 BOUND_SLACK = 1e-6
 # matrices per batched SVD of the lazy sign-certainty scan (``_first_certain``)
 _CERTAIN_CHUNK = 64
+# times of the variational J0 grid on (t_lo, cap]: the cap is 1.05 t_conj
+# when the analytic search found a zero, so a panel is about a 900th of that
+# arc, while the zeros of J0 are spaced on the scale of the pendulum period.
+# The integration does not depend on it (the grid reads the dense output).
+VARIATIONAL_GRID = 900
 
 
 def _sign_certain(M: np.ndarray) -> np.ndarray:
@@ -329,7 +334,9 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
 
     The float64 scan evaluates J1 in two array calls at most: on the grid up
     to the first time past t_split (the caller's upper bound on the zero),
-    then on the rest only when the first part holds no decided sign change.
+    then on the rest, built only now, when the first part holds no decided
+    sign change (an arange's elements depend on its start and step alone, so
+    a shorter stop gives the same first times).
     Panels are decided in grid order, so the zero is the one a scan of the
     whole grid finds, and the dip rescan runs only when the whole grid holds
     no decided sign change.  Brent starts from the values that the scan or
@@ -377,12 +384,17 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
                              fb=None if sure[i + 1] else vals[i + 1])
         return root, (a, b), abs(froot)
 
-    ts = np.arange(t_lo, t_cap, dt)
-    if len(ts) < 4:
+    n = math.ceil((t_cap - t_lo) / dt)          # len(np.arange(t_lo, t_cap, dt))
+    if n < 4:
         ts = np.linspace(t_lo, t_cap, 8)
+    else:
+        ts = np.arange(t_lo, min(t_cap, t_split + 2.0 * dt), dt)
     split = min(len(ts), int(np.searchsorted(ts, t_split, side="right")) + 1)
     vals = noise = np.empty(0)
-    for part in (ts[:split], ts[split:]):
+    for stop in (split, None):
+        if stop is None and len(ts) < n:
+            ts = np.arange(t_lo, t_cap, dt)
+        part = ts[len(vals):stop]
         if not len(part):
             continue
         first = max(len(vals) - 1, 0)       # the panel across the split is new
@@ -414,10 +426,10 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     return None
 
 
-def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float, n: int = 900):
+def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float):
     """First zero of the variational Jacobian J0 on (t_lo, t_cap], or None."""
     jp = JacobianPath(lam, t_cap)
-    ts = np.linspace(t_lo, t_cap, n)
+    ts = np.linspace(t_lo, t_cap, VARIATIONAL_GRID)
     M = jp.matrices(ts)
     # J0 vanishes to high order at t = 0, so its first grid values can be
     # integration noise of either sign: the search starts at the first point
@@ -452,8 +464,8 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
         return ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max)
     upper = stratum_forms(st).upper(ec.k, math.sqrt(ec.alpha))
     cap = t_cap if t_cap is not None else max(3.0 * mr.t_max, 1.1 * upper)
-    if cap <= 0.0:
-        raise ValueError("search horizon must be positive")
+    if not (cap > 0.0 and math.isfinite(cap)):
+        raise ValueError("search horizon must be positive and finite")
     t_lo = min(scan_start_time(ec), 0.5 * mr.t_max)
     hit = _first_zero_analytic(ec, t_lo, cap, upper)
     if hit is None:

@@ -71,6 +71,11 @@ MP_DPS = 50
 C2_MP_K = 0.2
 # digits of the mpmath re-location of a float64 root near a degeneracy
 POLISH_DPS = 40
+# half-width of that re-location's bracket around the float64 root: wide
+# against the float64 shift of a near-degenerate root (up to about eps**(1/3),
+# a few 1e-6) and narrow against the K scale on which the roots of fz and fv
+# are spaced, so the bracket holds the intended root only
+POLISH_DX = 1e-3
 # factor on eps times the summed monomial magnitudes in a float64 noise bound
 _NOISE_SAFETY = 16.0
 # A float64 sign is trusted only where the value exceeds this many of its
@@ -519,29 +524,16 @@ def sign_changes(vals):
     return np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
-def _scan_to_first_flip(f, xs):
-    """f along xs, in order and point by point, up to the first panel where
-    it changes sign.
-
-    Returns (vals, i): vals holds f on xs[:i + 2] and xs[i], xs[i + 1] bound
-    the first panel with strictly opposite signs (the test of
-    ``sign_changes``: a zero or NaN value is no change), or f on all of xs
-    and i None when there is no such panel.  The scan for a function
-    without an array form (an mpmath one, say); ``_first_root`` evaluates a
-    float64 branch function on its whole grid in one call instead.
-    """
-    return _screen_to_first_flip(f, xs, np.empty(len(xs)), np.zeros(len(xs), dtype=bool))
-
-
 def _screen_to_first_flip(f, xs, vals, sure):
-    """``_scan_to_first_flip(f, xs)`` from a screen: vals approximates f on
-    xs, and sure marks the values whose sign is f's.
+    """The screened scan of the mpmath branches: vals approximates f on xs,
+    sure marks the values whose sign is f's, and f is called, in order, at
+    the other points only, up to the first panel with strictly opposite
+    signs (the test of ``sign_changes``: a zero or NaN is no change).
 
-    f is called, in order, only at the unsure points up to the first panel
-    with strictly opposite signs.  Returns (vals, i) as the scan does, with
-    f's own values at the points it was called at, so the panel is the
-    scan's whenever each sure value has the sign of f.  With nothing sure
-    it is the scan.
+    Returns (vals, i), vals with f's values where it was called, on
+    xs[:i + 2] for the first such panel (xs[i], xs[i + 1]), or on all of xs
+    with i None.  The panel is the point-by-point scan's whenever each sure
+    sign is f's; with nothing sure it is that scan.
     """
     vals = np.array(vals, dtype=float)
     for j in range(len(xs)):
@@ -552,15 +544,13 @@ def _screen_to_first_flip(f, xs, vals, sure):
     return vals, None
 
 
-def grid_roots(f, xs, vals=None, count=1):
+def grid_roots(f, xs, vals, count=1):
     """Brent roots of f in the first ``count`` panels of the grid xs where f
     changes sign (all of them for count=None), as (root, (a, b)) pairs.
 
-    ``vals`` holds f on xs when the caller has it already.  Brent starts
-    from the grid values, so it evaluates f only inside a panel.
+    ``vals`` holds f on xs; Brent starts from those values, so it evaluates
+    f only inside a panel.
     """
-    if vals is None:
-        vals = np.array([f(x) for x in xs])
     hits = sign_changes(vals)[:count]
     roots = []
     for i in hits:
@@ -572,39 +562,24 @@ def grid_roots(f, xs, vals=None, count=1):
 def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     """First sign change of f on (lo, hi), refined by Brent.
 
-    Where |f| dips by orders of magnitude inside one panel without a sign
-    change at its ends, the panel is rescanned finely: near-tangential root
-    pairs (fv develops one near the lower critical modulus) would otherwise
-    be skipped and the first root misreported.  Only the values up to the
-    first sign change are read, since a dip before it reads no value past
-    that panel.
-
-    A float64 branch function of ``_branch_fn`` carries ``on_array``: the
-    grid and each dip rescan are then one array call each, and the values
-    past the first flip are dropped.  Any other f is scanned point by point
-    up to that flip (``_scan_to_first_flip``), a dip rescan reuses the grid
-    values it meets, and Brent starts from the values at the panel's ends.
-    Brent re-reads those ends for an array-scanned f: the scalar call
-    computes in numpy scalars, whose ``x ** n`` can round differently from
-    the array loop, and the root keeps the bits of that scalar iteration.
-    A screened mpmath branch (``_screened_fv_c2``) carries ``on_array`` too:
-    its array values are series values where their sign is sure, so Brent
-    re-reads the ends under mpmath.
+    The grid and each dip rescan are one call of ``f.on_array``, and the
+    values past the first flip are dropped.  A panel before it where |f|
+    dips by orders of magnitude without a sign change at its ends is
+    rescanned finely: near-tangential root pairs (fv develops one near the
+    lower critical modulus) would otherwise be skipped.  Brent re-reads the
+    panel's ends through f: a float64 branch's scalar call computes in numpy
+    scalars, whose ``x ** n`` can round differently from the array loop, and
+    the screened mpmath branch's array values are partly series values.
     """
     ps = np.linspace(lo, hi, panels + 1)
-    on_array = getattr(f, "on_array", None)
-    if on_array is None:
-        vals, first_flip = _scan_to_first_flip(f, ps)
-    else:
-        vals = on_array(ps)
-        flips = sign_changes(vals)
-        first_flip = int(flips[0]) if len(flips) else None
-        if first_flip is not None:
-            vals = vals[:first_flip + 2]
+    vals = f.on_array(ps)
+    flips = sign_changes(vals)
+    first_flip = int(flips[0]) if len(flips) else None
+    if first_flip is not None:
+        vals = vals[:first_flip + 2]
 
-    def refine(xs, fx, i):
-        fa, fb = (None, None) if on_array is not None else (fx[i], fx[i + 1])
-        root, froot = _brent(f, xs[i], xs[i + 1], xtol, fa, fb)
+    def refine(xs, i):
+        root, froot = _brent(f, xs[i], xs[i + 1], xtol)
         return RootInfo(root, (float(xs[i]), float(xs[i + 1])), abs(froot))
 
     # vals ends with the panel of the first flip, so every dip lies before it
@@ -614,15 +589,9 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
                       & (absv[1:-1] <= absv[:-2]) & (absv[1:-1] <= absv[2:]))[0]
     for j in dips:
         fine = np.linspace(ps[j], ps[j + 2], 257)
-        if on_array is not None:
-            fine_vals = on_array(fine)
-        else:
-            # the ends and (mostly) the midpoint of the fine grid are ps[j:j + 3]
-            held = dict(zip(ps[j:j + 3], vals[j:j + 3]))
-            fine_vals = np.array([held[p] if p in held else f(p) for p in fine])
-        ff = sign_changes(fine_vals)
+        ff = sign_changes(f.on_array(fine))
         if len(ff):
-            return refine(fine, fine_vals, ff[0])
+            return refine(fine, ff[0])
     if first_flip is None:
         exact = np.nonzero(vals == 0.0)[0]
         if len(exact):
@@ -630,21 +599,22 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
             return RootInfo(p0, (p0 - xtol, p0 + xtol), 0.0)
         raise NumericalError(
             f"no sign change of {getattr(f, '__name__', 'f')} in ({lo:g}, {hi:g})")
-    return refine(ps, vals, first_flip)
+    return refine(ps, first_flip)
 
 
-def _polish_root_mp(fmp, info: RootInfo, dx: float = 1e-3) -> RootInfo:
+def _polish_root_mp(fmp, info: RootInfo) -> RootInfo:
     """Re-locate a float64 root under mpmath.
 
     Needed where the target function is nearly degenerate: fz has a cubic
     root at p = 2K when 2E(k) = K(k) and fv develops a double root at the
     lower critical modulus, so float64 noise shifts the located root by up
-    to (noise)**(1/3).  The mp bracket is kept narrow so it contains only
-    the intended root.  If the bracket shows no sign change, the root is a
-    tangency: its location is taken as the interior minimum of |f|.
+    to (noise)**(1/3).  The mp bracket, POLISH_DX on each side, is kept
+    narrow so it contains only the intended root.  If the bracket shows no
+    sign change, the root is a tangency: its location is taken as the
+    interior minimum of |f|.
     """
     with mpmath.workdps(POLISH_DPS):
-        a, b = info.root - dx, info.root + dx
+        a, b = info.root - POLISH_DX, info.root + POLISH_DX
         fa, fb = fmp(a), fmp(b)
         if fa == 0.0 or fb == 0.0:
             return info
@@ -681,13 +651,9 @@ def _branch_fn(kernel, forms, k, mp=False):
 
 
 def _screened_fv_c2(k):
-    """The mpmath branch of fv on C2, with ``on_array`` taken from its small-k
-    series.
-
-    ``f.on_array(ps)`` returns the series values where their sign is sure
-    and f's own values at the other points, up to the first sign change
-    only; so ``_first_root`` finds the panel of the point-by-point mpmath
-    scan, and its Brent re-reads the panel's ends under mpmath.
+    """The mpmath branch of fv on C2, whose ``on_array`` is the scan screened
+    by its small-k series: ``_first_root`` finds the point-by-point mpmath
+    scan's panel, and its Brent re-reads the panel's ends under mpmath.
     """
     f = _branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True)
 
@@ -736,6 +702,7 @@ def _p1_v_c2_cached(k: float) -> RootInfo:
 def _p1_v0_cached() -> RootInfo:
     def fv0(u):
         return float(fv0_kernel(u))
+    fv0.on_array = fv0_kernel
     info = _first_root(fv0, 0.05, math.pi - 1e-12, 256, 1e-13)
     if not math.pi / 2.0 < info.root < math.pi:
         raise NumericalError(f"p1v0 = {info.root} escaped (pi/2, pi)")
@@ -788,7 +755,8 @@ def critical_moduli():
     # steep region where the first fv root emerges from a tangential pair.
     def shared(k):
         return _branch_fn(fv_c1_kernel, C1_FORMS, k)(_p1_z_cached(k).root)
-    roots = grid_roots(shared, np.linspace(0.02, 0.98, 121), count=None)
+    ks = np.linspace(0.02, 0.98, 121)
+    roots = grid_roots(shared, ks, np.array([shared(k) for k in ks]), count=None)
     if len(roots) != 2:
         raise NumericalError(f"expected 2 critical moduli, found {len(roots)}")
     k1, k0 = sorted(r for r, _ in roots)
@@ -818,7 +786,7 @@ def _polished_shared_sign(k):
     with mpmath.workdps(POLISH_DPS):
         pz = _p1_z_cached(k).root
         pz = brent_root(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True),
-                        pz - 1e-3, pz + 1e-3, xtol=1e-14)
+                        pz - POLISH_DX, pz + POLISH_DX, xtol=1e-14)
         return _branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True)(pz)
 
 

@@ -161,8 +161,29 @@ def test_conj_horizon_below_zero_reports_inf(capsys):
     assert doc["upper_ok"] is True      # bound check runs with its own cap
 
 
+# the README's conj example
+README_C1 = ("--stratum", "C1", "--phi", "0.37", "--k", "0.5", "--alpha", "1", "--beta", "0.4")
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_conj_horizon_not_finite_is_usage_error(capsys, horizon):
+    code, out, err = run(capsys, "conj", *README_C1, "--horizon", horizon)
+    assert (code, out) == (2, "")
+    assert err == "error: search horizon must be positive and finite\n"
+
+
+def test_conj_far_horizon_matches_default(capsys):
+    # the J1 grid past the upper bound is built only when it is scanned, so
+    # a cap far past it finds the default search's zero at no extra cost
+    code, out, _ = run(capsys, "conj", *README_C1, "--horizon", "1e12")
+    assert code == 0
+    default = json.loads(run(capsys, "conj", *README_C1)[1])
+    doc = json.loads(out)
+    assert (doc["t_max1"], doc["t_conj"]) == (default["t_max1"], default["t_conj"])
+
+
 @pytest.mark.parametrize("argv", [
-    ("--stratum", "C1", "--phi", "0.37", "--k", "0.5", "--alpha", "1", "--beta", "0.4"),
+    README_C1,
     ("--stratum", "C2", "--phi", "0.3", "--k", "0.6", "--alpha", "1.4", "--beta", "0.2",
      "--no-cross-check"),
 ])

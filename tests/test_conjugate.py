@@ -696,7 +696,7 @@ def _mp_scan_reference(ec, t_lo, cap):
     def fmp(t):
         return cj._j1_scalar_mp(ec, t, mx.MP_DPS)
     ts = _mp_scan_grid(ec, t_lo, cap)
-    vals, i = mx._scan_to_first_flip(fmp, ts)
+    vals, i = mx._screen_to_first_flip(fmp, ts, np.empty(len(ts)), np.zeros(len(ts), dtype=bool))
     if i is None:
         return None
     a, b = float(ts[i]), float(ts[i + 1])

@@ -180,10 +180,21 @@ def _piecewise(ys):
     return xs, lambda x: float(np.interp(x, xs, ys))
 
 
-def test_scan_to_first_flip_stops_at_first_flip():
+def _point_scan(f, xs):
+    """The point-by-point scan of f along xs: the screened scan, nothing sure."""
+    return maxwell._screen_to_first_flip(f, xs, np.empty(len(xs)), np.zeros(len(xs), dtype=bool))
+
+
+def _with_array_form(f):
+    """f, with the array form that calls f at each point in turn."""
+    f.on_array = lambda ps: np.array([f(p) for p in ps])
+    return f
+
+
+def test_unscreened_scan_stops_at_first_flip():
     xs = np.linspace(0.0, 3.0, 61)
     f = _counting(lambda x: math.cos(7.0 * x))
-    vals, i = maxwell._scan_to_first_flip(f, xs)
+    vals, i = _point_scan(f, xs)
     first = int(np.searchsorted(xs, math.pi / 14.0)) - 1     # the panel of the first zero
     assert i == first
     # the scan reads xs[:first + 2] in order, each once
@@ -195,8 +206,9 @@ def test_scan_to_first_flip_stops_at_first_flip():
     assert len(f.calls) - (first + 2) < 20
     assert _each_once(f.calls)
     f.calls = []
-    assert (root, (xs[i], xs[i + 1])) == maxwell.grid_roots(f, xs, count=None)[0]
-    assert _each_once(f.calls)
+    grid_vals = np.array([math.cos(7.0 * x) for x in xs])
+    assert (root, (xs[i], xs[i + 1])) == maxwell.grid_roots(f, xs, grid_vals, count=None)[0]
+    assert _each_once(f.calls) and not set(f.calls) & set(xs)
     assert root == pytest.approx(math.pi / 14.0, abs=1e-12)
 
 
@@ -211,9 +223,9 @@ def test_grid_roots_sign_test_matches_sign_changes(ys, first):
     # sign test of sign_changes
     xs, g = _piecewise(ys)
     f = _counting(g)
-    vals, i = maxwell._scan_to_first_flip(f, xs)
+    vals, i = _point_scan(f, xs)
     scan_calls, f.calls = f.calls, []
-    full = maxwell.grid_roots(f, xs, count=None)
+    full = maxwell.grid_roots(f, xs, np.array(ys), count=None)
     assert _each_once(scan_calls) and _each_once(f.calls)
     hits = maxwell.sign_changes(np.array(ys))
     # a screen sure of the sign of every nonzero value, as |v| > margin * bound
@@ -224,8 +236,8 @@ def test_grid_roots_sign_test_matches_sign_changes(ys, first):
     assert screened.calls == [x for x, y in zip(xs[:len(svals)], ys) if not y or math.isnan(y)]
     if first is None:
         assert i is None and full == [] and len(hits) == 0
-        # no flip: every grid point was evaluated once
-        assert scan_calls == f.calls == list(xs)
+        # no flip: every grid point was evaluated once, and no Brent ran
+        assert scan_calls == list(xs) and f.calls == []
     else:
         assert hits[0] == first == i
         assert full[0][1] == (xs[first], xs[first + 1])
@@ -236,29 +248,34 @@ def test_first_root_rescans_dip_before_first_flip():
     # a root pair 2e-3 apart near p = 3 inside one panel of the 64-panel grid
     # on (0, 10), then a simple root at 6.3: the dip must give the pair's root
     ps = np.linspace(0.0, 10.0, maxwell.SCAN_PANELS + 1)
-    f = _counting(lambda p: ((p - 3.0) ** 2 - 1e-6) * (6.3 - p))
+    f = _with_array_form(_counting(lambda p: ((p - 3.0) ** 2 - 1e-6) * (6.3 - p)))
     info = maxwell._first_root(f, 0.0, 10.0)
     assert info.root == pytest.approx(2.999, abs=1e-10)
-    # the coarse scan stopped at the flip near 6.3: one grid point past it
-    flip = int(np.searchsorted(ps, 6.3)) - 1
-    assert set(f.calls) & set(ps) == set(ps[:flip + 2])
-    assert len(f.calls) < flip + 2 + 257 + 40
-    # the fine grid's ends and midpoint are grid points, read once
-    assert _each_once(f.calls)
+    # one array call on the grid, one on 257 points across the two panels
+    # around the grid point below the pair, then Brent inside its fine panel
+    j = int(np.searchsorted(ps, 3.0)) - 2
+    fine = np.linspace(ps[j], ps[j + 2], 257)
+    assert f.calls[:len(ps) + len(fine)] == list(ps) + list(fine)
+    brent = f.calls[len(ps) + len(fine):]
+    assert len(brent) < 40
+    assert all(info.bracket[0] <= x <= info.bracket[1] for x in brent)
 
 
 def test_first_root_ignores_dip_after_first_flip():
     # a simple root at 2.11, then a root pair near p = 6: the scan stops at
     # the first flip and refines its panel, never reading the pair
     ps = np.linspace(0.0, 10.0, maxwell.SCAN_PANELS + 1)
-    f = _counting(lambda p: (2.11 - p) * ((p - 6.0) ** 2 - 1e-6))
+    f = _with_array_form(_counting(lambda p: (2.11 - p) * ((p - 6.0) ** 2 - 1e-6)))
     info = maxwell._first_root(f, 0.0, 10.0)
     assert info.root == pytest.approx(2.11, abs=1e-12)
     flip = int(np.searchsorted(ps, 2.11)) - 1
     assert info.bracket == (ps[flip], ps[flip + 1])
-    assert set(f.calls) & set(ps) == set(ps[:flip + 2])
-    assert len(f.calls) < flip + 2 + 40
-    assert _each_once(f.calls)
+    # one array call on the grid, then Brent inside the first flip's panel:
+    # the pair past it was never rescanned
+    assert f.calls[:len(ps)] == list(ps)
+    brent = f.calls[len(ps):]
+    assert len(brent) < 40
+    assert all(ps[flip] <= x <= ps[flip + 1] for x in brent)
     assert info.residual == abs(f(info.root))
 
 
@@ -286,7 +303,7 @@ F64_BRANCHES = {
 def test_array_scan_matches_point_scan(branch):
     # precondition of the array scan: on an array the kernel gives the bits
     # of its 1-element calls, and the first root found from the array values
-    # is the root a point-by-point scan finds, bracket and residual included.
+    # is the root found from its scalar calls, bracket and residual included.
     # (A scalar call computes in numpy scalars, whose x ** n can round
     # differently, so scalar and array values are not compared bit for bit.)
     kernel, forms, n_k = F64_BRANCHES[branch]
@@ -304,6 +321,7 @@ def test_array_scan_matches_point_scan(branch):
 
         def point(p):
             return f(p)
+        point.on_array = lambda ps: np.array([f(p) for p in ps])
         assert maxwell._first_root(f, 0.02, hi) == maxwell._first_root(point, 0.02, hi)
 
 
@@ -382,6 +400,23 @@ MAXWELL_BITS = {
 }
 
 
+# p1v0's RootInfo (root, bracket ends, residual) as float.hex(), frozen from
+# the point-by-point scan that located it before fv0 had an array form
+P1V0_BITS = ("0x1.26807a30324d2p+1", ("0x1.25eb09b39825fp+1", "0x1.2776c3027601dp+1"),
+             "0x1.3c40000000000p-44")
+
+
+def test_p1v0_keeps_its_bits():
+    # precondition of its array scan: on its 257-point grid, fv0's array
+    # values are its scalar calls, bit for bit
+    ps = np.linspace(0.05, math.pi - 1e-12, 257)
+    assert maxwell.fv0_kernel(ps).tobytes() == \
+        np.array([float(maxwell.fv0_kernel(p)) for p in ps]).tobytes()
+    info = maxwell._p1_v0_cached.__wrapped__()
+    assert (info.root.hex(), tuple(x.hex() for x in info.bracket),
+            info.residual.hex()) == P1V0_BITS
+
+
 @pytest.mark.parametrize("branch", sorted(F64_BRANCHES))
 def test_maxwell_roots_keep_their_bits(branch):
     kernel, forms, n_k = F64_BRANCHES[branch]
@@ -423,15 +458,6 @@ def test_p1v0_bracket():
     assert abs(float(f_V0(v))) < 1e-10
 
 
-def test_root_brackets_on_grid():
-    for k in np.arange(0.05, 0.951, 0.05):
-        k = float(k)
-        K = complete_K(k)
-        assert K < p1_z(k) < 3.0 * K
-        assert 2.0 * K - 1e-9 <= p1_V(k, Stratum.C1) < 4.0 * K
-        assert K < p1_V(k, Stratum.C2) < 2.0 * K
-
-
 def test_root_residuals():
     for k in (0.3, 0.7):
         assert abs(float(f_z_C1(p1_z(k), k))) < 1e-10
@@ -463,8 +489,10 @@ def test_screened_fv_root_is_the_mpmath_scan_root(k):
     # root, bracket and residual are those of the point-by-point mpmath scan
     k = float(k)
     hi = 2.0 * complete_K(k) - 1e-9
+    fmp = maxwell._branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True)
+    fmp.on_array = lambda ps: _point_scan(fmp, ps)[0]
     with mpmath.workdps(maxwell.MP_DPS):
-        point = maxwell._first_root(maxwell._branch_fn(fv_c2_kernel, C2_FORMS, k, mp=True), 1e-3, hi)
+        point = maxwell._first_root(fmp, 1e-3, hi)
     assert maxwell._p1_v_c2_cached.__wrapped__(k) == point
 
 
