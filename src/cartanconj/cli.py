@@ -106,7 +106,7 @@ def cmd_conj(args) -> int:
     upper_ok = res.upper_ok     # True off C1/C2, where the bound is +inf
     if args.horizon is not None and st in mx.FORMS:
         # the flag judges the default-cap search, not the capped one
-        upper_ok = cj.two_sided_check(lam)[1]
+        upper_ok = cj.first_conjugate_time(lam).upper_ok
     out = {
         "stratum": str(st),
         "t_max1": _jsonable(res.t_max),
@@ -159,8 +159,12 @@ def cmd_sweep(args) -> int:
                        "t_max1": "", "t_conj": "", "lower_ok": "",
                        "upper_ok": "", "error": ""}
                 try:
-                    lower, upper, tc, tm, _ = cj.two_sided_check(lam)
-                    row.update(t_max1=tm, t_conj=tc, lower_ok=lower, upper_ok=upper)
+                    # two_sided_check's flags, read off the result so that no
+                    # Maxwell root is polished for the bound's value alone
+                    mx.stratum_forms(fl.classify(lam))      # StratumError off C1/C2
+                    res = cj.first_conjugate_time(lam)
+                    row.update(t_max1=res.t_max, t_conj=res.t_conj, lower_ok=True,
+                               upper_ok=res.upper_ok)
                 except (NumericalError, ValueError) as exc:   # StratumError is a ValueError
                     row["error"] = type(exc).__name__
                 rows.append(row)

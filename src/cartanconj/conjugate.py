@@ -34,13 +34,17 @@ moduli J1 is below float64 resolution; there the float64 small-k series of
 the kernels screens the grid, mpmath evaluates the times whose sign it
 leaves open, up to the first sign change, and Brent runs under mpmath.
 The variational Jacobian of ``flow`` cross-checks the located zero on
-demand.
+demand.  The half-arc part of J1 does not depend on the phase, so the
+searches of one modulus (a ``sweep`` row) share its float64 grids
+(``_half_arc_grid``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -70,6 +74,9 @@ AGREEMENT_TOL = 1e-4
 # and ``two_sided_check`` report is the literal True.  The slack is absolute,
 # so it does not scale with t_max under dilation.
 BOUND_SLACK = 1e-6
+# half-arc grids the float64 J1 scan keeps (``_half_arc_grid``): one per
+# modulus of a sweep row, whose phases (at most 8 by default) share it
+HALF_ARC_GRIDS = 8
 # matrices per batched SVD of the lazy sign-certainty scan (``_first_certain``)
 _CERTAIN_CHUNK = 64
 # times of the variational J0 grid on (t_lo, cap]: the cap is 1.05 t_conj
@@ -216,13 +223,24 @@ class JacobianFactors:
     noise: float
 
 
-def _j1(ec: EllipticCoord, t):
+def _half_arc(forms, k, sa, t):
+    """The half-arc part of J1 at times t, in the arithmetic of t and k:
+    (sn p, a0, a2, m0, m2) at the half-arc p = sa t / arc_div(k), with
+    sin u1 for sn p on C2, and m0, m2 the noise magnitudes of a0, a2."""
+    args = forms.args(sa * t / forms.arc_div(float(k)), k)
+    (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (
+        kern(*args) for kern in (forms.fv, forms.fz, forms.a01, forms.a21))
+    return (args[forms.sn_slot], fv * a01 / forms.a0_scale, fz * a21,
+            (abs(fv) * m01 + mfv * abs(a01)) / forms.a0_scale, abs(fz) * m21 + mfz * abs(a21))
+
+
+def _j1(ec: EllipticCoord, t, half=None):
     """(J1, noise, xi, Delta, a0, a2) along a C1 or C2 extremal.
 
     Float64 arrays for an array of times; Python floats for a Python float
     time, with the bits of the call on the 1-element array [t] (the
     arithmetics of ``elliptic``); mpf values at the working precision for an
-    mpf time.
+    mpf time.  ``half`` is ``_half_arc`` at t when the caller holds it.
     """
     forms = stratum_forms(ec.stratum)
     mp = isinstance(t, mpmath.mpf)
@@ -232,22 +250,29 @@ def _j1(ec: EllipticCoord, t):
     kf, phi = float(ec.k), float(ec.phi)
     k = mpmath.mpf(kf) if mp else kf
     k2 = k * k
-    p = sa * t / forms.arc_div(kf)
+    if half is None:
+        half = _half_arc(forms, k, sa, t)
+    sn_p, a0, a2, m0, m2 = half
     tau = sa * (phi + t / 2.0) / forms.phase_div(kf)
     snt = _jacobi_at(tau, k)[2]
     xi = snt * snt
-    args = forms.args(p, k)
-    (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (
-        kern(*args) for kern in (forms.fv, forms.fz, forms.a01, forms.a21))
     w0, w2 = forms.weights(xi, k2)
-    a0 = fv * a01 / forms.a0_scale
-    a2 = fz * a21
     j1 = a0 * w0 - a2 * w2
-    noise = _EPS * _NOISE_SAFETY * (
-        (abs(fv) * m01 + mfv * abs(a01)) / forms.a0_scale * abs(w0)
-        + (abs(fz) * m21 + mfz * abs(a21)) * abs(w2))
-    delta = 1.0 - k2 * ipow(args[forms.sn_slot] * snt, 2)
+    noise = _EPS * _NOISE_SAFETY * (m0 * abs(w0) + m2 * abs(w2))
+    delta = 1.0 - k2 * ipow(sn_p * snt, 2)
     return j1, noise, xi, delta, a0, a2
+
+
+@lru_cache(maxsize=HALF_ARC_GRIDS)
+def _half_arc_grid(stratum, k, alpha, t_lo, t_end, dt, start, stop):
+    """``_half_arc`` on the float64 scan's grid part np.arange(t_lo, t_end,
+    dt)[start:stop], as read-only arrays.  The phases of a sweep row share
+    their modulus, and with it these grids."""
+    half = _half_arc(stratum_forms(stratum), k, math.sqrt(alpha),
+                     np.arange(t_lo, t_end, dt)[start:stop])
+    for a in half:
+        a.flags.writeable = False
+    return half
 
 
 def j1_path(ec: EllipticCoord, t):
@@ -316,20 +341,35 @@ class ConjugateResult:
     method: str
     residual: float
     t_max: float
-    upper: float = math.inf     # the C1/C2 upper bound on t_conj
+    # (lo, hi) holding the C1/C2 upper bound on t_conj, and the bound itself
+    # on a call (a polish of the larger C1 Maxwell root when lo < hi)
+    upper_range: tuple = (math.inf, math.inf)
+    polished_upper: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.t_conj)
 
+    @cached_property
+    def upper(self) -> float:
+        """The C1/C2 upper bound on t_conj (+inf off C1/C2)."""
+        lo, hi = self.upper_range
+        return lo if lo == hi else self.polished_upper()
+
     @property
     def upper_ok(self) -> bool:
-        """Whether t_conj <= upper, within BOUND_SLACK."""
+        """Whether t_conj <= upper, within BOUND_SLACK; the bound is read
+        only when t_conj lies between its range's ends (plus the slack)."""
+        lo, hi = self.upper_range
+        if self.t_conj <= lo + BOUND_SLACK:
+            return True
+        if self.t_conj > hi + BOUND_SLACK:
+            return False
         return bool(self.t_conj <= self.upper + BOUND_SLACK)
 
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
-                         t_split: float = math.inf):
+                         t_split: float = math.inf, t_default: float | None = None):
     """First zero of t -> J1 on (t_lo, t_cap], or None.
 
     The float64 scan evaluates J1 in two array calls at most: on the grid up
@@ -340,7 +380,9 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     Panels are decided in grid order, so the zero is the one a scan of the
     whole grid finds, and the dip rescan runs only when the whole grid holds
     no decided sign change.  Brent starts from the values that the scan or
-    an ambiguous panel's mpmath check holds.
+    an ambiguous panel's mpmath check holds.  The half-arc part of each
+    arange part comes from ``_half_arc_grid``, which the searches of one
+    modulus share.
 
     Below ``mp_k`` (small C2 moduli) J1 lies under float64 resolution.  The
     kernels' small-k series (``_j1_c2_series``) decide the sign of J1 at the
@@ -349,6 +391,9 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     runs under mpmath from that panel's mpmath end values.  Whenever each
     screened sign is J1's (the tests check it on the series' range), the
     zero, bracket and residual are those of a point-by-point mpmath scan.
+    That grid's step is set by the default cap t_default (t_cap when None),
+    whatever t_cap is, and it is screened one default grid's span at a time
+    up to t_cap, so a far cap neither stretches the step nor the grid.
     """
     forms = stratum_forms(ec.stratum)
     where = f"on {ec.stratum.value} at k={ec.k!r}, phi={ec.phi!r}"
@@ -369,16 +414,24 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         return root, (a, b), abs(froot)
 
     if ec.k < forms.mp_k:
-        # a few hundred grid times suffice: in this regime J1 tracks a0(p),
-        # whose zeros are spaced on the K(k) scale.  The scan stops at the
-        # first sign change, which lies just past t_max, at most a third of
-        # the way into the grid.
-        ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
-        screen, bound = _j1_c2_series(ec, ts)
-        sure = np.abs(screen) > SIGN_MARGIN * bound
-        vals, i = _screen_to_first_flip(fmp, ts, screen, sure)
-        if i is None:
-            return None
+        # a few hundred grid times up to the default cap suffice: in this
+        # regime J1 tracks a0(p), whose zeros are spaced on the K(k) scale.
+        # The scan stops at the first sign change, which lies just past
+        # t_max, at most a third of the way into that grid.
+        t_default = t_cap if t_default is None else t_default
+        span = t_default - t_lo
+        step = max(dt, span / 300.0)
+        lo, hi = t_lo, t_default
+        while True:
+            ts = np.arange(lo, min(t_cap, hi), step)
+            screen, bound = _j1_c2_series(ec, ts)
+            sure = np.abs(screen) > SIGN_MARGIN * bound
+            vals, i = _screen_to_first_flip(fmp, ts, screen, sure)
+            if i is not None:
+                break
+            if hi >= t_cap or len(ts) < 2:
+                return None
+            lo, hi = ts[-1], ts[-1] + span      # the next span starts at this one's end
         a, b = float(ts[i]), float(ts[i + 1])
         root, froot = _brent(fmp, a, b, fa=None if sure[i] else vals[i],
                              fb=None if sure[i + 1] else vals[i + 1])
@@ -386,19 +439,24 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
 
     n = math.ceil((t_cap - t_lo) / dt)          # len(np.arange(t_lo, t_cap, dt))
     if n < 4:
-        ts = np.linspace(t_lo, t_cap, 8)
+        ts, t_end = np.linspace(t_lo, t_cap, 8), None
     else:
-        ts = np.arange(t_lo, min(t_cap, t_split + 2.0 * dt), dt)
+        t_end = min(t_cap, t_split + 2.0 * dt)
+        ts = np.arange(t_lo, t_end, dt)
     split = min(len(ts), int(np.searchsorted(ts, t_split, side="right")) + 1)
     vals = noise = np.empty(0)
     for stop in (split, None):
         if stop is None and len(ts) < n:
-            ts = np.arange(t_lo, t_cap, dt)
-        part = ts[len(vals):stop]
+            t_end = t_cap
+            ts = np.arange(t_lo, t_end, dt)
+        start, stop = len(vals), len(ts) if stop is None else stop
+        part = ts[start:stop]
         if not len(part):
             continue
-        first = max(len(vals) - 1, 0)       # the panel across the split is new
-        v, nz = j1_path(ec, part)[:2]
+        first = max(start - 1, 0)           # the panel across the split is new
+        half = None if t_end is None else _half_arc_grid(
+            ec.stratum, float(ec.k), float(ec.alpha), t_lo, t_end, dt, start, stop)
+        v, nz = _j1(ec, part, half)[:2]
         vals, noise = np.concatenate((vals, v)), np.concatenate((noise, nz))
         clear = np.abs(vals) > SIGN_MARGIN * noise
         for i in first + sign_changes(vals[first:]):
@@ -448,35 +506,45 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     (optionally) cross-checked against the variational Jacobian; the two
     must agree to ``AGREEMENT_TOL`` or SolverDisagreement is raised.
     The result carries the stratum upper bound on t_conj (+inf where the
-    period diverges or off C1/C2).
+    period diverges or off C1/C2): on C1 as a range from the float64 Maxwell
+    roots, which decides the default cap and ``upper_ok`` unless it holds
+    the value that decides them, and as the polished bound on first read of
+    ``upper``.  The covector is converted to elliptic coordinates once.
     """
     st = classify(lam)
     if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
         return ConjugateResult(math.inf, None, "analytic", 0.0, math.inf)
-    mr = t_max1(lam)
     if st is Stratum.C6:
         # the cylinder chart is singular at alpha = 0 (beta acts trivially),
         # so the variational Jacobian vanishes identically there and cannot
         # locate the conjugate point; it is the C2 -> C6 limit of t_max1
-        return ConjugateResult(mr.t_max, None, "analytic", 0.0, mr.t_max)
+        t_max = t_max1(lam).t_max
+        return ConjugateResult(t_max, None, "analytic", 0.0, t_max)
     ec = to_elliptic(lam)
-    if ec.k > K_ONE_CUTOFF or not math.isfinite(mr.t_max):
-        return ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max)
-    upper = stratum_forms(st).upper(ec.k, math.sqrt(ec.alpha))
-    cap = t_cap if t_cap is not None else max(3.0 * mr.t_max, 1.1 * upper)
+    forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
+    t_max = forms.maxwell_time(k, sa)[0] if k <= K_ONE_CUTOFF else math.inf
+    if not math.isfinite(t_max):
+        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max)
+    # the upper bound from the float64 Maxwell roots: the polished one lies
+    # in [lo, hi], and it is computed only where that range leaves open the
+    # default cap max(3 t_max, 1.1 upper) or, in the result, upper_ok
+    lo, hi = forms.upper_range(k, sa)
+    polished = partial(forms.upper, k, sa)
+    t_default = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * polished())
+    cap = t_cap if t_cap is not None else t_default
     if not (cap > 0.0 and math.isfinite(cap)):
         raise ValueError("search horizon must be positive and finite")
-    t_lo = min(scan_start_time(ec), 0.5 * mr.t_max)
-    hit = _first_zero_analytic(ec, t_lo, cap, upper)
+    t_lo = min(scan_start_time(ec), 0.5 * t_max)
+    hit = _first_zero_analytic(ec, t_lo, cap, hi, t_default)
     if hit is None:
-        result = ConjugateResult(math.inf, None, "analytic", 0.0, mr.t_max, upper)
+        result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)
     else:
         root, bracket, residual = hit
-        if root < mr.t_max - BOUND_SLACK:
+        if root < t_max - BOUND_SLACK:
             raise NumericalError(
                 f"located Jacobian zero t={root} undercuts the Maxwell time "
-                f"{mr.t_max}; the conjugate-time bound excludes this")
-        result = ConjugateResult(root, bracket, "analytic", residual, mr.t_max, upper)
+                f"{t_max}; the conjugate-time bound excludes this")
+        result = ConjugateResult(root, bracket, "analytic", residual, t_max, (lo, hi), polished)
 
     if cross_validate:
         v_cap = min(cap, 1.05 * result.t_conj) if result.finite else cap
@@ -496,8 +564,9 @@ def two_sided_check(lam: Covector):
     """(lower_ok, upper_ok) for t_max <= t_conj <= the stratum upper bound.
 
     lower_ok is True (see BOUND_SLACK); upper_ok is read off one default-cap
-    search.  ``conj`` reads it off its own search, or calls this when
-    ``--horizon`` caps that search.  A failed upper flag is a reportable
+    search.  ``conj`` and ``sweep`` read upper_ok off such a search's result
+    instead, which polishes no Maxwell root the flag does not need; the
+    fifth value here is the polished bound.  A failed upper flag is a reportable
     finding (the upper bounds are numerical evidence, not theorems), so no
     exception is raised for it.
     Returns (lower_ok, upper_ok, t_conj, t_max, upper).

@@ -23,7 +23,11 @@ precision.  For small moduli the C2 functions are evaluated under mpmath,
 since their values are suppressed by k**3 (fz) and k**8 (fv) against O(1)
 monomials and float64 would return noise.  There a float64 series in k
 (``c2_series``) screens the mpmath scans: it decides the signs it is sure
-of, and mpmath evaluates every value that reaches a root.
+of, and mpmath evaluates every value that reaches a root.  Above it every
+float64 root is polished under mpmath (``_polish_root_mp``); on C1 only the
+one of p1z and p1v that reaches t_max1 is (``_c1_maxwell_root``), and the
+C1 upper bound, which needs the other, has a range from the float64 roots
+(``_c1_upper_range``) that decides most uses without a polish.
 """
 
 from __future__ import annotations
@@ -602,6 +606,11 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     return refine(ps, first_flip)
 
 
+def _polish_ends(info: RootInfo):
+    """The ends of the polish's bracket around a float64 root."""
+    return info.root - POLISH_DX, info.root + POLISH_DX
+
+
 def _polish_root_mp(fmp, info: RootInfo) -> RootInfo:
     """Re-locate a float64 root under mpmath.
 
@@ -614,7 +623,7 @@ def _polish_root_mp(fmp, info: RootInfo) -> RootInfo:
     interior minimum of |f|.
     """
     with mpmath.workdps(POLISH_DPS):
-        a, b = info.root - POLISH_DX, info.root + POLISH_DX
+        a, b = _polish_ends(info)
         fa, fb = fmp(a), fmp(b)
         if fa == 0.0 or fb == 0.0:
             return info
@@ -664,24 +673,69 @@ def _screened_fv_c2(k):
     return f
 
 
+# the ranges the first roots lie in: (p, K) -> whether p is inside
+def _p1z_range(p, K):
+    return K < p < 3.0 * K
+
+
+def _p1v_c1_range(p, K):
+    return 2.0 * K - 1e-6 <= p < 4.0 * K
+
+
+# The C1 roots are located in float64 and polished under mpmath, each step
+# with its own cache, so that ``_c1_maxwell_root`` polishes only the root
+# that reaches t_max1.  The polished caches are the ones perfbench counts.
+@lru_cache(maxsize=4096)
+def _p1_z_f64(k: float) -> RootInfo:
+    return _first_root(_branch_fn(fz_c1_kernel, C1_FORMS, k), 0.02, 3.0 * complete_K(k) - 1e-9)
+
+
+@lru_cache(maxsize=4096)
+def _p1_v_c1_f64(k: float) -> RootInfo:
+    return _first_root(_branch_fn(fv_c1_kernel, C1_FORMS, k), 0.02, 4.0 * complete_K(k) - 1e-9)
+
+
 @lru_cache(maxsize=4096)
 def _p1_z_cached(k: float) -> RootInfo:
-    K = complete_K(k)
-    info = _first_root(_branch_fn(fz_c1_kernel, C1_FORMS, k), 0.02, 3.0 * K - 1e-9)
-    info = _polish_root_mp(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True), info)
-    if not K < info.root < 3.0 * K:
+    info = _polish_root_mp(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True), _p1_z_f64(k))
+    if not _p1z_range(info.root, complete_K(k)):
         raise NumericalError(f"p1z(k={k}) = {info.root} escaped (K, 3K)")
     return info
 
 
 @lru_cache(maxsize=4096)
 def _p1_v_c1_cached(k: float) -> RootInfo:
-    K = complete_K(k)
-    info = _first_root(_branch_fn(fv_c1_kernel, C1_FORMS, k), 0.02, 4.0 * K - 1e-9)
-    info = _polish_root_mp(_branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True), info)
-    if not 2.0 * K - 1e-6 <= info.root < 4.0 * K:
+    info = _polish_root_mp(_branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True), _p1_v_c1_f64(k))
+    if not _p1v_c1_range(info.root, complete_K(k)):
         raise NumericalError(f"p1v(k={k}) = {info.root} escaped [2K, 4K)")
     return info
+
+
+def _c1_maxwell_root(k):
+    """RootInfo of min(p1z, p1v), the half-arc of t_max1 on C1.
+
+    A polished root lies within POLISH_DX of its float64 root (in the
+    polish's bracket), so when the float64 roots lie more than 2 POLISH_DX
+    apart the smaller one's polish is the minimum, and only it is polished,
+    provided the larger root cannot escape its range check in a polish.
+    Otherwise (near k1 and k0, and at a range edge) both are polished, and
+    the minimum and the range checks are those of the polished roots.
+    """
+    z, v = _p1_z_f64(k), _p1_v_c1_f64(k)
+    if abs(z.root - v.root) > 2.0 * POLISH_DX:
+        K = complete_K(k)
+        if z.root < v.root and all(_p1v_c1_range(p, K) for p in _polish_ends(v)):
+            return _p1_z_cached(k)
+        if v.root < z.root and all(_p1z_range(p, K) for p in _polish_ends(z)):
+            return _p1_v_c1_cached(k)
+    return min(_p1_z_cached(k), _p1_v_c1_cached(k), key=lambda i: i.root)
+
+
+def _c1_upper_range(k, sa):
+    """(lo, hi) around C1's upper bound from the float64 roots: each
+    polished root lies in its polish bracket, and the bound is monotone."""
+    m = max(_p1_z_f64(k).root, _p1_v_c1_f64(k).root)
+    return 2.0 / sa * (m - POLISH_DX), 2.0 / sa * (m + POLISH_DX)
 
 
 @lru_cache(maxsize=4096)
@@ -819,6 +873,7 @@ class StratumForms:
     phase_div: Callable
     maxwell_root: Callable  # k -> RootInfo of the half-arc p1 of t_max1
     upper: Callable         # (k, sa) -> the upper bound on t_conj1
+    upper_range: Callable   # (k, sa) -> (lo, hi) holding upper, with no polish
     scan_p: Callable        # k -> half-arc where the float64 J1 scan starts
     j1_sign: float          # the sign of J1 on (0, t_max1)
     loci: Callable          # k -> phi + t_max1/2 (alpha = 1) where t_conj1 = t_max1
@@ -855,10 +910,16 @@ C1_FORMS = StratumForms(
     weights=lambda xi, k2: (1.0 - xi, xi * (1.0 - k2 * xi) / k2),
     a1=lambda a0, a2, k2: -a0 - a2 / k2,
     arc_div=lambda k: 2.0, phase_div=lambda k: 1.0,
-    maxwell_root=lambda k: min(_p1_z_cached(k), _p1_v_c1_cached(k), key=lambda i: i.root),
+    maxwell_root=_c1_maxwell_root,
     upper=lambda k, sa: 2.0 / sa * max(p1_z(k), p1_V(k, Stratum.C1)),
+    upper_range=_c1_upper_range,
     scan_p=lambda k: max(5e-3, (1e-8 / (k * k * (1.0 - k * k))) ** 0.125),
     j1_sign=-1.0, loci=_c1_loci)
+
+
+def _c2_upper(k, sa):
+    return 4.0 * k * complete_K(k) / sa
+
 
 C2_FORMS = StratumForms(
     Stratum.C2, fz_c2_kernel, fv_c2_kernel, a01_c2_kernel, a21_c2_kernel, c2_kernel_args, 4,
@@ -867,7 +928,8 @@ C2_FORMS = StratumForms(
     a1=lambda a0, a2, k2: -k2 * a0 - a2,
     arc_div=lambda k: 2.0 * k, phase_div=lambda k: k,
     maxwell_root=lambda k: _p1_v_c2_cached(k),      # by name: perfbench rebinds it
-    upper=lambda k, sa: 4.0 * k * complete_K(k) / sa,
+    upper=_c2_upper,
+    upper_range=lambda k, sa: (_c2_upper(k, sa),) * 2,
     scan_p=lambda k: max(0.15, 0.14 / k),
     j1_sign=1.0, loci=lambda k: (2.0 * k * complete_K(k), k * complete_K(k)),   # sn^2 tau = 0, 1
     mp_k=C2_MP_K)

@@ -174,12 +174,18 @@ def test_conj_horizon_not_finite_is_usage_error(capsys, horizon):
 
 def test_conj_far_horizon_matches_default(capsys):
     # the J1 grid past the upper bound is built only when it is scanned, so
-    # a cap far past it finds the default search's zero at no extra cost
-    code, out, _ = run(capsys, "conj", *README_C1, "--horizon", "1e12")
-    assert code == 0
-    default = json.loads(run(capsys, "conj", *README_C1)[1])
-    doc = json.loads(out)
-    assert (doc["t_max1"], doc["t_conj"]) == (default["t_max1"], default["t_conj"])
+    # a cap far past it finds the default search's zero at no extra cost.
+    # Below C2_MP_K the screened grid keeps the default cap's step whatever
+    # the horizon (a step stretched with it once skipped the first zero).
+    small_k_c2 = ("--stratum", "C2", "--phi", "0.3", "--k", "0.1", "--alpha", "1",
+                  "--beta", "0.2", "--no-cross-check")
+    for argv in (README_C1, small_k_c2):
+        default = json.loads(run(capsys, "conj", *argv)[1])
+        for horizon in ("1e3", "1e12"):
+            code, out, _ = run(capsys, "conj", *argv, "--horizon", horizon)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc == default, (argv, horizon)
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,7 +247,7 @@ def test_sweep_error_column(tmp_path, monkeypatch):
     from cartanconj import cli as climod
     from cartanconj.errors import NumericalError
 
-    real = climod.cj.two_sided_check
+    real = climod.cj.first_conjugate_time
     for exc in (NumericalError, ValueError):
         calls = {"n": 0}
 
@@ -251,7 +257,7 @@ def test_sweep_error_column(tmp_path, monkeypatch):
                 raise exc("synthetic failure")
             return real(lam)
 
-        monkeypatch.setattr(climod.cj, "two_sided_check", flaky)
+        monkeypatch.setattr(climod.cj, "first_conjugate_time", flaky)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--stratum", "C1", "--k-range", "0.4:0.5", "--nk", "2",
                      "--nphi", "2", "--out", str(out)]) == 0

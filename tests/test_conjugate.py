@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -407,6 +408,95 @@ def test_two_sided_dilation_invariance(rng):
 def test_two_sided_rejects_special_strata():
     with pytest.raises(StratumError):
         two_sided_check(Covector(0.0, 2.0, 0.0, 0.0))
+
+
+def _clear_c1_roots():
+    for cache in (mx._p1_z_f64, mx._p1_v_c1_f64, mx._p1_z_cached, mx._p1_v_c1_cached):
+        cache.cache_clear()
+
+
+def test_c1_upper_is_the_polished_bound():
+    # the search polishes the larger Maxwell root only where the float64
+    # roots leave the cap open; the reported bound is the polished one
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        lam = random_c1(rng)
+        ec = to_elliptic(lam)
+        _clear_c1_roots()
+        res = first_conjugate_time(lam)
+        want = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+        lo, hi = res.upper_range
+        assert lo <= want <= hi
+        assert res.upper.hex() == want.hex() == two_sided_check(lam)[4].hex()
+
+
+def test_upper_ok_reads_the_polished_bound_only_near_it():
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
+    res = first_conjugate_time(lam)
+    ec = to_elliptic(lam)
+    upper = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+    lo, hi = res.upper_range
+    edge = upper + cj.BOUND_SLACK
+    reads = []
+
+    def polished():
+        reads.append(1)
+        return upper
+    # near the bound the flag is the polished bound's, read once
+    for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf),
+              edge - 1e-4, edge + 1e-4, lo + cj.BOUND_SLACK + 1e-9):
+        reads.clear()
+        near = replace(res, t_conj=float(t), polished_upper=polished)
+        assert near.upper_ok == (t <= edge)
+        assert near.upper_ok == (t <= edge)         # from the bound read above
+        assert len(reads) == 1
+    # clear of the range the float64 roots decide it
+    for t, ok in ((lo + cj.BOUND_SLACK, True), (hi + cj.BOUND_SLACK + 1e-9, False),
+                  (math.inf, False)):
+        reads.clear()
+        assert replace(res, t_conj=t, polished_upper=polished).upper_ok is ok
+        assert not reads
+
+
+def _row(stratum, k, alpha, nphi):
+    """The covectors of one ``sweep`` row."""
+    period = mx.stratum_forms(stratum).period(k, alpha)
+    return [from_elliptic(EllipticCoord(stratum, float(phi), k, alpha, 0.2))
+            for phi in np.linspace(0.0, period, nphi, endpoint=False)]
+
+
+@pytest.mark.parametrize("stratum, k, nphi", [(Stratum.C1, 0.6, 6), (Stratum.C2, 0.7, 8)])
+def test_half_arc_cache_keeps_the_bits(stratum, k, nphi):
+    # the phases of a row share moduli (to_elliptic moves k by an ulp or
+    # not), and with them the half-arc grids; kept or not, the same results
+    lams = _row(stratum, k, 1.3, nphi)
+    ks = [to_elliptic(lam).k for lam in lams]
+    assert len(set(ks)) < len(ks)
+    cj._half_arc_grid.cache_clear()
+    kept = [first_conjugate_time(lam) for lam in lams]
+    assert cj._half_arc_grid.cache_info().hits >= len(ks) - len(set(ks))
+    for lam, res in zip(lams, kept):
+        cj._half_arc_grid.cache_clear()
+        fresh = first_conjugate_time(lam)
+        assert ([x.hex() for x in (res.t_conj, *res.bracket, res.residual)]
+                == [x.hex() for x in (fresh.t_conj, *fresh.bracket, fresh.residual)])
+
+
+def test_half_arc_grids_are_read_only():
+    half = cj._half_arc_grid(Stratum.C1, 0.6, 1.3, 0.1, 5.0, 0.01, 3, 200)
+    want = cj._half_arc(mx.C1_FORMS, 0.6, math.sqrt(1.3), np.arange(0.1, 5.0, 0.01)[3:200])
+    assert [a.tobytes() for a in half] == [a.tobytes() for a in want]
+    assert not any(a.flags.writeable for a in half)
+    with pytest.raises(ValueError):
+        half[1][0] = 0.0
+
+
+def test_sign_grid_bypasses_the_half_arc_cache():
+    from cartanconj import verify
+    cj._half_arc_grid.cache_clear()
+    assert verify.check_sign_grid_c1(nk=2, nphi=2, nt=20).passed
+    assert verify.check_sign_grid_c2(nk=2, npsi=2, nt=20).passed
+    assert cj._half_arc_grid.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import platform
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from cartanconj import maxwell
 from cartanconj.elliptic import complete_E, complete_K, jacobi_arrays
 from cartanconj.errors import NumericalError, StratumError
-from cartanconj.flow import Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic
+from cartanconj.flow import (Covector, EllipticCoord, Stratum, dilate_covector, from_elliptic,
+                             to_elliptic)
 from cartanconj.conjugate import a01_C2, a21_C2
 from cartanconj.maxwell import (C1_FORMS, C2_FORMS, C2_MP_K, a01_c2_kernel, a21_c2_kernel, brent_root,
                                 c2_kernel_args, critical_moduli, f_V0, f_V_C1, f_V_C2,
@@ -427,6 +429,88 @@ def test_maxwell_roots_keep_their_bits(branch):
                                    0.02, n_k * complete_K(k) - 1e-9)
         assert (info.root.hex(), info.residual.hex()) == (root, residual), k
         assert cached(k).root.hex() == polished, k
+
+
+# the critical moduli (k1, k0): there p1z = p1v, and within a few 1e-10 of
+# them the two float64 roots lie within 2 POLISH_DX of each other.  Just
+# above k0 the larger root, p1v, rises from its range's edge 2K (by 5e-6 at
+# k = 0.9091), so both roots are polished there too.
+K1, K0 = 0.8022296433814966, 0.9089085575485409
+C1_POLISHES = [(0.05, 1), (0.3, 1), (0.6, 1), (0.85, 1), (0.92, 1), (0.95, 1),
+               (K1 - 1e-9, 1), (K1 + 1e-9, 1), (K0 - 1e-9, 1),
+               (K1, 2), (K1 - 1e-10, 2), (K1 + 1e-10, 2),
+               (K0, 2), (K0 - 1e-10, 2), (K0 + 1e-10, 2), (K0 + 1e-9, 2), (0.9091, 2)]
+
+
+def _clear_c1_roots():
+    for cache in (maxwell._p1_z_f64, maxwell._p1_v_c1_f64,
+                  maxwell._p1_z_cached, maxwell._p1_v_c1_cached):
+        cache.cache_clear()
+
+
+def _counted_polish(monkeypatch, moved=None):
+    """Patch the polish to record the float64 roots it gets; ``moved`` maps
+    a RootInfo to the polished RootInfo to return instead of polishing it."""
+    calls = []
+    real = maxwell._polish_root_mp
+
+    def polish(fmp, info):
+        calls.append(info)
+        return moved[info] if moved and info in moved else real(fmp, info)
+    monkeypatch.setattr(maxwell, "_polish_root_mp", polish)
+    return calls
+
+
+def test_critical_moduli_of_the_polish_tests():
+    assert critical_moduli() == (K1, K0)
+
+
+@pytest.mark.parametrize("k, polishes", C1_POLISHES)
+def test_c1_polishes_only_the_root_that_reaches_t_max1(monkeypatch, k, polishes):
+    # away from k1 and k0 only the smaller float64 root is polished; near
+    # them both are, as every root was before
+    _clear_c1_roots()
+    calls = _counted_polish(monkeypatch)
+    C1_FORMS.maxwell_root(k)
+    assert len(calls) == polishes
+    z, v = maxwell._p1_z_f64(k), maxwell._p1_v_c1_f64(k)
+    if polishes == 1:
+        assert calls == [min(z, v, key=lambda i: i.root)]
+        assert abs(z.root - v.root) > 2.0 * maxwell.POLISH_DX
+
+
+@pytest.mark.parametrize("k", [k for k, _ in C1_POLISHES])
+def test_c1_maxwell_root_keeps_its_bits(k):
+    # t_max1's root is the smaller of the two polished roots, bracket and
+    # residual included, whether one root or both were polished
+    _clear_c1_roots()
+    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.3, k, 1.3, 0.2))
+    res = t_max1(lam)
+    kk = to_elliptic(lam).k
+    want = min(maxwell._p1_z_cached(kk), maxwell._p1_v_c1_cached(kk), key=lambda i: i.root)
+    assert ((res.root_p.hex(), tuple(x.hex() for x in res.bracket), res.residual.hex())
+            == (want.root.hex(), tuple(x.hex() for x in want.bracket), want.residual.hex()))
+
+
+def test_larger_root_at_its_range_edge_is_polished_and_checked(monkeypatch):
+    # a larger float64 root within POLISH_DX of its range's edge could be
+    # polished out of the range, so it is polished and range-checked
+    k = 0.5
+    K = complete_K(k)
+    edge = maxwell.RootInfo(4.0 * K - 0.5 * maxwell.POLISH_DX, (0.0, 0.0), 0.0)
+    assert maxwell._p1_z_f64(k).root < edge.root - 2.0 * maxwell.POLISH_DX
+    monkeypatch.setattr(maxwell, "_p1_v_c1_f64", lambda k: edge)
+    for polished, escapes in ((edge, False), (replace(edge, root=4.0 * K + 1e-4), True)):
+        maxwell._p1_z_cached.cache_clear()
+        maxwell._p1_v_c1_cached.cache_clear()
+        calls = _counted_polish(monkeypatch, {edge: polished})
+        if escapes:
+            with pytest.raises(NumericalError, match=r"escaped \[2K, 4K\)"):
+                C1_FORMS.maxwell_root(k)
+        else:
+            assert C1_FORMS.maxwell_root(k) == maxwell._p1_z_cached(k)
+        assert edge in calls and len(calls) == 2
+    maxwell._p1_v_c1_cached.cache_clear()
 
 
 def test_first_root_error_names_the_kernel_and_modulus():

@@ -10,7 +10,12 @@ requests are:
   argument lists); ``verify_all`` repeats one request, ``verify --suite all
   --seed S``, so it gives one per seed;
 - the examples of the README's CLI block, with ``--out FILE`` dropped so that
-  a sweep writes its CSV to stdout.
+  a sweep writes its CSV to stdout;
+- fixed C1 requests at the critical moduli k1 and k0, where p1z = p1v and
+  both Maxwell roots are polished: ``conj --no-cross-check`` and ``maxwell``
+  at each modulus and 1e-10 and 1e-9 to either side, and one ``sweep`` from
+  1e-10 below k1 to 1e-10 above k0 (the seeded streams never land within
+  the few 1e-10 of a crossing where both roots are polished).
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -44,6 +49,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 WORKLOADS = ("sweep_grid", "conj_scatter", "c2_small_k", "verify_all")
 REQUESTS = 48       # per workload stream and seed
+# the critical moduli (k1, k0) that maxwell.critical_moduli reports
+CRITICAL_MODULI = (0.8022296433814966, 0.9089085575485409)
 
 
 def readme_examples() -> list[list[str]]:
@@ -61,6 +68,19 @@ def readme_examples() -> list[list[str]]:
     return out
 
 
+def critical_requests() -> list[list[str]]:
+    """C1 requests at and around the critical moduli."""
+    reqs = []
+    for kc in CRITICAL_MODULI:
+        for dk in (0.0, -1e-10, 1e-10, -1e-9, 1e-9):
+            covector = ["--stratum", "C1", "--phi", "0.3", "--k", repr(kc + dk),
+                        "--alpha", "1.3", "--beta", "0.2"]
+            reqs += [["conj", *covector, "--no-cross-check"], ["maxwell", *covector]]
+    k1, k0 = CRITICAL_MODULI
+    return reqs + [["sweep", "--stratum", "C1", "--k-range", f"{k1 - 1e-10!r}:{k0 + 1e-10!r}",
+                    "--nk", "4", "--nphi", "4", "--alpha", "1.3", "--beta", "0.2"]]
+
+
 def requests(seeds: list[int]) -> list[list[str]]:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -70,7 +90,7 @@ def requests(seeds: list[int]) -> list[list[str]]:
         for seed in seeds:
             blocks = workloads.stream(workload, seed)
             reqs += [list(r.argv) for r in itertools.islice(itertools.chain.from_iterable(blocks), n)]
-    return reqs + readme_examples()
+    return reqs + readme_examples() + critical_requests()
 
 
 def worker(src: str, request_file: str, result_file: str) -> int:
