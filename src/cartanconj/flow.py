@@ -27,9 +27,13 @@ The exponential map integrates the 7-dimensional system in
 (theta, c, x, y, z, v, w); its Jacobian with respect to
 (theta0, c0, alpha, beta, t) comes from the exact linearized (variational)
 flow, 35 equations in total.  Finite differences are kept only as a test
-oracle.  Every flow is integrated by one method, ``ODE_METHOD`` (DOP853).
-``scipy.integrate`` is imported inside the functions that integrate, so the
-paths that need no ODE never load scipy.
+oracle.  Every flow is integrated by ``dop853``: the 8th-order
+Dormand-Prince pair with its 7th-degree dense output (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.5-II.10), a line-by-line port of scipy 1.17's
+DOP853 initial-value solver that makes the same numpy calls on the same
+memory layout, so it returns the same bits without loading scipy.  Its
+tableau is the literal module ``dop853_tables``, copied from scipy's
+``dop853_coefficients``.
 """
 
 from __future__ import annotations
@@ -40,18 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dop853_tables as _tab
 from .elliptic import complete_K, incomplete_F, jacobi_arrays
 from .errors import NumericalError, StratumError
 from .group import GroupPoint
 
 _TWO_PI = 2.0 * math.pi
-# The one integrator of every flow: DOP853, the 8th-order Dormand-Prince pair
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.10).  At these tight
-# tolerances it takes 2-3x fewer right-hand-side calls than the 5th-order
-# RK45, and its dense output evaluates a batch of times with the same
-# elementwise arithmetic as one time, so ``JacobianPath.values`` equals the
-# pointwise J0 exactly.
-ODE_METHOD = "DOP853"
 # Tolerances of the extremal and variational flows: six orders below the
 # ~1e-6 time target (see ``maxwell``) that their J0 zeros are checked against.
 ODE_RTOL = ODE_ATOL = 1e-12
@@ -234,6 +232,182 @@ def dilate_covector(lam: Covector, r: float):
 
 
 # ---------------------------------------------------------------------------
+# The integrator: DOP853 with dense output
+# ---------------------------------------------------------------------------
+
+# Step-size control of scipy's Runge-Kutta solvers.  At these tight
+# tolerances the 8th-order pair takes 2-3x fewer right-hand-side calls than
+# the 5th-order RK45.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 8          # -1 / (error estimator order 7 + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_NS = _tab.N_STAGES
+# (row of A, c) of each stage after the first, as scipy's loops slice them:
+# rk_step's stages 1..11 and the dense output's extra stages 13..15
+_STAGES = [(_tab.A[s, :s], _tab.C[s]) for s in range(1, _NS)]
+_EXTRA_STAGES = [(_tab.A[s, :s], _tab.C[s]) for s in range(_NS + 1, _tab.N_STAGES_EXTENDED)]
+
+
+def _rms_norm(x):
+    """scipy's ``common.norm``."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class OdePath:
+    """One DOP853 integration from t = 0: its step times ``t``, final state ``y``
+    and, when integrated with ``dense=True``, its dense output.
+
+    Calling it at a time, or at an array of times, gives the state, or an
+    (m, n) array of states, with the bits of scipy's ``OdeSolution``: each
+    time takes the step it lies in (the earlier one at a breakpoint, the end
+    steps beyond the ends), and the same elementwise Horner loop runs on all
+    times at once.
+    """
+
+    def __init__(self, t, y, h=None, y_old=None, F=None):
+        self.t = t
+        self.y = y
+        self._h, self._y_old, self._F = h, y_old, F
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        ts = t.reshape(-1)
+        if self.t[-1] == 0.0:       # t_end = 0 took no step: a constant solution
+            y = np.tile(self.y, (len(ts), 1))
+            return y[0] if t.ndim == 0 else y
+        seg = np.searchsorted(self.t, ts, side="left") - 1
+        np.clip(seg, 0, len(self._h) - 1, out=seg)
+        x = ((ts - self.t[seg]) / self._h[seg])[:, None]
+        y = np.zeros((len(ts), self.y.size))
+        for i in range(_tab.INTERPOLATOR_POWER):
+            y += self._F[seg, -1 - i]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self._y_old[seg]
+        return y[0] if t.ndim == 0 else y
+
+
+def _select_initial_step(fun, args, t0, y0, t_bound, f0, direction, rtol, atol):
+    """scipy's ``common.select_initial_step`` (no maximum step, order 7)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms_norm(y0 / scale)
+    d1 = _rms_norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = np.asarray(fun(t0 + h0 * direction, y1, *args), dtype=float)
+    d2 = _rms_norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def dop853(fun, t_end, y0, args=(), rtol=ODE_RTOL, atol=ODE_ATOL, dense=False,
+           label="ODE") -> OdePath:
+    """Integrate y' = fun(t, y, *args) from t = 0 to t_end with DOP853.
+
+    The bits of scipy 1.17's initial-value solver with method "DOP853" and
+    the same args, rtol, atol and dense output: a port of its step loop
+    (``integrate/_ivp/ivp.py``), ``rk_step``, ``RungeKutta._step_impl``,
+    ``DOP853._estimate_error_norm`` and ``_dense_output_impl``, with the
+    same numpy calls on the same memory layout (the extended stage array K,
+    every stage a ``np.dot`` on a slice of it, numpy scalars in the step-size
+    arithmetic, each right-hand side converted by ``np.asarray``).  A negative
+    t_end integrates backwards; dense output needs t_end >= 0.  Raises
+    NumericalError, "<label> integration failed: ...", when the step falls
+    below ten spacings of the floats at t.
+    """
+    t_bound = float(t_end)
+    y = np.asarray(y0).astype(float, copy=False)
+    if t_bound == 0.0:
+        return OdePath(np.array([0.0, 0.0]), y)
+    if dense and t_bound < 0.0:
+        raise ValueError("dense output needs t_end >= 0")
+    t = 0.0
+    n = y.size
+    direction = np.sign(t_bound - t)
+    f = np.asarray(fun(t, y, *args), dtype=float)
+    h_abs = _select_initial_step(fun, args, t, y, t_bound, f, direction, rtol, atol)
+    K = np.empty((_tab.N_STAGES_EXTENDED, n))
+    # K[:s].T of every stage, and of the solution (B) and error (E3, E5) sums
+    KT = [K[:s].T for s in range(_tab.N_STAGES_EXTENDED)]
+    ts, hs, y_olds, Fs = [t], [], [], []
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError(f"{label} integration failed: {_TOO_SMALL_STEP}")
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_STAGES, start=1):
+                dy = np.dot(KT[s], a) * h
+                K[s] = np.asarray(fun(t + c * h, y + dy, *args), dtype=float)
+            y_new = y + h * np.dot(KT[_NS], _tab.B)
+            f_new = np.asarray(fun(t + h, y_new, *args), dtype=float)
+            K[_NS] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(KT[_NS + 1], _tab.E5) / scale
+            err3 = np.dot(KT[_NS + 1], _tab.E3) / scale
+            err5_norm_2 = np.linalg.norm(err5) ** 2
+            err3_norm_2 = np.linalg.norm(err3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * n)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        if dense:
+            for s, (a, c) in enumerate(_EXTRA_STAGES, start=_NS + 1):
+                dy = np.dot(KT[s], a) * h
+                K[s] = np.asarray(fun(t + c * h, y + dy, *args), dtype=float)
+            F = np.empty((_tab.INTERPOLATOR_POWER, n))
+            f_old = K[0]
+            delta_y = y_new - y
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f_new + f_old)
+            F[3:] = h * np.dot(_tab.D, K)
+            hs.append(h)
+            y_olds.append(y)
+            Fs.append(F)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        if direction * (t - t_bound) >= 0:
+            break
+    if not dense:
+        return OdePath(np.array(ts), y)
+    return OdePath(np.array(ts), y, np.array(hs), np.array(y_olds), np.array(Fs))
+
+
+# ---------------------------------------------------------------------------
 # Pendulum flow
 # ---------------------------------------------------------------------------
 
@@ -245,14 +419,13 @@ def pendulum_flow(lam: Covector, dt: float) -> Covector:
         return Covector(lam.theta + lam.c * dt, lam.c, 0.0, lam.beta)
     if classify(lam) in (Stratum.C4, Stratum.C5):
         return lam
-    def rhs(t, y):
-        return [y[1], -lam.alpha * math.sin(y[0] - lam.beta)]
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(rhs, (0.0, dt), [lam.theta, lam.c], method=ODE_METHOD,
-                    rtol=1e-12, atol=1e-13)
-    if not sol.success:
-        raise NumericalError(f"pendulum integration failed: {sol.message}")
-    return Covector(sol.y[0, -1], sol.y[1, -1], lam.alpha, lam.beta)
+    path = dop853(_rhs_pendulum, dt, [lam.theta, lam.c], (lam.alpha, lam.beta),
+                  rtol=1e-12, atol=1e-13, label="pendulum")
+    return Covector(path.y[0], path.y[1], lam.alpha, lam.beta)
+
+
+def _rhs_pendulum(t, y, alpha, beta):
+    return [y[1], -alpha * math.sin(y[0] - beta)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +455,20 @@ def _gdot(states):
     return np.stack([ct, st, 0.5 * (x * st - y * ct), r2h * st, -r2h * ct], axis=-1)
 
 
-def exp_map_dense(lam: Covector, t_end: float):
-    """Integrate the extremal up to t_end; returns the dense solution object."""
+def exp_map_dense(lam: Covector, t_end: float) -> OdePath:
+    """Integrate the extremal (theta, c, x, y, z, v, w) up to t_end, with dense output."""
     if t_end < 0.0:
         raise ValueError("t must be >= 0")
     y0 = [lam.theta, lam.c, 0.0, 0.0, 0.0, 0.0, 0.0]
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(_rhs_base, (0.0, t_end), y0, args=(lam.alpha, lam.beta),
-                    method=ODE_METHOD, rtol=ODE_RTOL, atol=ODE_ATOL,
-                    dense_output=True)
-    if not sol.success:
-        raise NumericalError(f"extremal integration failed: {sol.message}")
-    return sol
+    return dop853(_rhs_base, t_end, y0, (lam.alpha, lam.beta), dense=True,
+                  label="extremal")
 
 
 def exp_map(lam: Covector, t: float) -> GroupPoint:
     """Endpoint Exp(lam, t) of the arclength-parameterized geodesic."""
     if t == 0.0:
         return GroupPoint.identity()
-    sol = exp_map_dense(lam, t)
-    return GroupPoint.from_array(sol.y[2:, -1])
+    return GroupPoint.from_array(exp_map_dense(lam, t).y[2:])
 
 
 def exp_trajectory(lam: Covector, t_end: float, n: int):
@@ -309,9 +476,8 @@ def exp_trajectory(lam: Covector, t_end: float, n: int):
     ts = np.linspace(0.0, t_end, n)
     if t_end == 0.0:
         return np.column_stack([ts, np.zeros((n, 5))])
-    sol = exp_map_dense(lam, t_end)
-    states = sol.sol(ts)
-    return np.column_stack([ts, states[2:].T])
+    states = exp_map_dense(lam, t_end)(ts)
+    return np.column_stack([ts, states[:, 2:]])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +516,11 @@ def _rhs_variational(t, yflat, alpha, beta):
 
 
 class JacobianPath:
-    """Dense-output evaluator of J0(t) = det d Exp / d(theta, c, alpha, beta, t)."""
+    """Dense-output evaluator of J0(t) = det d Exp / d(theta, c, alpha, beta, t).
+
+    ``path`` is the variational integration (an ``OdePath`` of the 5x7
+    state: the extremal, then one Jacobi field per parameter).
+    """
 
     def __init__(self, lam: Covector, t_end: float):
         y0 = np.zeros((5, 7))
@@ -358,13 +528,8 @@ class JacobianPath:
         y0[0, 1] = lam.c
         y0[1, 0] = 1.0
         y0[2, 1] = 1.0
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(_rhs_variational, (0.0, t_end), y0.ravel(),
-                        args=(lam.alpha, lam.beta), method=ODE_METHOD,
-                        rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
-        if not sol.success:
-            raise NumericalError(f"variational integration failed: {sol.message}")
-        self._sol = sol
+        self.path = dop853(_rhs_variational, t_end, y0.ravel(), (lam.alpha, lam.beta),
+                           dense=True, label="variational")
         self.t_end = t_end
 
     def __call__(self, t: float) -> float:
@@ -372,7 +537,7 @@ class JacobianPath:
 
     def matrices(self, ts) -> np.ndarray:
         """(n, 5, 5) stack of d Exp / d(theta, c, alpha, beta, t) at the times ``ts``."""
-        Y = self._sol.sol(np.asarray(ts, dtype=float)).T.reshape(-1, 5, 7)
+        Y = self.path(np.asarray(ts, dtype=float)).reshape(-1, 5, 7)
         M = np.empty((len(Y), 5, 5))
         M[:, :, :4] = Y[:, 1:, 2:].transpose(0, 2, 1)
         M[:, :, 4] = _gdot(Y[:, 0])
@@ -422,32 +587,29 @@ def _jacobian_cd(lam: Covector, t: float, h: float) -> float:
         alphas[i] = al
         betas[i] = be
 
-    def rhs(t_, yflat):
-        Y = yflat.reshape(9, 7)
-        th, c, x, y = Y[:, 0], Y[:, 1], Y[:, 2], Y[:, 3]
-        st, ct = np.sin(th), np.cos(th)
-        r2h = 0.5 * (x * x + y * y)
-        out = np.empty((9, 7))
-        out[:, 0] = c
-        out[:, 1] = -alphas * np.sin(th - betas)
-        out[:, 2] = ct
-        out[:, 3] = st
-        out[:, 4] = 0.5 * (x * st - y * ct)
-        out[:, 5] = r2h * st
-        out[:, 6] = -r2h * ct
-        return out.ravel()
-
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(rhs, (0.0, t), y0.ravel(), method=ODE_METHOD,
-                    rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not sol.success:
-        raise NumericalError(f"batched integration failed: {sol.message}")
-    Y = sol.y[:, -1].reshape(9, 7)
+    Y = dop853(_rhs_batched, t, y0.ravel(), (alphas, betas), label="batched").y.reshape(9, 7)
     M = np.empty((5, 5))
     for j in range(4):
         M[:, j] = (Y[1 + 2 * j, 2:] - Y[2 + 2 * j, 2:]) / (2.0 * h)
     M[:, 4] = _gdot(Y[0])
     return float(np.linalg.det(M))
+
+
+def _rhs_batched(t, yflat, alphas, betas):
+    """Right-hand side of nine extremals at once, one row of (9, 7) each."""
+    Y = yflat.reshape(9, 7)
+    th, c, x, y = Y[:, 0], Y[:, 1], Y[:, 2], Y[:, 3]
+    st, ct = np.sin(th), np.cos(th)
+    r2h = 0.5 * (x * x + y * y)
+    out = np.empty((9, 7))
+    out[:, 0] = c
+    out[:, 1] = -alphas * np.sin(th - betas)
+    out[:, 2] = ct
+    out[:, 3] = st
+    out[:, 4] = 0.5 * (x * st - y * ct)
+    out[:, 5] = r2h * st
+    out[:, 6] = -r2h * ct
+    return out.ravel()
 
 
 def casimir_drift(lam: Covector, t_end: float, n: int = 200):
@@ -456,9 +618,9 @@ def casimir_drift(lam: Covector, t_end: float, n: int = 200):
     h4, h5 are parameters of the theta-chart, so only E is a nontrivial
     check of the integrator; all three are reported for completeness.
     """
-    sol = exp_map_dense(lam, t_end)
     ts = np.linspace(0.0, t_end, n)
-    states = sol.sol(ts)
-    th, c = states[0], states[1]
+    # contiguous rows: numpy may run another loop, which can round its last
+    # bit differently, on a strided array
+    th, c = np.ascontiguousarray(exp_map_dense(lam, t_end)(ts)[:, :2].T)
     E = 0.5 * c * c - lam.alpha * np.cos(th - lam.beta)
     return float(np.max(np.abs(E - E[0]))), 0.0, 0.0

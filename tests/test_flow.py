@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cartanconj.errors import StratumError
+from cartanconj import flow as fl
+from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              classify, casimir_drift, dilate_covector,
                              exp_jacobian, exp_jacobian_fd, exp_map,
@@ -315,7 +316,7 @@ def test_jacobian_values_match_pointwise(stratum, k):
 
     def pointwise(t):
         # one 5x5 matrix from the scalar dense-output call
-        Y = jp._sol.sol(t).reshape(5, 7)
+        Y = jp.path(t).reshape(5, 7)
         return np.linalg.det(np.column_stack([*Y[1:, 2:], _gdot(Y[0])]))
 
     vals = jp.values(ts)
@@ -354,3 +355,120 @@ def test_pendulum_phase_advance_separatrix():
     dt = 1.3
     ec2 = to_elliptic(pendulum_flow(lam, dt))
     assert ec2.phi - ec.phi == pytest.approx(dt, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 port: bit for bit scipy's solver, which stays as the oracle
+# ---------------------------------------------------------------------------
+
+def _covector(stratum, rng):
+    if stratum is Stratum.C1:
+        return random_c1(rng)
+    if stratum is Stratum.C2:
+        return random_c2(rng)
+    if stratum is Stratum.C3:
+        return from_elliptic(EllipticCoord(Stratum.C3, rng.uniform(-2.0, 2.0), 1.0,
+                                           rng.uniform(0.3, 2.0), rng.uniform(0.0, 6.0),
+                                           1 if rng.random() < 0.5 else -1))
+    return Covector(rng.uniform(0.0, 6.0), rng.uniform(-2.0, 2.0), 0.0, rng.uniform(0.0, 6.0))
+
+
+# each flow as its public entry point runs it, for a covector and an end time
+_FLOWS = {
+    "pendulum": lambda lam, t: (fl.pendulum_flow(lam, t), fl.pendulum_flow(lam, -t)),
+    "extremal": lambda lam, t: (fl.exp_map(lam, t), fl.exp_trajectory(lam, t, 50)),
+    "variational": lambda lam, t: fl.JacobianPath(lam, t),
+    "batched": lambda lam, t: fl.exp_jacobian_fd(lam, t),
+}
+
+
+def _integrations(monkeypatch, run):
+    """(fun, t_end, y0, args, options, path) of every dop853 call that run makes."""
+    calls = []
+    real = fl.dop853
+
+    def record(fun, t_end, y0, args=(), **options):
+        y0 = np.array(y0, dtype=float)
+        path = real(fun, t_end, y0.copy(), args, **options)
+        calls.append((fun, t_end, y0, args, options, path))
+        return path
+
+    with monkeypatch.context() as m:
+        m.setattr(fl, "dop853", record)
+        run()
+    return calls
+
+
+def _assert_scipy_bits(fun, t_end, y0, args, options, path):
+    from scipy.integrate import solve_ivp
+
+    dense = options.get("dense", False)
+    sol = solve_ivp(fun, (0.0, t_end), y0, method="DOP853", args=args,
+                    rtol=options.get("rtol", fl.ODE_RTOL),
+                    atol=options.get("atol", fl.ODE_ATOL), dense_output=dense)
+    assert sol.success
+    assert path.t.shape == sol.t.shape and path.t.tobytes() == sol.t.tobytes()
+    assert path.y.tobytes() == sol.y[:, -1].tobytes()
+    if dense:
+        for ts in (np.linspace(0.0, t_end, 900), sol.t):
+            want = sol.sol(ts).T
+            got = path(ts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        t = 0.37 * t_end
+        assert path(t).shape == sol.sol(t).shape
+        assert path(t).tobytes() == sol.sol(t).tobytes()
+
+
+@pytest.mark.parametrize("flow,stratum", [
+    (flow, stratum) for flow in sorted(_FLOWS)
+    for stratum in (Stratum.C1, Stratum.C2, Stratum.C3, Stratum.C6)
+    # at alpha = 0 (C6) the pendulum flow is closed form and integrates nothing
+    if not (flow == "pendulum" and stratum is Stratum.C6)])
+def test_dop853_bits_match_scipy(flow, stratum, rng, monkeypatch):
+    # step times, final state and dense output, for end times well past the
+    # first step and shorter than it (one step, clipped to t_end)
+    for _ in range(2):
+        lam = _covector(stratum, rng)
+        assert classify(lam) is stratum
+        for t_end in (rng.uniform(2.0, 15.0), 1e-9):
+            calls = _integrations(monkeypatch, lambda: _FLOWS[flow](lam, t_end))
+            assert calls
+            for call in calls:
+                _assert_scipy_bits(*call)
+                assert (len(call[-1].t) == 2) == (t_end == 1e-9)
+
+
+def test_dop853_zero_time_is_constant(monkeypatch):
+    lam = Covector(0.4, 1.0, 0.5, 0.1)
+    calls = _integrations(monkeypatch, lambda: fl.casimir_drift(lam, 0.0))
+    (call,) = calls
+    assert len(call[-1].t) == 2
+    _assert_scipy_bits(*call)
+
+
+def test_dop853_tables_match_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as scipy_tables
+
+    from cartanconj import dop853_tables
+
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(dop853_tables, name) == getattr(scipy_tables, name)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(dop853_tables, name), getattr(scipy_tables, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.strides == theirs.strides
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_dop853_too_small_step_raises(monkeypatch):
+    from scipy.integrate import solve_ivp
+
+    # y' = y^2 blows up at t = 1: the step shrinks below ten float spacings there
+    sol = solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], method="DOP853",
+                    rtol=fl.ODE_RTOL, atol=fl.ODE_ATOL)
+    assert not sol.success
+    with pytest.raises(NumericalError, match=f"^ODE integration failed: {sol.message}$"):
+        fl.dop853(lambda t, y: y * y, 2.0, [1.0])
+    monkeypatch.setattr(fl, "_rhs_variational", lambda t, y, alpha, beta: y * y)
+    with pytest.raises(NumericalError, match="^variational integration failed: Required step"):
+        JacobianPath(Covector(0.0, 1.0, 1.0, 0.0), 2.0)

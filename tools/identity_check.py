@@ -15,7 +15,10 @@ requests are:
   both Maxwell roots are polished: ``conj --no-cross-check`` and ``maxwell``
   at each modulus and 1e-10 and 1e-9 to either side, and one ``sweep`` from
   1e-10 below k1 to 1e-10 above k0 (the seeded streams never land within
-  the few 1e-10 of a crossing where both roots are polished).
+  the few 1e-10 of a crossing where both roots are polished);
+- fixed requests at the edges of the ODE integrations, where the step counts
+  are largest or smallest: the cross-checked ``conj`` at k = 0.99 on C1 and
+  on C2 and at alpha = 25, and ``exp --trace --steps 2000``.
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -81,6 +84,16 @@ def critical_requests() -> list[list[str]]:
                     "--nk", "4", "--nphi", "4", "--alpha", "1.3", "--beta", "0.2"]]
 
 
+def ode_edge_requests() -> list[list[str]]:
+    """Cross-checked conj requests with the longest and shortest variational arcs, and a long trace."""
+    def conj(stratum, k, alpha):
+        return ["conj", "--stratum", stratum, "--phi", "0.3", "--k", k, "--alpha", alpha,
+                "--beta", "0.2"]
+    return [conj("C1", "0.99", "1.3"), conj("C2", "0.99", "1.3"), conj("C1", "0.5", "25"),
+            ["exp", "--theta", "0.4", "--c", "1", "--alpha", "0.5", "--beta", "0.1",
+             "--t", "12", "--trace", "--steps", "2000"]]
+
+
 def requests(seeds: list[int]) -> list[list[str]]:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -90,7 +103,7 @@ def requests(seeds: list[int]) -> list[list[str]]:
         for seed in seeds:
             blocks = workloads.stream(workload, seed)
             reqs += [list(r.argv) for r in itertools.islice(itertools.chain.from_iterable(blocks), n)]
-    return reqs + readme_examples() + critical_requests()
+    return reqs + readme_examples() + critical_requests() + ode_edge_requests()
 
 
 def worker(src: str, request_file: str, result_file: str) -> int:
