@@ -116,19 +116,19 @@ def _first_certain(M: np.ndarray) -> int:
 # public coefficient functions ------------------------------------------------
 
 def a01_C1(p, k):
-    return a01_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
+    return a01_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k), mag=False)[0]
 
 
 def a21_C1(p, k):
-    return a21_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
+    return a21_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k), mag=False)[0]
 
 
 def a01_C2(u1, k):
-    return a01_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
+    return a01_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
 
 
 def a21_C2(u1, k):
-    return a21_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
+    return a21_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +223,30 @@ class JacobianFactors:
     noise: float
 
 
-def _half_arc(forms, k, sa, t):
+def _half_arc(forms, k, sa, t, mag=True):
     """The half-arc part of J1 at times t, in the arithmetic of t and k:
     (sn p, a0, a2, m0, m2) at the half-arc p = sa t / arc_div(k), with
-    sin u1 for sn p on C2, and m0, m2 the noise magnitudes of a0, a2."""
+    sin u1 for sn p on C2, and m0, m2 the noise magnitudes of a0, a2 (None
+    without mag, which computes no magnitude)."""
     args = forms.args(sa * t / forms.arc_div(float(k)), k)
     (fv, mfv), (fz, mfz), (a01, m01), (a21, m21) = (
-        kern(*args) for kern in (forms.fv, forms.fz, forms.a01, forms.a21))
-    return (args[forms.sn_slot], fv * a01 / forms.a0_scale, fz * a21,
+        kern(*args, mag=mag) for kern in (forms.fv, forms.fz, forms.a01, forms.a21))
+    a0, a2 = fv * a01 / forms.a0_scale, fz * a21
+    if not mag:
+        return args[forms.sn_slot], a0, a2, None, None
+    return (args[forms.sn_slot], a0, a2,
             (abs(fv) * m01 + mfv * abs(a01)) / forms.a0_scale, abs(fz) * m21 + mfz * abs(a21))
 
 
-def _j1(ec: EllipticCoord, t, half=None):
+def _j1(ec: EllipticCoord, t, half=None, mag=True):
     """(J1, noise, xi, Delta, a0, a2) along a C1 or C2 extremal.
 
     Float64 arrays for an array of times; Python floats for a Python float
     time, with the bits of the call on the 1-element array [t] (the
     arithmetics of ``elliptic``); mpf values at the working precision for an
     mpf time.  ``half`` is ``_half_arc`` at t when the caller holds it.
+    Without mag the noise is None and no magnitude is computed (the root
+    steps, which read J1 only); every other value keeps its bits.
     """
     forms = stratum_forms(ec.stratum)
     mp = isinstance(t, mpmath.mpf)
@@ -251,14 +257,14 @@ def _j1(ec: EllipticCoord, t, half=None):
     k = mpmath.mpf(kf) if mp else kf
     k2 = k * k
     if half is None:
-        half = _half_arc(forms, k, sa, t)
+        half = _half_arc(forms, k, sa, t, mag)
     sn_p, a0, a2, m0, m2 = half
     tau = sa * (phi + t / 2.0) / forms.phase_div(kf)
     snt = _jacobi_at(tau, k)[2]
     xi = snt * snt
     w0, w2 = forms.weights(xi, k2)
     j1 = a0 * w0 - a2 * w2
-    noise = _EPS * _NOISE_SAFETY * (m0 * abs(w0) + m2 * abs(w2))
+    noise = _EPS * _NOISE_SAFETY * (m0 * abs(w0) + m2 * abs(w2)) if mag else None
     delta = 1.0 - k2 * ipow(sn_p * snt, 2)
     return j1, noise, xi, delta, a0, a2
 
@@ -286,7 +292,7 @@ def j1_path(ec: EllipticCoord, t):
 def _j1_scalar_mp(ec: EllipticCoord, t: float, dps: int) -> float:
     """J1 at one time under mpmath (for noise-dominated float64 regions)."""
     with mpmath.workdps(dps):
-        return float(_j1(ec, mpmath.mpf(t))[0])
+        return float(_j1(ec, mpmath.mpf(t), mag=False)[0])
 
 
 def _j1_c2_series(ec: EllipticCoord, t):
@@ -403,7 +409,7 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         return _j1_scalar_mp(ec, t, MP_DPS)
 
     def f64(t):     # the float route: the bits of the scan's array call
-        return _j1(ec, float(t))[0]
+        return _j1(ec, float(t), mag=False)[0]
 
     fmp.__name__ = f"J1 (mpmath) {where}"
     f64.__name__ = f"J1 {where}"

@@ -26,7 +26,9 @@ three arithmetics, picked from the types of the modulus and the argument:
   1-element loop; ``math.asin`` differs from it in the last bit on some
   inputs), and every power of an argument-derived value goes through
   ``ipow``;
-- mpmath at the working precision, for an mpf k.
+- mpmath at the working precision, for an mpf k, on the ``_mpf_`` tuples
+  with ``mpmath.libmp``'s functions (``_landen_mp``): the calls the mpf
+  operators make, with their bits, without their wrappers.
 
 Float64 targets 1e-13 relative over k in [0, 1); the mpmath entry points
 (suffixed ``_mp``) serve downstream code where float64 cancellation would
@@ -41,6 +43,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 _EPS = 2.220446049250313e-16
 
@@ -78,11 +81,13 @@ class EllipticValues:
 
 
 def _agm_chain(k):
-    """(a_i, c_i, E(k)/K(k)) of the AGM for modulus k in [0, 1).
+    """(a_i, c_i, E(k)/K(k), c_i / a_i, 2**n a_n) of the AGM for modulus k in [0, 1).
 
     Floats for a float k; mpf values at the working precision for an mpf k.
     The chain depends only on k and that arithmetic, so it is built once per
-    (k, precision) and shared as immutable tuples.
+    (k, precision) and shared as immutable tuples, with the Landen loop's
+    constants c_i / a_i and 2**n a_n: each is the single operation that the
+    loop would repeat on every call, so the bits are the same.
     """
     return _agm_chain_at(k, mpmath.mp.prec if isinstance(k, mpmath.mpf) else None)
 
@@ -95,7 +100,10 @@ def _agm_chain_at(k, prec):
     sqrt = mpmath.sqrt if mp else math.sqrt
     eps = mpmath.eps if mp else _EPS
     fsum = mpmath.fsum if mp else math.fsum
-    a = [1.0]
+    # a_0 = 1 as an mpf on the mp path, so that every entry, and 2**0 a_0,
+    # is an mpf; mpf arithmetic converts a float 1.0 exactly, so the bits
+    # are those of the float
+    a = [mpmath.mpf(1) if mp else 1.0]
     b = [sqrt((1.0 - k) * (1.0 + k))]
     c = [k]
     # stop at the roundoff floor c ~ eps * a; junk levels would otherwise
@@ -108,7 +116,9 @@ def _agm_chain_at(k, prec):
         b.append(bn)
         c.append(cn)
     e_over_k = 1.0 - fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(len(c)))
-    return tuple(a), tuple(c), e_over_k
+    n = len(a) - 1
+    ratio = tuple(ci / ai for ci, ai in zip(c, a))
+    return tuple(a), tuple(c), e_over_k, ratio, 2.0 ** n * a[n]
 
 
 def ipow(x, n: int):
@@ -128,42 +138,70 @@ def _landen(u, k):
     """(sn, cn, dn, am, E) by descending Landen on the AGM chain of k in [0, 1).
 
     u is a float64 ndarray (or 0-d array) or a Python float with a Python
-    float k, or an mpf with an mpf k.  The arithmetic follows k, and for a
-    float k the type of u: a Python float u gives Python floats with the
-    bits of the call on the array [u].
+    float k, or an mpf with an mpf k (``_landen_mp``).  The arithmetic
+    follows k, and for a float k the type of u: a Python float u gives
+    Python floats with the bits of the call on the array [u].
     """
     if isinstance(k, mpmath.mpf):
-        sin, cos, sqrt, asin = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin
-        # constants converted once: a float literal in mpf arithmetic pays a
-        # conversion at every use (all three are exact, so the bits are the same)
-        half, one, two = mpmath.mpf(0.5), mpmath.mpf(1), mpmath.mpf(2)
-        clip = lambda s: max(min(s, one), -one)
-    elif type(u) is float:
+        return _landen_mp(u, k)
+    if type(u) is float:
         # numpy's own loops for the transcendentals, IEEE sqrt, and a clip
         # that keeps NaN and the sign of zero as np.minimum/np.maximum do
         sin = lambda x: float(np.sin(x))
         cos = lambda x: float(np.cos(x))
         asin = lambda x: float(np.arcsin(x))
         sqrt = math.sqrt
-        half, one, two = 0.5, 1.0, 2.0
         clip = lambda s: min(max(s, -1.0), 1.0)
     else:
         sin, cos, sqrt, asin = np.sin, np.cos, np.sqrt, np.arcsin
-        half, one, two = 0.5, 1.0, 2.0
         # the same bits as np.clip, without its per-call dispatch overhead
         clip = lambda s: np.minimum(np.maximum(s, -1.0), 1.0)
-    a, c, e_over_k = _agm_chain(k)
-    n = len(a) - 1
-    phi = (two ** n * a[n]) * u
+    _, c, e_over_k, ratio, scale = _agm_chain(k)
+    n = len(c) - 1
+    phi = scale * u
     sn = sin(phi)
     esum = c[n] * sn if n >= 1 else 0.0
     for i in range(n, 0, -1):
-        phi = half * (phi + asin(clip(c[i] / a[i] * sn)))
+        phi = 0.5 * (phi + asin(clip(ratio[i] * sn)))
         sn = sin(phi)
         if i > 1:
             esum = esum + c[i - 1] * sn
-    dn = sqrt(one - ipow(k * sn, 2))
+    dn = sqrt(1.0 - ipow(k * sn, 2))
     return sn, cos(phi), dn, phi, e_over_k * u + esum
+
+
+_HALF = libmp.from_float(0.5)
+
+
+def _landen_mp(u, k):
+    """``_landen`` for an mpf u and k, run on their ``_mpf_`` tuples.
+
+    Each step is the libmp call that the mpf operator or function makes
+    (``mpf_mul`` for ``*``, ``mpf_sin`` for ``mpmath.sin``, ...) at the
+    context's precision with round-to-nearest, so the values are the bits of
+    the same loop in mpf arithmetic, without its wrappers.  The clip is
+    Python's ``max(min(s, 1), -1)`` on mpf values: a NaN passes through.
+    """
+    prec, rnd = mpmath.mp.prec, libmp.round_nearest
+    mul, add = libmp.mpf_mul, libmp.mpf_add
+    _, c, e_over_k, ratio, scale = _agm_chain(k)
+    n = len(c) - 1
+    phi = mul(scale._mpf_, u._mpf_, prec, rnd)
+    sn = libmp.mpf_sin(phi, prec, rnd)
+    esum = mul(c[n]._mpf_, sn, prec, rnd) if n >= 1 else libmp.fzero
+    for i in range(n, 0, -1):
+        s = mul(ratio[i]._mpf_, sn, prec, rnd)
+        s = libmp.fone if libmp.mpf_lt(libmp.fone, s) else s
+        s = libmp.fnone if libmp.mpf_gt(libmp.fnone, s) else s
+        phi = mul(_HALF, add(phi, libmp.mpf_asin(s, prec, rnd), prec, rnd), prec, rnd)
+        sn = libmp.mpf_sin(phi, prec, rnd)
+        if i > 1:
+            esum = add(esum, mul(c[i - 1]._mpf_, sn, prec, rnd), prec, rnd)
+    ksn2 = libmp.mpf_pow_int(mul(k._mpf_, sn, prec, rnd), 2, prec, rnd)
+    dn = libmp.mpf_sqrt(libmp.mpf_sub(libmp.fone, ksn2, prec, rnd), prec, rnd)
+    e_u = add(mul(e_over_k._mpf_, u._mpf_, prec, rnd), esum, prec, rnd)
+    make = mpmath.mp.make_mpf
+    return make(sn), make(libmp.mpf_cos(phi, prec, rnd)), make(dn), make(phi), make(e_u)
 
 
 def jacobi_arrays(u, k):
@@ -221,7 +259,7 @@ def complete_E(k) -> float:
         return 1.0
     if k == 0.0:
         return math.pi / 2.0
-    a, _, e_over_k = _agm_chain(k)
+    a, _, e_over_k, _, _ = _agm_chain(k)
     return e_over_k * math.pi / (2.0 * a[-1])
 
 

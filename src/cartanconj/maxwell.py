@@ -14,7 +14,10 @@ fv0 is stored as the unscaled trigonometric numerator (a conventional
 
 Every kernel returns (value, magnitude) where magnitude is the sum of the
 absolute values of the summed monomials: eps * magnitude bounds the
-float64 cancellation noise, which downstream sign logic uses.  All kernels
+float64 cancellation noise, which downstream sign logic uses.  With
+``mag=False`` a kernel returns (value, None) and computes no magnitude:
+the root steps (``_branch_fn``) read the value only, and it comes from the
+same operations in the same order, so it has the same bits.  All kernels
 run unchanged on numpy arrays, on mpmath scalars and on Python floats (the
 arithmetics of ``elliptic``: every power of a p-derived value is an
 ``ipow``, so a Python float gives the bits of the array [p]); rational
@@ -97,34 +100,40 @@ SIGN_MARGIN = 20.0
 # kernels over precomputed elliptic ingredients (numpy arrays or mpf scalars)
 # ---------------------------------------------------------------------------
 
-def _sum_terms(terms):
+def _sum_terms(terms, mag=True):
+    """(sum, sum of absolute values) of terms, each summed left to right;
+    (sum, None) without mag."""
     val = terms[0]
-    mag = abs(terms[0])
     for t in terms[1:]:
         val = val + t
-        mag = mag + abs(t)
-    return val, mag
+    if not mag:
+        return val, None
+    m = abs(terms[0])
+    for t in terms[1:]:
+        m = m + abs(t)
+    return val, m
 
 
-def fz_c1_kernel(p, k2, sn, cn, dn, e2):
-    return _sum_terms([sn * dn, -e2 * cn])
+def fz_c1_kernel(p, k2, sn, cn, dn, e2, mag=True):
+    return _sum_terms([sn * dn, -e2 * cn], mag)
 
 
-def fv_c1_kernel(p, k2, sn, cn, dn, e2):
+def fv_c1_kernel(p, k2, sn, cn, dn, e2, mag=True):
     inner, m_inner = _sum_terms([
         -p,
         -2 * (1 - 2 * k2 + 6 * k2 * cn * cn) * e2,
         ipow(e2, 3),
         8 * k2 * cn * sn * dn,
-    ])
+    ], mag)
     lead = 4 * sn * dn
     tail = 4 * cn * (1 - 2 * k2 * sn * sn) * e2 * e2
     val = (lead * inner) / 3 + tail
-    mag = (abs(lead) * m_inner) / 3 + abs(tail)
-    return val, mag
+    if not mag:
+        return val, None
+    return val, (abs(lead) * m_inner) / 3 + abs(tail)
 
 
-def a01_c1_kernel(p, k2, sn, cn, dn, e2):
+def a01_c1_kernel(p, k2, sn, cn, dn, e2, mag=True):
     sn2 = sn * sn
     A, mA = _sum_terms([
         -3 * e2 * e2,
@@ -136,7 +145,7 @@ def a01_c1_kernel(p, k2, sn, cn, dn, e2):
         8 * k2 * e2 * (2 * k2 - 1) * p * sn2,
         2 * k2 * p * p * sn2,
         8 * k2 * k2 * sn2 * sn2,
-    ])
+    ], mag)
     B, mB = _sum_terms([
         -ipow(e2, 3),
         -2 * p,
@@ -147,13 +156,14 @@ def a01_c1_kernel(p, k2, sn, cn, dn, e2):
         -e2 * p * p,
         8 * k2 * e2,
         -12 * k2 * e2 * sn2,
-    ])
+    ], mag)
     val = (3 * (cn * A + dn * sn * B)) / 4
-    mag = (3 * (abs(cn) * mA + abs(dn * sn) * mB)) / 4
-    return val, mag
+    if not mag:
+        return val, None
+    return val, (3 * (abs(cn) * mA + abs(dn * sn) * mB)) / 4
 
 
-def a21_c1_kernel(p, k2, sn, cn, dn, e2):
+def a21_c1_kernel(p, k2, sn, cn, dn, e2, mag=True):
     k4 = k2 * k2
     sn2 = sn * sn
     e3, e4 = ipow(e2, 3), ipow(e2, 4)
@@ -164,7 +174,7 @@ def a21_c1_kernel(p, k2, sn, cn, dn, e2):
         ipow(p, 3),
         (8 - 16 * k2) * e3,
         -e3 * p * p,
-    ])
+    ], mag)
     D, mD = _sum_terms([
         -4 * e2 * e2,
         5 * e4,
@@ -176,32 +186,32 @@ def a21_c1_kernel(p, k2, sn, cn, dn, e2):
         128 * k4 * e2 * p,
         2 * p * p,
         3 * e2 * e2 * p * p,
-    ])
-    G, mG = _sum_terms([5 * e2, -2 * p, 4 * k2 * p])
-    H, mH = _sum_terms([-12, 10 * e2 * e2, 8 * e2 * (2 * k2 - 1) * p, p * p])
-    asn = abs(sn)
+    ], mag)
+    G, mG = _sum_terms([5 * e2, -2 * p, 4 * k2 * p], mag)
+    H, mH = _sum_terms([-12, 10 * e2 * e2, 8 * e2 * (2 * k2 - 1) * p, p * p], mag)
     val = -(k2 * (cn * C + dn * sn * D - 16 * k2 * cn * G * sn2
                   - 4 * k2 * dn * H * sn2 * sn + 16 * k4 * cn * G * sn2 * sn2
                   - 48 * k4 * dn * sn2 * sn2 * sn))
-    mag = k2 * (abs(cn) * mC + abs(dn) * asn * mD + 16 * k2 * abs(cn) * mG * sn2
-                + 4 * k2 * abs(dn) * mH * sn2 * asn + 16 * k4 * abs(cn) * mG * sn2 * sn2
-                + 48 * k4 * abs(dn) * sn2 * sn2 * asn)
-    return val, mag
+    if not mag:
+        return val, None
+    asn = abs(sn)
+    return val, k2 * (abs(cn) * mC + abs(dn) * asn * mD + 16 * k2 * abs(cn) * mG * sn2
+                      + 4 * k2 * abs(dn) * mH * sn2 * asn + 16 * k4 * abs(cn) * mG * sn2 * sn2
+                      + 48 * k4 * abs(dn) * sn2 * sn2 * asn)
 
 
-def fz_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
-    val, mag = _sum_terms([
+def fz_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
+    val, m = _sum_terms([
         (2 - k2) * F * dnu,
         -2 * E * dnu,
         k2 * cosu * sinu,
-    ])
-    return (2 * val) / k, (2 * mag) / k
+    ], mag)
+    return (2 * val) / k, None if m is None else (2 * m) / k
 
 
-def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
+def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
     k4 = k2 * k2
     D = 2 * E - (2 - k2) * F
-    Dmag = 2 * abs(E) + (2 - k2) * abs(F)
     br, m_br = _sum_terms([
         8 * ipow(E, 3),
         -4 * E * (4 + k2),
@@ -211,7 +221,7 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
         -4 * k2 * F,
         -3 * k4 * F,
         -(2 - k2) ** 3 * ipow(F, 3),
-    ])
+    ], mag)
     s2 = sinu * sinu
     terms = [
         3 * dnu * D * D,
@@ -221,6 +231,12 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
         12 * k2 * cosu * D * sinu * s2,
         -8 * k2 * s2 * s2 * dnu,
     ]
+    val = terms[0]
+    for t in terms[1:]:
+        val = val + t
+    if not mag:
+        return (4 * val) / 3, None
+    Dmag = 2 * abs(E) + (2 - k2) * abs(F)
     mags = [
         3 * dnu * 2 * abs(D) * Dmag,
         abs(cosu * sinu) * m_br,
@@ -229,13 +245,10 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
         12 * k2 * abs(cosu * sinu) * Dmag * s2,
         8 * k2 * s2 * s2 * dnu,
     ]
-    val = terms[0]
-    for t in terms[1:]:
-        val = val + t
-    mag = mags[0]
+    m = mags[0]
     for t in mags[1:]:
-        mag = mag + t
-    return (4 * val) / 3, (4 * mag) / 3
+        m = m + t
+    return (4 * val) / 3, (4 * m) / 3
 
 
 def a01_c2_tables(k, k2, sinu, cosu, dnu):
@@ -290,28 +303,31 @@ def a21_c2_tables(k, k2, sinu, cosu, dnu):
     }
 
 
-def _table_sum(table, F, E):
+def _table_sum(table, F, E, mag=True):
     # each power once, by ipow (a running product would round differently)
     n = 1 + max(map(sum, table))
-    aF, aE = abs(F), abs(E)
     Fp, Ep = [ipow(F, i) for i in range(n)], [ipow(E, j) for j in range(n)]
-    aFp, aEp = [ipow(aF, i) for i in range(n)], [ipow(aE, j) for j in range(n)]
     val = None
-    mag = None
     for (i, j), cf in table.items():
         term = cf * Fp[i] * Ep[j]
-        aterm = abs(cf) * aFp[i] * aEp[j]
         val = term if val is None else val + term
-        mag = aterm if mag is None else mag + aterm
-    return val, mag
+    if not mag:
+        return val, None
+    aF, aE = abs(F), abs(E)
+    aFp, aEp = [ipow(aF, i) for i in range(n)], [ipow(aE, j) for j in range(n)]
+    m = None
+    for (i, j), cf in table.items():
+        aterm = abs(cf) * aFp[i] * aEp[j]
+        m = aterm if m is None else m + aterm
+    return val, m
 
 
-def a01_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
-    return _table_sum(a01_c2_tables(k, k2, sinu, cosu, dnu), F, E)
+def a01_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
+    return _table_sum(a01_c2_tables(k, k2, sinu, cosu, dnu), F, E, mag)
 
 
-def a21_c2_kernel(k, k2, F, E, sinu, cosu, dnu):
-    return _table_sum(a21_c2_tables(k, k2, sinu, cosu, dnu), F, E)
+def a21_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
+    return _table_sum(a21_c2_tables(k, k2, sinu, cosu, dnu), F, E, mag)
 
 
 def fv0_kernel(u):
@@ -413,20 +429,20 @@ def c2_kernel_args_from_u1(u1, k):
 # ---------------------------------------------------------------------------
 
 def f_z_C1(p, k):
-    return fz_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
+    return fz_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k), mag=False)[0]
 
 
 def f_V_C1(p, k):
-    return fv_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k))[0]
+    return fv_c1_kernel(*c1_kernel_args(np.asarray(p, dtype=float), k), mag=False)[0]
 
 
 def f_z_C2(u1, k):
-    return fz_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
+    return fz_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
 
 
 def f_V_C2(u1, k):
     """Evaluated from the u1-form; never by substitution into the C1 form."""
-    return fv_c2_kernel(*c2_kernel_args_from_u1(u1, k))[0]
+    return fv_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
 
 
 def f_V0(u1):
@@ -648,13 +664,13 @@ def _branch_fn(kernel, forms, k, mp=False):
     numpy-scalar route is what every float64 Maxwell root was located with:
     its ``x ** n`` is libm's pow, and the Python-float route would move some
     roots in the last bits.  The function's name gives the kernel and k for
-    error messages.
+    error messages.  Both compute the kernel's value only (``mag=False``).
     """
     def f(p):
         p = mpmath.mpf(p) if mp else np.float64(p)
-        return float(kernel(*forms.args(p, k))[0])
+        return float(kernel(*forms.args(p, k), mag=False)[0])
     if not mp:
-        f.on_array = lambda ps: kernel(*forms.args(ps, k))[0]
+        f.on_array = lambda ps: kernel(*forms.args(ps, k), mag=False)[0]
     f.__name__ = f"{kernel.__name__}{' (mpmath)' if mp else ''} at k={float(k)!r}"
     return f
 

@@ -724,12 +724,12 @@ def _recording_j1(monkeypatch, name, calls=None):
     times = []
     orig = getattr(cj, name)
 
-    def rec(ec, t, *args):
+    def rec(ec, t, *args, **kwargs):
         ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
         times.extend(ts)
         if calls is not None:
             calls.append((type(t), len(ts)))
-        return orig(ec, t, *args)
+        return orig(ec, t, *args, **kwargs)
     monkeypatch.setattr(cj, name, rec)
     return times
 
@@ -827,3 +827,92 @@ def test_j1_brent_error_names_stratum_modulus_and_phase(monkeypatch):
     monkeypatch.setattr(mx, "BRENT_MAXITER", 2)
     with pytest.raises(NumericalError, match=r"Brent on J1 on C1 at k=0\.5, phi=0\.3699"):
         first_conjugate_time(lam)
+
+
+# ---------------------------------------------------------------------------
+# the value-only route of the root steps
+# ---------------------------------------------------------------------------
+
+def test_value_only_j1_has_the_bits_of_j1():
+    # _j1 without mag: J1 and the rest with their bits, and no noise, on the
+    # Python-float route (Brent's steps) and under mpmath (_j1_scalar_mp)
+    rng = np.random.default_rng(19)
+    for stratum in (Stratum.C1, Stratum.C2):
+        for ec in _float_route_arcs(stratum, 12, rng):
+            for t in rng.uniform(0.0, 3.0 * ec.period(), 4).tolist():
+                whole, value = cj._j1(ec, t), cj._j1(ec, t, mag=False)
+                assert value[1] is None and type(whole[1]) is float
+                assert [v.hex() for v in value[:1] + value[2:]] == \
+                    [w.hex() for w in whole[:1] + whole[2:]]
+                for dps in (40, 50):
+                    with mpmath.workdps(dps):
+                        whole, value = cj._j1(ec, mpmath.mpf(t)), cj._j1(ec, mpmath.mpf(t), mag=False)
+                    assert value[1] is None
+                    assert [v._mpf_ for v in value[:1] + value[2:]] == \
+                        [w._mpf_ for w in whole[:1] + whole[2:]]
+
+
+def _magnitude_probe(monkeypatch):
+    """Count the abs() calls of the magnitude code while a watched function runs.
+
+    The kernels, ``_sum_terms``, ``_table_sum``, ``_half_arc`` and ``_j1``
+    each compute their magnitudes with abs() and their values without it, so
+    abs() called from one of them is the magnitude code at work.  abs() is
+    shadowed in ``maxwell`` and ``conjugate`` by a counter that is live only
+    inside the functions that ``probe.watch`` wraps."""
+    import builtins
+    import sys
+    from types import SimpleNamespace
+
+    probe = SimpleNamespace(depth=0, calls=[], entered=[])
+    mag_code = ("_sum_terms", "_table_sum", "_half_arc", "_j1")
+
+    def counting_abs(x):
+        name = sys._getframe(1).f_code.co_name
+        if probe.depth and (name in mag_code or name.endswith("_kernel")):
+            probe.calls.append(name)
+        return builtins.abs(x)
+
+    def watch(module, name):
+        orig = getattr(module, name)
+
+        def watched(f, *args, **kwargs):
+            probe.entered.append((name, getattr(f, "__name__", "")))
+            probe.depth += 1
+            try:
+                return orig(f, *args, **kwargs)
+            finally:
+                probe.depth -= 1
+        monkeypatch.setattr(module, name, watched)
+
+    for module in (mx, cj):
+        monkeypatch.setattr(module, "abs", counting_abs, raising=False)
+    probe.watch = watch
+    return probe
+
+
+def test_root_steps_compute_no_magnitudes(monkeypatch):
+    # the Maxwell polish, the float J1 Brent and the small-k mpmath J1 Brent
+    # (with its screened scan) read values only, so they never enter the
+    # magnitude code; J1 with its noise does, which shows the probe sees it
+    probe = _magnitude_probe(monkeypatch)
+    probe.depth = 1
+    cj._j1(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4), 1.3)
+    probe.depth = 0
+    assert {"_j1", "_half_arc", "_sum_terms"} <= set(probe.calls)
+    probe.calls.clear()
+
+    for module, name in ((mx, "_polish_root_mp"), (mx, "_brent"), (cj, "_brent"),
+                         (cj, "_screen_to_first_flip")):
+        probe.watch(module, name)
+    for stratum, k in ((Stratum.C1, 0.5), (Stratum.C2, 0.12)):
+        for cache in (mx._p1_z_f64, mx._p1_v_c1_f64, mx._p1_z_cached, mx._p1_v_c1_cached,
+                      mx._p1_v_c2_cached, cj._half_arc_grid):
+            cache.cache_clear()
+        res = first_conjugate_time(from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4)))
+        assert res.finite
+    fns = {(name, fn.split(" at k=")[0].split(" on ")[0]) for name, fn in probe.entered}
+    assert {("_polish_root_mp", "fz_c1_kernel (mpmath)"), ("_brent", "fz_c1_kernel"),
+            ("_brent", "J1"), ("_brent", "J1 (mpmath)"),
+            ("_screen_to_first_flip", "J1 (mpmath)")} <= fns
+    assert probe.calls == []

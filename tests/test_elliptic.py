@@ -209,12 +209,11 @@ def test_agm_cache_keyed_on_precision():
         assert jacobi_mp(u, k) == want[15]
     # cached chains are shared, so they are immutable
     for kk in (k, mpmath.mpf(k)):
-        a, c, e_over_k = elliptic._agm_chain(kk)
+        a, c, e_over_k, ratio, scale = elliptic._agm_chain(kk)
         assert elliptic._agm_chain(kk)[0] is a
-        with pytest.raises(TypeError):
-            a[0] = 0
-        with pytest.raises(TypeError):
-            c[-1] = 0
+        for seq in (a, c, ratio):
+            with pytest.raises(TypeError):
+                seq[-1] = 0
 
 
 def test_vectorized_matches_scalar(rng):
@@ -229,7 +228,7 @@ def test_vectorized_matches_scalar(rng):
 
 def _landen_np_clip(u, k):
     """The float64 branch of ``elliptic._landen`` as it was, clipping with np.clip."""
-    a, c, e_over_k = elliptic._agm_chain(k)
+    a, c, e_over_k = elliptic._agm_chain(k)[:3]
     n = len(a) - 1
     phi = (2.0 ** n * a[n]) * u
     sn = np.sin(phi)
@@ -295,3 +294,76 @@ def test_complete_E_against_quadrature():
         oracle = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),
                       0.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)[0]
         assert complete_E(k) == pytest.approx(oracle, abs=1e-13)
+
+
+def _agm_chain_mp_reference(k):
+    """The mpmath AGM chain (a_i, c_i, E/K) as ``elliptic`` built it before
+    the chain carried the Landen loop's per-level constants: a_0 the float 1.0."""
+    a, b, c = [1.0], [mpmath.sqrt((1.0 - k) * (1.0 + k))], [k]
+    while abs(c[-1]) > 4.0 * mpmath.eps * a[-1] and len(a) < 64:
+        a, b, c = (a + [0.5 * (a[-1] + b[-1])], b + [mpmath.sqrt(a[-1] * b[-1])],
+                   c + [0.5 * (a[-1] - b[-1])])
+    return a, c, 1.0 - mpmath.fsum(2.0 ** (i - 1) * c[i] ** 2 for i in range(len(c)))
+
+
+def _landen_mp_reference(u, k, chain):
+    """The mpmath branch of ``elliptic._landen`` in the mpf wrappers, as it
+    was before it ran on libmp tuples."""
+    sin, cos, sqrt, asin = mpmath.sin, mpmath.cos, mpmath.sqrt, mpmath.asin
+    half, one, two = mpmath.mpf(0.5), mpmath.mpf(1), mpmath.mpf(2)
+    a, c, e_over_k = chain
+    n = len(a) - 1
+    phi = (two ** n * a[n]) * u
+    sn = sin(phi)
+    esum = c[n] * sn if n >= 1 else 0.0
+    for i in range(n, 0, -1):
+        phi = half * (phi + asin(max(min(c[i] / a[i] * sn, one), -one)))
+        sn = sin(phi)
+        if i > 1:
+            esum = esum + c[i - 1] * sn
+    dn = sqrt(one - (k * sn) ** 2)
+    return sn, cos(phi), dn, phi, e_over_k * u + esum
+
+
+def _mpf_bits(values):
+    return [v._mpf_ for v in values]
+
+
+@pytest.mark.parametrize("dps", [40, 50, 80])
+def test_landen_mp_has_the_bits_of_the_mpf_wrappers(dps, monkeypatch):
+    rng = np.random.default_rng(dps)
+    ks = [*rng.uniform(0.0, 1.0, 12), *(1.0 - 10.0 ** rng.uniform(-9.0, -6.0, 6)),
+          *(10.0 ** rng.uniform(-12.0, -3.0, 6)), 1.0 - 1e-9, 1e-60]
+    us = [*rng.uniform(-30.0, 30.0, 12), 0.0, 1e-300, math.nan]
+    with mpmath.workdps(dps):
+        for k in map(mpmath.mpf, ks):
+            chain = _agm_chain_mp_reference(k)
+            a, c, e_over_k = elliptic._agm_chain(k)[:3]
+            assert _mpf_bits(a) == _mpf_bits(map(mpmath.mpf, chain[0]))
+            assert _mpf_bits(c) == _mpf_bits(chain[1]) and e_over_k._mpf_ == chain[2]._mpf_
+            for u in map(mpmath.mpf, us):
+                got = jacobi_mp(u, k)
+                assert all(type(g) is mpmath.mpf for g in got)
+                assert _mpf_bits(got) == _mpf_bits(_landen_mp_reference(u, k, chain)), (k, u)
+        # the clip: a chain with c_i / a_i up to about 3 sends |c_i / a_i sn|
+        # past 1, and the loop's arcsine then reads exactly 1 or -1
+        asin_args = []
+
+        def asin(s, *args):
+            asin_args.append(s)
+            return mpf_asin(s, *args)
+        mpf_asin = elliptic.libmp.mpf_asin
+        for k in map(mpmath.mpf, (0.3, 0.9, 1.0 - 1e-9)):
+            a, c, e_over_k = _agm_chain_mp_reference(k)
+            c = [c[0], *(3 * ci for ci in c[1:])]
+            n = len(a) - 1
+            forged = (tuple(a), tuple(c), e_over_k, tuple(ci / ai for ci, ai in zip(c, a)),
+                      2.0 ** n * a[n])
+            monkeypatch.setattr(elliptic, "_agm_chain", lambda kk: forged)
+            monkeypatch.setattr(elliptic.libmp, "mpf_asin", asin)
+            for u in map(mpmath.mpf, us):
+                got = elliptic._landen(u, k)
+                assert _mpf_bits(got) == _mpf_bits(_landen_mp_reference(u, k, (a, c, e_over_k)))
+            monkeypatch.undo()
+        clipped = [s for s in asin_args if s in (mpmath.libmp.fone, mpmath.libmp.fnone)]
+        assert len(clipped) > len(us)

@@ -749,3 +749,41 @@ def test_stratum_record_matches_paper_formulas(k):
         assert got == pytest.approx(xis, abs=1e-12)
     # the sign of J1 before t_max1
     assert (C1_FORMS.j1_sign, C2_FORMS.j1_sign) == (-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the value-only route of the kernels
+# ---------------------------------------------------------------------------
+
+KERNELS = [(name, getattr(maxwell, f"{name}_{st}_kernel"), forms)
+           for st, forms in (("c1", C1_FORMS), ("c2", C2_FORMS))
+           for name in ("fz", "fv", "a01", "a21")]
+
+
+def _bits(x):
+    """x's type and bits: the _mpf_ tuple of an mpf, the bytes of anything else."""
+    if isinstance(x, mpmath.mpf):
+        return type(x), x._mpf_
+    return type(x), np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name, kernel, forms", KERNELS, ids=[f"{n}_{f.stratum.value}"
+                                                              for n, _, f in KERNELS])
+def test_value_only_kernel_has_the_bits_of_the_value(name, kernel, forms):
+    # mag=False computes the value only, by the same operations in the same
+    # order, in each arithmetic the kernels run in
+    rng = np.random.default_rng(len(name) + 10 * (forms is C2_FORMS))
+    for k in (0.05, float(rng.uniform(0.2, 0.95)), 0.999999):
+        ps = rng.uniform(0.01, 4.0 * complete_K(k), 64)
+        inputs = [ps, *ps[:8].tolist(), *map(np.float64, ps[8:16])]
+        for p in inputs:
+            whole = kernel(*forms.args(p, k))
+            value, none = kernel(*forms.args(p, k), mag=False)
+            assert none is None and whole[1] is not None
+            assert _bits(value) == _bits(whole[0]), (k, p)
+        for dps in (40, 50):
+            with mpmath.workdps(dps):
+                for p in map(mpmath.mpf, ps[16:24]):
+                    whole = kernel(*forms.args(p, k))
+                    value, none = kernel(*forms.args(p, k), mag=False)
+                    assert none is None and _bits(value) == _bits(whole[0]), (k, p, dps)

@@ -18,7 +18,12 @@ requests are:
   the few 1e-10 of a crossing where both roots are polished);
 - fixed requests at the edges of the ODE integrations, where the step counts
   are largest or smallest: the cross-checked ``conj`` at k = 0.99 on C1 and
-  on C2 and at alpha = 25, and ``exp --trace --steps 2000``.
+  on C2 and at alpha = 25, and ``exp --trace --steps 2000``;
+- fixed requests on the mpmath routes that the seeded streams rarely reach:
+  ``conj --no-cross-check`` on C2 at k = 0.01, one ulp below ``C2_MP_K`` =
+  0.2 (the last mpmath scan) and at it (the first polished float64 root),
+  and ``maxwell`` on C1 at k = 0.999999, whose AGM chain is one of the
+  deepest below the k = 1 cutoff.
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -94,6 +99,15 @@ def ode_edge_requests() -> list[list[str]]:
              "--t", "12", "--trace", "--steps", "2000"]]
 
 
+def mp_route_requests() -> list[list[str]]:
+    """C2 conj requests around maxwell.C2_MP_K and far below it, and a deep-chain C1 maxwell."""
+    def covector(stratum, k):
+        return ["--stratum", stratum, "--phi", "0.3", "--k", k, "--alpha", "1.3", "--beta", "0.2"]
+    return [*(["conj", *covector("C2", k), "--no-cross-check"]
+              for k in ("0.01", "0.19999999999999998", "0.2")),
+            ["maxwell", *covector("C1", "0.999999")]]
+
+
 def requests(seeds: list[int]) -> list[list[str]]:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -103,7 +117,8 @@ def requests(seeds: list[int]) -> list[list[str]]:
         for seed in seeds:
             blocks = workloads.stream(workload, seed)
             reqs += [list(r.argv) for r in itertools.islice(itertools.chain.from_iterable(blocks), n)]
-    return reqs + readme_examples() + critical_requests() + ode_edge_requests()
+    return (reqs + readme_examples() + critical_requests() + ode_edge_requests()
+            + mp_route_requests())
 
 
 def worker(src: str, request_file: str, result_file: str) -> int:
