@@ -2,7 +2,7 @@
 Maxwell time and first conjugate time, with the bound t_conj1 >= t_max1
 verifiable at desk scale."""
 
-from .elliptic import EllipticValues, Modulus, complete_E, complete_K, incomplete_E, incomplete_F, jacobi
+from .elliptic import Modulus, complete_E, complete_K, incomplete_F
 from .errors import NumericalError, SolverDisagreement, StratumError
 from .flow import (Covector, EllipticCoord, Stratum, classify, dilate_covector,
                    exp_jacobian, exp_map, from_elliptic, pendulum_flow,

@@ -173,10 +173,11 @@ def cmd_sweep(args) -> int:
         for cval in cs:
             lam = Covector(args.theta or 0.0, float(cval), 0.0, 0.0)
             res = cj.first_conjugate_time(lam)
-            rows.append({"stratum": "C6", "k": "", "phi": "", "alpha": 0.0,
-                         "beta": 0.0, "c": float(cval), "t_max1": res.t_max,
-                         "t_conj": res.t_conj, "lower_ok": True,
-                         "upper_ok": True, "error": ""})
+            # c = 0 is the C7 covector, not C6
+            rows.append({"stratum": str(fl.classify(lam)), "k": "", "phi": "",
+                         "alpha": 0.0, "beta": 0.0, "c": float(cval),
+                         "t_max1": res.t_max, "t_conj": res.t_conj,
+                         "lower_ok": True, "upper_ok": True, "error": ""})
     else:
         raise UsageError(f"sweep supports C1, C2 or C6, not {st}")
 

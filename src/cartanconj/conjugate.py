@@ -49,13 +49,13 @@ from functools import cached_property, lru_cache, partial
 import mpmath
 import numpy as np
 
-from .elliptic import _EPS, ipow, jacobi_arrays
+from .elliptic import _EPS, incomplete_F, ipow, jacobi_arrays, jacobi_at
 from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent, _jacobi_at,
+from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent,
                       _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
-                      a21_c2_kernel, c1_kernel_args, c2_kernel_args_from_u1, c2_series,
+                      a21_c2_kernel, c1_kernel_args, c2_kernel_args, c2_series,
                       grid_roots, sign_changes, stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
@@ -124,11 +124,11 @@ def a21_C1(p, k):
 
 
 def a01_C2(u1, k):
-    return a01_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
+    return a01_c2_kernel(*c2_kernel_args(incomplete_F(u1, k), k), mag=False)[0]
 
 
 def a21_C2(u1, k):
-    return a21_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
+    return a21_c2_kernel(*c2_kernel_args(incomplete_F(u1, k), k), mag=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def _j1(ec: EllipticCoord, t, half=None, mag=True):
         half = _half_arc(forms, k, sa, t, mag)
     sn_p, a0, a2, m0, m2 = half
     tau = sa * (phi + t / 2.0) / forms.phase_div(kf)
-    snt = _jacobi_at(tau, k)[2]
+    snt = jacobi_at(tau, k)[2]
     xi = snt * snt
     w0, w2 = forms.weights(xi, k2)
     j1 = a0 * w0 - a2 * w2
@@ -507,16 +507,20 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
                          cross_validate: bool = False) -> ConjugateResult:
     """First conjugate time; +inf when no Jacobian zero at or below the cap.
 
-    C3/C4/C5/C7 extremals have none; on C6 the first conjugate time equals
-    the first Maxwell time exactly.  On C1/C2 the analytic J1 is scanned and
-    (optionally) cross-checked against the variational Jacobian; the two
-    must agree to ``AGREEMENT_TOL`` or SolverDisagreement is raised.
-    The result carries the stratum upper bound on t_conj (+inf where the
-    period diverges or off C1/C2): on C1 as a range from the float64 Maxwell
-    roots, which decides the default cap and ``upper_ok`` unless it holds
-    the value that decides them, and as the polished bound on first read of
-    ``upper``.  The covector is converted to elliptic coordinates once.
+    A cap must be positive and finite (ValueError otherwise) on every
+    stratum.  C3/C4/C5/C7 extremals have no zero; on C6 the first conjugate
+    time equals the first Maxwell time exactly.  On C1/C2 the analytic J1
+    is scanned and (optionally) cross-checked against the variational
+    Jacobian; the two must agree to ``AGREEMENT_TOL`` or SolverDisagreement
+    is raised.  The result carries the stratum upper bound on t_conj (+inf
+    where the period diverges or off C1/C2): on C1 as a range from the
+    float64 Maxwell roots, which decides the default cap and ``upper_ok``
+    unless it holds the value that decides them, and as the polished bound
+    on first read of ``upper``.  The covector is converted to elliptic
+    coordinates once.
     """
+    if t_cap is not None and not (t_cap > 0.0 and math.isfinite(t_cap)):
+        raise ValueError("search horizon must be positive and finite")
     st = classify(lam)
     if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
         return ConjugateResult(math.inf, None, "analytic", 0.0, math.inf)
@@ -525,7 +529,8 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
         # so the variational Jacobian vanishes identically there and cannot
         # locate the conjugate point; it is the C2 -> C6 limit of t_max1
         t_max = t_max1(lam).t_max
-        return ConjugateResult(t_max, None, "analytic", 0.0, t_max)
+        t_conj = t_max if t_cap is None or t_max <= t_cap else math.inf
+        return ConjugateResult(t_conj, None, "analytic", 0.0, t_max)
     ec = to_elliptic(lam)
     forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
     t_max = forms.maxwell_time(k, sa)[0] if k <= K_ONE_CUTOFF else math.inf
@@ -538,8 +543,6 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     polished = partial(forms.upper, k, sa)
     t_default = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * polished())
     cap = t_cap if t_cap is not None else t_default
-    if not (cap > 0.0 and math.isfinite(cap)):
-        raise ValueError("search horizon must be positive and finite")
     t_lo = min(scan_start_time(ec), 0.5 * t_max)
     hit = _first_zero_analytic(ec, t_lo, cap, hi, t_default)
     if hit is None:

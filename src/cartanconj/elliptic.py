@@ -7,32 +7,33 @@ E(u, k) = integral of dn^2 from 0 to u via the side recurrence
 
     E(u, k) = (E(k)/K(k)) * u + sum_i c_i sin(phi_i).
 
-Incomplete Legendre integrals F(phi, k), E(phi, k) use Carlson symmetric
-forms plus quasi-periodic reduction, so every function here accepts any
-real argument.  The elliptic argument may be a scalar or an ndarray; the
-modulus is always a scalar.  Degenerate moduli k = 0 and k = 1 are
-explicit analytic branches (trig and tanh/sech respectively); the AGM is
-never run at k = 1.
+The incomplete Legendre integral F(phi, k) uses Carlson's symmetric form
+plus quasi-periodic reduction, so it accepts any real argument.  The
+elliptic argument may be a scalar or an ndarray; the modulus is always a
+scalar.  Degenerate moduli k = 0 and k = 1 are explicit analytic branches
+(trig and tanh/sech respectively); the AGM is never run at k = 1.
 
 The AGM chain and the Landen loop are written once and run in one of
-three arithmetics, picked from the types of the modulus and the argument:
+three arithmetics, which ``jacobi_at`` picks from the type of the argument
+(the one place that does):
 
-- float64 numpy, for a float k and an ndarray (or 0-d) argument;
-- Python floats, for a float k and a Python ``float`` argument
-  (``jacobi_float``).  They give
+- float64 numpy (``jacobi_arrays``), for an ndarray, a 0-d array or a
+  numpy scalar argument;
+- Python floats, for a Python ``float`` argument and 0 < k < 1.  They give
   the bits of the numpy call on the 1-element array [u] at a fraction of
   its dispatch cost: ``+ - * /``, ``abs`` and ``sqrt`` are IEEE in both,
   ``sin``, ``cos`` and ``arcsin`` call numpy's ufunc on the scalar (its
   1-element loop; ``math.asin`` differs from it in the last bit on some
   inputs), and every power of an argument-derived value goes through
   ``ipow``;
-- mpmath at the working precision, for an mpf k, on the ``_mpf_`` tuples
-  with ``mpmath.libmp``'s functions (``_landen_mp``): the calls the mpf
-  operators make, with their bits, without their wrappers.
+- mpmath at the working precision (``jacobi_mp``), for an mpf argument, on
+  the ``_mpf_`` tuples with ``mpmath.libmp``'s functions (``_landen_mp``):
+  the calls the mpf operators make, with their bits, without their
+  wrappers.
 
-Float64 targets 1e-13 relative over k in [0, 1); the mpmath entry points
-(suffixed ``_mp``) serve downstream code where float64 cancellation would
-destroy k**8-and-smaller suppressed combinations.
+Float64 targets 1e-13 relative over k in [0, 1); the mpmath route serves
+downstream code where float64 cancellation would destroy k**8-and-smaller
+suppressed combinations.
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ def _kval(k) -> float:
     if isinstance(k, Modulus):
         return k.k
     return Modulus(float(k)).k
-
-
-@dataclass(frozen=True)
-class EllipticValues:
-    """sn, cn, dn, am and E = int_0^u dn^2 at one argument."""
-
-    sn: float
-    cn: float
-    dn: float
-    am: float
-    E_incomplete: float
 
 
 def _agm_chain(k):
@@ -137,13 +127,10 @@ def ipow(x, n: int):
 def _landen(u, k):
     """(sn, cn, dn, am, E) by descending Landen on the AGM chain of k in [0, 1).
 
-    u is a float64 ndarray (or 0-d array) or a Python float with a Python
-    float k, or an mpf with an mpf k (``_landen_mp``).  The arithmetic
-    follows k, and for a float k the type of u: a Python float u gives
-    Python floats with the bits of the call on the array [u].
+    u is a float64 ndarray (or 0-d array) or a Python float, and k a Python
+    float; a Python float u gives Python floats with the bits of the call
+    on the array [u].  ``_landen_mp`` is the loop for an mpf u and k.
     """
-    if isinstance(k, mpmath.mpf):
-        return _landen_mp(u, k)
     if type(u) is float:
         # numpy's own loops for the transcendentals, IEEE sqrt, and a clip
         # that keeps NaN and the sign of zero as np.minimum/np.maximum do
@@ -217,25 +204,30 @@ def jacobi_arrays(u, k):
     return _landen(u, k)
 
 
-def jacobi_float(u: float, k):
-    """(sn, cn, dn, am, E) at a Python float u, with the bits of
-    ``jacobi_arrays`` on the array [u].
+def jacobi_mp(u, k):
+    """(sn, cn, dn, am, E) as mpf values at the working precision."""
+    return _landen_mp(mpmath.mpf(u), mpmath.mpf(k))
 
-    For k in (0, 1) the Landen loop runs in Python floats; at k = 0 and
-    k = 1 it is ``jacobi_arrays``' own analytic branch.
+
+def jacobi_at(u, k):
+    """(u, k, sn, cn, dn, E) at u in the arithmetic of u.
+
+    An mpf u gives mpf values at the working precision (``jacobi_mp``), and
+    k as an mpf.  A Python ``float`` u with 0 < k < 1 gives Python floats
+    with the bits of ``jacobi_arrays`` on the array [u].  Anything else,
+    a numpy scalar included, and a Python float at k = 0 or 1, goes to
+    ``jacobi_arrays``; an array-like u comes back as a float64 array.
     """
+    if isinstance(u, mpmath.mpf):
+        k = mpmath.mpf(k)
+        sn, cn, dn, _, eps = jacobi_mp(u, k)
+        return u, k, sn, cn, dn, eps
     k = _kval(k)
-    if 0.0 < k < 1.0:
-        return _landen(u, k)
-    return jacobi_arrays(u, k)
-
-
-def jacobi(u: float, k) -> EllipticValues:
-    """sn, cn, dn, am(u, k) and E(u, k) at a scalar argument."""
-    if not math.isfinite(u):
-        raise ValueError(f"elliptic argument must be finite, got {u!r}")
-    sn, cn, dn, am, eps = jacobi_arrays(float(u), k)
-    return EllipticValues(float(sn), float(cn), float(dn), float(am), float(eps))
+    if type(u) is float:
+        sn, cn, dn, _, eps = _landen(u, k) if 0.0 < k < 1.0 else jacobi_arrays(u, k)
+        return u, k, sn, cn, dn, eps
+    sn, cn, dn, _, eps = jacobi_arrays(u, k)
+    return np.asarray(u, dtype=float), k, sn, cn, dn, eps
 
 
 def am(u, k):
@@ -263,13 +255,8 @@ def complete_E(k) -> float:
     return e_over_k * math.pi / (2.0 * a[-1])
 
 
-def E2(p, k):
-    """2 E(p, k) - p, the combination entering every Jacobian coefficient."""
-    return 2.0 * jacobi_arrays(p, k)[4] - np.asarray(p, dtype=float)
-
-
 # ---------------------------------------------------------------------------
-# Carlson symmetric forms (vectorized duplication; double precision)
+# Carlson symmetric form (vectorized duplication; double precision)
 # ---------------------------------------------------------------------------
 
 def carlson_rf(x, y, z):
@@ -297,38 +284,6 @@ def carlson_rf(x, y, z):
     return s / np.sqrt(mu)
 
 
-def carlson_rd(x, y, z):
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    z = np.asarray(z, dtype=float).copy()
-    sigma = np.zeros(np.broadcast(x, y, z).shape)
-    power = 1.0
-    for _ in range(120):
-        mu = 0.2 * (x + y + 3.0 * z)
-        dev = np.max(np.abs(1.0 - np.stack([x, y, z]) / mu))
-        if dev < 1e-4:
-            break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        sigma = sigma + power / (sz * (z + lam))
-        power = power * 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-    mu = 0.2 * (x + y + 3.0 * z)
-    dx = 1.0 - x / mu
-    dy = 1.0 - y / mu
-    dz = 1.0 - z / mu
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ef = ed + ec + ec
-    s1 = ed * (-3.0 / 14.0 + 0.25 * 9.0 / 22.0 * ed - 1.5 * 3.0 / 26.0 * dz * ef)
-    s2 = dz * (ef / 6.0 + dz * (-9.0 / 22.0 * ec + dz * 3.0 / 26.0 * ea))
-    return 3.0 * sigma + power * (1.0 + s1 + s2) / (mu * np.sqrt(mu))
-
-
 def incomplete_F(phi, k):
     """Quasi-periodic Legendre F(phi, k); inverse of am for fixed k."""
     k = _kval(k)
@@ -344,36 +299,3 @@ def incomplete_F(phi, k):
     s, c = np.sin(r), np.cos(r)
     base = s * carlson_rf(c * c, 1.0 - (k * s) ** 2, np.ones_like(r))
     return 2.0 * n * complete_K(k) + base
-
-
-def incomplete_E(phi, k):
-    """Quasi-periodic Legendre E(phi, k) of the amplitude phi."""
-    k = _kval(k)
-    phi = np.asarray(phi, dtype=float)
-    if k == 0.0:
-        return phi + 0.0
-    if k == 1.0:
-        n = np.round(phi / math.pi)
-        r = phi - n * math.pi
-        return 2.0 * n + np.sin(r)
-    n = np.round(phi / math.pi)
-    r = phi - n * math.pi
-    s, c = np.sin(r), np.cos(r)
-    y = 1.0 - (k * s) ** 2
-    one = np.ones_like(r)
-    base = s * carlson_rf(c * c, y, one) - (k * k / 3.0) * s ** 3 * carlson_rd(c * c, y, one)
-    return 2.0 * n * complete_E(k) + base
-
-
-# ---------------------------------------------------------------------------
-# mpmath backend: the same AGM and Landen steps at the working precision
-# ---------------------------------------------------------------------------
-
-def jacobi_mp(u, k):
-    """(sn, cn, dn, am, E) as mpf values."""
-    return _landen(mpmath.mpf(u), mpmath.mpf(k))
-
-
-def am_mp(u, k):
-    """Quasi-periodic amplitude in mpmath arithmetic (current precision)."""
-    return jacobi_mp(u, k)[3]

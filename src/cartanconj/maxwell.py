@@ -43,8 +43,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .elliptic import (_EPS, _kval, am_mp, complete_E, complete_K, incomplete_E,
-                       incomplete_F, ipow, jacobi_arrays, jacobi_float, jacobi_mp)
+from .elliptic import (_EPS, _kval, complete_E, complete_K, incomplete_F, ipow, jacobi_arrays,
+                       jacobi_at, jacobi_mp)
 from .errors import NumericalError, StratumError
 from .flow import Covector, EllipticCoord, Stratum, classify, to_elliptic
 
@@ -385,43 +385,18 @@ def c2_series(name, u1, k):
 # ingredient providers
 # ---------------------------------------------------------------------------
 
-def _jacobi_at(p, k):
-    """(p, k, sn, cn, dn, E) at p in the arithmetic of p: mpmath (current
-    precision) for an mpf, the bits of the array [p] for a Python float
-    (``jacobi_float``), else float64 arrays."""
-    if isinstance(p, mpmath.mpf):
-        k = mpmath.mpf(k)
-        sn, cn, dn, _, eps = jacobi_mp(p, k)
-        return p, k, sn, cn, dn, eps
-    k = _kval(k)
-    if type(p) is float:
-        sn, cn, dn, _, eps = jacobi_float(p, k)
-        return p, k, sn, cn, dn, eps
-    sn, cn, dn, _, eps = jacobi_arrays(p, k)
-    return np.asarray(p, dtype=float), k, sn, cn, dn, eps
-
-
 def c1_kernel_args(p, k):
     """The C1 kernels' arguments (p, k^2, sn, cn, dn, 2E - p) at p, in the
-    arithmetic of p (``_jacobi_at``)."""
-    pa, k, sn, cn, dn, eps = _jacobi_at(p, k)
+    arithmetic of p (``elliptic.jacobi_at``)."""
+    pa, k, sn, cn, dn, eps = jacobi_at(p, k)
     return p, k * k, sn, cn, dn, 2 * eps - pa
 
 
 def c2_kernel_args(p, k):
     """The C2 kernels' arguments (k, k^2, F, E, sin u1, cos u1, dn u1) with
-    u1 = am(p, k), so F(u1) = p, in the arithmetic of p (``_jacobi_at``)."""
-    p, k, sn, cn, dn, eps = _jacobi_at(p, k)
+    u1 = am(p, k), so F(u1) = p, in the arithmetic of p (``elliptic.jacobi_at``)."""
+    p, k, sn, cn, dn, eps = jacobi_at(p, k)
     return k, k * k, p, eps, sn, cn, dn
-
-
-def c2_kernel_args_from_u1(u1, k):
-    """The C2 kernels' arguments at the amplitude u1 (float64 only)."""
-    k = _kval(k)
-    u1 = np.asarray(u1, dtype=float)
-    s = np.sin(u1)
-    return (k, k * k, incomplete_F(u1, k), incomplete_E(u1, k), s, np.cos(u1),
-            np.sqrt(1.0 - (k * s) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +412,14 @@ def f_V_C1(p, k):
 
 
 def f_z_C2(u1, k):
-    return fz_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
+    """fz on C2 at the amplitude u1: the kernel at p = F(u1, k)."""
+    return fz_c2_kernel(*c2_kernel_args(incomplete_F(u1, k), k), mag=False)[0]
 
 
 def f_V_C2(u1, k):
-    """Evaluated from the u1-form; never by substitution into the C1 form."""
-    return fv_c2_kernel(*c2_kernel_args_from_u1(u1, k), mag=False)[0]
+    """fv on C2 at the amplitude u1: the C2 kernel at p = F(u1, k), never
+    the C1 form."""
+    return fv_c2_kernel(*c2_kernel_args(incomplete_F(u1, k), k), mag=False)[0]
 
 
 def f_V0(u1):
@@ -658,12 +635,12 @@ def _branch_fn(kernel, forms, k, mp=False):
     """p -> float value of a kernel of the stratum record ``forms`` at modulus k.
 
     With mp the kernel runs under mpmath at the caller's working precision;
-    without, it runs in numpy scalars (p a np.float64, so ``_jacobi_at``
-    takes the array route on a 0-d array, never the Python-float one), and
-    ``f.on_array(ps)`` gives its values on an array of p in one call.  The
-    numpy-scalar route is what every float64 Maxwell root was located with:
-    its ``x ** n`` is libm's pow, and the Python-float route would move some
-    roots in the last bits.  The function's name gives the kernel and k for
+    without, it runs in numpy scalars (p a np.float64, which
+    ``elliptic.jacobi_at`` sends to the array route, never the Python-float
+    one), and ``f.on_array(ps)`` gives its values on an array of p in one
+    call.  The numpy-scalar route is what every float64 Maxwell root was
+    located with: its ``x ** n`` is libm's pow, and the Python-float route
+    would move some roots in the last bits.  The function's name gives the kernel and k for
     error messages.  Both compute the kernel's value only (``mag=False``).
     """
     def f(p):
@@ -813,7 +790,7 @@ def u_v1(k) -> float:
     p = p1_V(k, Stratum.C2)
     if k < C2_MP_K:
         with mpmath.workdps(MP_DPS):
-            return float(am_mp(p, k))
+            return float(jacobi_mp(p, k)[3])
     return float(jacobi_arrays(p, k)[3])
 
 

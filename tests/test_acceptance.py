@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cartanconj.elliptic import am, am_mp, complete_K, incomplete_F, jacobi_arrays
+from cartanconj.elliptic import am, complete_K, incomplete_F, jacobi_arrays, jacobi_mp
 from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              casimir_drift, classify, dilate_covector,
                              exp_jacobian, exp_jacobian_fd, from_elliptic,
@@ -79,7 +79,7 @@ def test_criterion_02_series_anchors():
         for pp in ("0.8", "1.7", "2.4"):
             pv = mpmath.mpf(pp)
             args = mx.c2_kernel_args(pv, k)
-            u1 = float(am_mp(pv, k))
+            u1 = float(jacobi_mp(pv, k)[3])
             fz = mx.fz_c2_kernel(*args)[0]
             fv = mx.fv_c2_kernel(*args)[0]
             a01 = mx.a01_c2_kernel(*args)[0]

@@ -135,6 +135,15 @@ def test_sweep_json_c6(tmp_path):
     assert all(r["stratum"] == "C6" for r in rows)
 
 
+def test_sweep_c6_labels_c7_row(capsys):
+    # c = 0 at alpha = 0 is the C7 covector
+    code, out, _ = run(capsys, "sweep", "--stratum", "C6", "--c-range=-1:1", "--nk", "3")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert [(r[0], r[5]) for r in rows] == [("C6", "-1"), ("C7", "0"), ("C6", "1")]
+    assert rows[1][6:8] == ["inf", "inf"]
+
+
 def test_sweep_bad_counts(capsys):
     code, _, _ = run(capsys, "sweep", "--stratum", "C1", "--nk", "1")
     assert code == 2
@@ -170,6 +179,28 @@ def test_conj_horizon_not_finite_is_usage_error(capsys, horizon):
     code, out, err = run(capsys, "conj", *README_C1, "--horizon", horizon)
     assert (code, out) == (2, "")
     assert err == "error: search horizon must be positive and finite\n"
+
+
+C6 = ("--theta", "0", "--c", "2", "--alpha", "0", "--beta", "0")
+C4 = ("--theta", "0.3", "--c", "0", "--alpha", "1", "--beta", "0.3")
+
+
+@pytest.mark.parametrize("horizon", ["-5", "0", "inf", "nan"])
+@pytest.mark.parametrize("argv", [C6, C4], ids=["C6", "C4"])
+def test_conj_horizon_checked_off_c1_c2(capsys, argv, horizon):
+    code, out, err = run(capsys, "conj", *argv, f"--horizon={horizon}")
+    assert (code, out) == (2, "")
+    assert err == "error: search horizon must be positive and finite\n"
+
+
+def test_conj_c6_horizon_below_maxwell_time_reports_inf(capsys):
+    default = json.loads(run(capsys, "conj", *C6)[1])
+    assert default["t_conj"] == default["t_max1"] == 4.601591631953129
+    code, out, _ = run(capsys, "conj", *C6, "--horizon=1.0")
+    assert code == 0
+    assert json.loads(out) == {**default, "t_conj": "inf"}
+    code, out, _ = run(capsys, "conj", *C6, "--horizon=5.0")
+    assert (code, json.loads(out)) == (0, default)
 
 
 def test_conj_far_horizon_matches_default(capsys):

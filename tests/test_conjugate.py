@@ -47,13 +47,13 @@ def test_a21_c1_small_p_anchor_mp():
 
 def test_c2_table_smallk_anchors_mp():
     """a01 -> (3/2048) k^8 a010(u1) and a21 -> (k^17/4194304) a210(u1)."""
-    from cartanconj.elliptic import am_mp
+    from cartanconj.elliptic import jacobi_mp
     with mpmath.workdps(60):
         k = mpmath.mpf("0.01")
         for pp in ("0.8", "1.7", "2.4"):
             p = mpmath.mpf(pp)
             args = mx.c2_kernel_args(p, k)
-            u1 = float(am_mp(p, k))
+            u1 = float(jacobi_mp(p, k)[3])
             a01 = mx.a01_c2_kernel(*args)[0]
             a21 = mx.a21_c2_kernel(*args)[0]
             t01 = mpmath.mpf(3) / 2048 * k ** 8 * mpmath.mpf(float(a010(u1)))
@@ -64,13 +64,13 @@ def test_c2_table_smallk_anchors_mp():
 
 def test_j1_c2_joint_origin_anchor_mp():
     """J1 ~ (4/70875) k^16 u1^16 along u1 = k -> 0 (at xi = 0, J1 = a0)."""
-    from cartanconj.elliptic import am_mp
+    from cartanconj.elliptic import jacobi_mp
     with mpmath.workdps(120):
         for kk in ("0.05", "0.02"):
             k = mpmath.mpf(kk)
             p = k   # u1 = am(p, k) ~ p
             args = mx.c2_kernel_args(p, k)
-            u1 = am_mp(p, k)
+            u1 = jacobi_mp(p, k)[3]
             a0 = (mx.fv_c2_kernel(*args)[0]
                   * mx.a01_c2_kernel(*args)[0]) / 16
             target = mpmath.mpf(4) / 70875 * k ** 16 * u1 ** 16

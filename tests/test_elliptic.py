@@ -9,9 +9,9 @@ from scipy import special
 from scipy.integrate import quad
 
 from cartanconj import elliptic
-from cartanconj.elliptic import (Modulus, am, am_mp, complete_E,
-                                 complete_K, E2, incomplete_E, incomplete_F,
-                                 jacobi, jacobi_arrays, jacobi_mp)
+from cartanconj.elliptic import (Modulus, am, complete_E, complete_K, incomplete_F,
+                                 jacobi_arrays, jacobi_mp)
+from cartanconj.maxwell import c1_kernel_args
 
 
 def test_modulus_validation():
@@ -26,24 +26,24 @@ def test_modulus_validation():
 
 
 def test_degenerate_moduli():
-    v = jacobi(1.0, 0.0)
-    assert v.sn == pytest.approx(math.sin(1.0), abs=1e-15)
-    assert v.cn == pytest.approx(math.cos(1.0), abs=1e-15)
-    assert v.dn == 1.0
-    assert v.E_incomplete == pytest.approx(1.0, abs=1e-15)
+    sn, cn, dn, _, eps = map(float, jacobi_arrays(1.0, 0.0))
+    assert sn == pytest.approx(math.sin(1.0), abs=1e-15)
+    assert cn == pytest.approx(math.cos(1.0), abs=1e-15)
+    assert dn == 1.0
+    assert eps == pytest.approx(1.0, abs=1e-15)
 
-    v = jacobi(1.0, 1.0)
-    assert v.sn == pytest.approx(math.tanh(1.0), abs=1e-15)
-    assert v.cn == pytest.approx(1.0 / math.cosh(1.0), abs=1e-15)
-    assert v.dn == pytest.approx(1.0 / math.cosh(1.0), abs=1e-15)
+    sn, cn, dn, _, _ = map(float, jacobi_arrays(1.0, 1.0))
+    assert sn == pytest.approx(math.tanh(1.0), abs=1e-15)
+    assert cn == pytest.approx(1.0 / math.cosh(1.0), abs=1e-15)
+    assert dn == pytest.approx(1.0 / math.cosh(1.0), abs=1e-15)
 
 
 def test_quarter_period():
     K = complete_K(0.5)
-    v = jacobi(K, 0.5)
-    assert v.sn == pytest.approx(1.0, abs=1e-14)
-    assert v.cn == pytest.approx(0.0, abs=1e-14)
-    assert v.dn == pytest.approx(math.sqrt(1.0 - 0.25), abs=1e-14)
+    sn, cn, dn, _, _ = map(float, jacobi_arrays(K, 0.5))
+    assert sn == pytest.approx(1.0, abs=1e-14)
+    assert cn == pytest.approx(0.0, abs=1e-14)
+    assert dn == pytest.approx(math.sqrt(1.0 - 0.25), abs=1e-14)
 
 
 def test_complete_K_edge_cases():
@@ -71,12 +71,16 @@ def test_incomplete_F_identities():
     assert float(incomplete_F(math.pi / 2.0, 0.6)) == pytest.approx(
         complete_K(0.6), abs=1e-13)
     u = 1.3
-    assert float(incomplete_F(jacobi(u, 0.9).am, 0.9)) == pytest.approx(u, abs=1e-12)
+    assert float(incomplete_F(am(u, 0.9), 0.9)) == pytest.approx(u, abs=1e-12)
     with pytest.raises(ValueError):
         incomplete_F(2.0, 1.0)
 
 
 def test_E2_values():
+    # 2 E(p, k) - p, the C1 kernels' argument that enters every Jacobian coefficient
+    def E2(p, k):
+        return c1_kernel_args(p, k)[5]
+
     p = 1.7
     assert float(E2(p, 0.0)) == pytest.approx(p, abs=1e-14)
     assert float(E2(0.0, 0.77)) == 0.0
@@ -104,8 +108,6 @@ def test_incomplete_E_against_scipy(rng):
     for _ in range(100):
         k = rng.uniform(0.0, 0.98)
         phi = rng.uniform(-8.0, 8.0)
-        assert float(incomplete_E(phi, k)) == pytest.approx(
-            special.ellipeinc(phi, k * k), abs=5e-12)
         assert float(incomplete_F(phi, k)) == pytest.approx(
             special.ellipkinc(phi, k * k), abs=5e-12)
 
@@ -121,9 +123,9 @@ def test_pythagorean_identities(u, k):
 @settings(max_examples=100, deadline=None)
 @given(u=st.floats(-5.0, 5.0), k=st.floats(0.01, 0.99))
 def test_am_sin_cos_consistency(u, k):
-    v = jacobi(u, k)
-    assert v.sn == pytest.approx(math.sin(v.am), abs=1e-13)
-    assert v.cn == pytest.approx(math.cos(v.am), abs=1e-13)
+    sn, cn, _, amv, _ = map(float, jacobi_arrays(u, k))
+    assert sn == pytest.approx(math.sin(amv), abs=1e-13)
+    assert cn == pytest.approx(math.cos(amv), abs=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,10 +161,10 @@ def test_mp_backend_matches_float():
         for k in (0.2, 0.7, 0.95):
             for u in (0.8, 3.1, 9.7):
                 sn, cn, dn, ph, eps = jacobi_mp(u, k)
-                v = jacobi(u, k)
-                assert abs(float(sn) - v.sn) < 1e-12
-                assert abs(float(ph) - v.am) < 1e-12
-                assert abs(float(eps) - v.E_incomplete) < 1e-12
+                sn64, _, _, ph64, eps64 = map(float, jacobi_arrays(u, k))
+                assert abs(float(sn) - sn64) < 1e-12
+                assert abs(float(ph) - ph64) < 1e-12
+                assert abs(float(eps) - eps64) < 1e-12
 
 
 @pytest.mark.parametrize("dps", [40, 50, 120])
@@ -182,7 +184,7 @@ def test_mp_backend_against_mpmath(dps):
                 for got, want in zip((sn, cn, dn, eps), ref):
                     assert abs(got - want) <= scale * max(1, abs(want))
         for u in (mpmath.mpf(1) / 3, -12.0):
-            assert am_mp(u, 0) == u
+            assert jacobi_mp(u, 0)[3] == u
 
 
 def test_agm_cache_keyed_on_precision():
@@ -203,7 +205,7 @@ def test_agm_cache_keyed_on_precision():
                 assert jacobi_mp(u, k) == want[dps]
     # a float chain of the same k is a separate entry, even at 53 bits
     elliptic._agm_chain_at.cache_clear()
-    jacobi(u, k)
+    jacobi_arrays(u, k)
     with mpmath.workdps(15):
         assert mpmath.mp.prec == 53
         assert jacobi_mp(u, k) == want[15]
@@ -221,9 +223,9 @@ def test_vectorized_matches_scalar(rng):
     us = rng.uniform(-8.0, 8.0, 50)
     sn, cn, dn, amv, eps = jacobi_arrays(us, k)
     for i in (0, 17, 49):
-        v = jacobi(float(us[i]), k)
-        assert float(sn[i]) == v.sn
-        assert float(eps[i]) == v.E_incomplete
+        sn_i, _, _, _, eps_i = jacobi_arrays(float(us[i]), k)
+        assert float(sn[i]) == float(sn_i)
+        assert float(eps[i]) == float(eps_i)
 
 
 def _landen_np_clip(u, k):
@@ -282,11 +284,53 @@ def test_jacobi_float_matches_one_element_array(rng):
     us = [*rng.uniform(-60.0, 60.0, 200).tolist(), 0.0, -0.0, 5e-324, 1e-300, -1e-8]
     for k in (0.0, 1e-9, 1e-4, 0.05, 0.3, 0.7071067811865476, 0.9, 0.999, 1.0 - 1e-9, 1.0):
         for u in us:
-            got = elliptic.jacobi_float(u, k)
-            want = elliptic.jacobi_arrays(np.array([u]), k)
+            got = elliptic.jacobi_at(u, k)
+            sn, cn, dn, _, eps = elliptic.jacobi_arrays(np.array([u]), k)
+            assert got[0] is u and got[1] == k
             if 0.0 < k < 1.0:
-                assert all(type(g) is float for g in got)
-            assert [float(g).hex() for g in got] == [float(w[0]).hex() for w in want], (u, k)
+                assert all(type(g) is float for g in got[2:])
+            assert [float(g).hex() for g in got[2:]] == \
+                [float(w[0]).hex() for w in (sn, cn, dn, eps)], (u, k)
+
+
+def _bits(values):
+    """Each value's bits: ``.hex()`` of every float element, or an mpf's ``_mpf_``."""
+    return [v._mpf_ if isinstance(v, mpmath.mpf) else [x.hex() for x in np.ravel(v).tolist()]
+            for v in values]
+
+
+@pytest.mark.parametrize("u,k,dps,route", [
+    *((1.7, k, None, "_landen" if 0.0 < k < 1.0 else "jacobi_arrays")
+      for k in (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)),
+    (np.float64(1.7), 0.5, None, "jacobi_arrays"),
+    (np.array(1.7), 0.5, None, "jacobi_arrays"),
+    (np.array([-3.2, 0.0, 1.7, 9.4]), 0.5, None, "jacobi_arrays"),
+    ("1.7", 0.5, 40, "jacobi_mp"),
+    ("1.7", 0.5, 50, "jacobi_mp"),
+], ids=["float-k0", "float-k1e-9", "float-k0.5", "float-k1-1e-9", "float-k1",
+        "float64", "0d-array", "ndarray", "mpf-40", "mpf-50"])
+def test_jacobi_at_routes_by_argument_type(monkeypatch, u, k, dps, route):
+    # the first of the three routes that jacobi_at enters (jacobi_arrays
+    # itself runs _landen on 0 < k < 1), and the bits of that route's own call
+    calls = []
+    for name in ("_landen", "jacobi_arrays", "jacobi_mp"):
+        real = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    with mpmath.workdps(dps or 15):
+        u = mpmath.mpf(u) if dps else u
+        got = elliptic.jacobi_at(u, k)
+        monkeypatch.undo()
+        if dps:
+            want = jacobi_mp(u, k)
+            assert got[0] is u and got[1] == mpmath.mpf(k)
+            assert all(type(g) is mpmath.mpf for g in got[1:])
+        else:
+            want = jacobi_arrays(np.atleast_1d(np.asarray(u, dtype=float)), k)
+            assert got[0] is u if type(u) is float else type(got[0]) is np.ndarray
+            assert type(got[1]) is float and got[1] == k
+        assert calls[0] == route
+        assert _bits(got[2:]) == _bits([want[0], want[1], want[2], want[4]])
 
 
 def test_complete_E_against_quadrature():
@@ -362,7 +406,7 @@ def test_landen_mp_has_the_bits_of_the_mpf_wrappers(dps, monkeypatch):
             monkeypatch.setattr(elliptic, "_agm_chain", lambda kk: forged)
             monkeypatch.setattr(elliptic.libmp, "mpf_asin", asin)
             for u in map(mpmath.mpf, us):
-                got = elliptic._landen(u, k)
+                got = elliptic._landen_mp(u, k)
                 assert _mpf_bits(got) == _mpf_bits(_landen_mp_reference(u, k, (a, c, e_over_k)))
             monkeypatch.undo()
         clipped = [s for s in asin_args if s in (mpmath.libmp.fone, mpmath.libmp.fnone)]

@@ -19,7 +19,12 @@ root and an mpmath C2 root (k = 0.1) with bracket and residual.  The C2
 sweep near k = 0.34 at beta = -2.2 is the most bit-sensitive output found:
 an ulp of drift in the covector round trip moved half of its rows by up to
 1.5e-7 relative.  The maxwell verify suite locates about 490 cold roots.
+
+The README's library example is run as written, so a removed public name
+fails here too.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +170,12 @@ def test_golden_output(capsys, argv, expected):
     code = main(list(argv))
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_surface_runs():
+    # the README's library example, as written: its imports are the
+    # documented names, and it runs one cross-checked search
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "first_conjugate_time(lam, cross_validate=True)" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -67,7 +67,7 @@ def test_fv_c2_u1_zero():
     (a01_C2, a01_c2_kernel), (a21_C2, a21_c2_kernel),
 ], ids=["f_V_C2", "f_z_C2", "a01_C2", "a21_C2"])
 def test_fv_c2_matches_p_form(rng, u1_form, kernel):
-    # the u1-form with u1 = am(p, k) equals the internal p-form evaluation
+    # the u1-form, which evaluates the kernel at p = F(u1, k), inverts u1 = am(p, k)
     from cartanconj.elliptic import jacobi_arrays
     for _ in range(20):
         k = rng.uniform(0.2, 0.9)
@@ -82,12 +82,12 @@ def test_fv_c2_matches_p_form(rng, u1_form, kernel):
 def test_c2_smallk_asymptotics_mp():
     """fz ~ k^3 fz0(p) and fv ~ (k^8/512) fv0(u1) at k = 1e-2 (needs mp)."""
     from cartanconj.conjugate import fz0
-    from cartanconj.elliptic import am_mp
+    from cartanconj.elliptic import jacobi_mp
     with mpmath.workdps(60):
         k = mpmath.mpf("0.01")
         for p in (mpmath.mpf("0.8"), mpmath.mpf("1.9")):
             args = c2_kernel_args(p, k)
-            u1 = am_mp(p, k)
+            u1 = jacobi_mp(p, k)[3]
             fz = fz_c2_kernel(*args)[0]
             fv = fv_c2_kernel(*args)[0]
             assert float(fz / (k ** 3 * mpmath.mpf(float(fz0(float(p)))))) == pytest.approx(1.0, rel=5e-2)
