@@ -280,18 +280,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (UsageError, ValueError, StratumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SolverDisagreement as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": "solver_disagreement",
                           "t_analytic": _jsonable(exc.t_analytic),
                           "t_variational": _jsonable(exc.t_variational)}))
         return EXIT_NUMERIC
-    except NumericalError as exc:
+    except NumericalError as exc:      # before ValueError: a BracketError is both
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (UsageError, ValueError, StratumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

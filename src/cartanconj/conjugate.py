@@ -53,10 +53,10 @@ from .elliptic import _EPS, incomplete_F, ipow, jacobi_arrays, jacobi_at
 from .errors import NumericalError, SolverDisagreement
 from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
                    classify, to_elliptic)
-from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, _brent,
+from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, RootInfo,
                       _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
-                      a21_c2_kernel, c1_kernel_args, c2_kernel_args, c2_series,
-                      grid_roots, sign_changes, stratum_forms, t_max1)
+                      a21_c2_kernel, brent_root, c1_kernel_args, c2_kernel_args, c2_series,
+                      sign_changes, stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -375,7 +375,8 @@ class ConjugateResult:
 
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
-                         t_split: float = math.inf, t_default: float | None = None):
+                         t_split: float = math.inf,
+                         t_default: float | None = None) -> RootInfo | None:
     """First zero of t -> J1 on (t_lo, t_cap], or None.
 
     The float64 scan evaluates J1 in two array calls at most: on the grid up
@@ -414,11 +415,6 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     fmp.__name__ = f"J1 (mpmath) {where}"
     f64.__name__ = f"J1 {where}"
 
-    def refine(xs, fx, i, f):
-        a, b = float(xs[i]), float(xs[i + 1])
-        root, froot = _brent(f, a, b, fa=fx[i], fb=fx[i + 1])
-        return root, (a, b), abs(froot)
-
     if ec.k < forms.mp_k:
         # a few hundred grid times up to the default cap suffice: in this
         # regime J1 tracks a0(p), whose zeros are spaced on the K(k) scale.
@@ -438,10 +434,8 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
             if hi >= t_cap or len(ts) < 2:
                 return None
             lo, hi = ts[-1], ts[-1] + span      # the next span starts at this one's end
-        a, b = float(ts[i]), float(ts[i + 1])
-        root, froot = _brent(fmp, a, b, fa=None if sure[i] else vals[i],
-                             fb=None if sure[i + 1] else vals[i + 1])
-        return root, (a, b), abs(froot)
+        return brent_root(fmp, ts[i], ts[i + 1], fa=None if sure[i] else vals[i],
+                          fb=None if sure[i + 1] else vals[i + 1])
 
     n = math.ceil((t_cap - t_lo) / dt)          # len(np.arange(t_lo, t_cap, dt))
     if n < 4:
@@ -466,15 +460,15 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         vals, noise = np.concatenate((vals, v)), np.concatenate((noise, nz))
         clear = np.abs(vals) > SIGN_MARGIN * noise
         for i in first + sign_changes(vals[first:]):
+            a, b = float(ts[i]), float(ts[i + 1])
             if clear[i] and clear[i + 1]:
-                return refine(ts, vals, i, f64)
+                return brent_root(f64, a, b, fa=vals[i], fb=vals[i + 1])
             # ambiguous panel: decide under mpmath
-            va, vb = fmp(float(ts[i])), fmp(float(ts[i + 1]))
+            va, vb = fmp(a), fmp(b)
             if va == 0.0 or vb == 0.0:
-                t0 = float(ts[i]) if va == 0.0 else float(ts[i + 1])
-                return t0, (float(ts[i]), float(ts[i + 1])), 0.0
+                return RootInfo(a if va == 0.0 else b, (a, b), 0.0)
             if va * vb < 0.0:
-                return refine(ts[i:i + 2], (va, vb), 0, fmp)
+                return brent_root(fmp, a, b, fa=va, fb=vb)
     # near-tangential pair hiding inside one panel: refine panels whose
     # interior dips far below the neighborhood scale without a sign change
     absv = np.abs(vals)
@@ -486,11 +480,12 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         fine_vals = j1_path(ec, fine)[0]
         ff = sign_changes(fine_vals)
         if len(ff):
-            return refine(fine, fine_vals, ff[0], f64)
+            i = ff[0]
+            return brent_root(f64, fine[i], fine[i + 1], fa=fine_vals[i], fb=fine_vals[i + 1])
     return None
 
 
-def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float):
+def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float) -> RootInfo | None:
     """First zero of the variational Jacobian J0 on (t_lo, t_cap], or None."""
     jp = JacobianPath(lam, t_cap)
     ts = np.linspace(t_lo, t_cap, VARIATIONAL_GRID)
@@ -499,8 +494,12 @@ def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float):
     # integration noise of either sign: the search starts at the first point
     # whose sign is certain (at the first point when none is)
     start = _first_certain(M)
-    hits = grid_roots(jp, ts[start:], vals=np.linalg.det(M[start:]))
-    return hits[0][0] if hits else None
+    ts, vals = ts[start:], np.linalg.det(M[start:])
+    hits = sign_changes(vals)
+    if not len(hits):
+        return None
+    i = hits[0]
+    return brent_root(jp, ts[i], ts[i + 1], fa=vals[i], fb=vals[i + 1])
 
 
 def first_conjugate_time(lam: Covector, t_cap: float | None = None,
@@ -548,16 +547,17 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     if hit is None:
         result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)
     else:
-        root, bracket, residual = hit
-        if root < t_max - BOUND_SLACK:
+        if hit.root < t_max - BOUND_SLACK:
             raise NumericalError(
-                f"located Jacobian zero t={root} undercuts the Maxwell time "
+                f"located Jacobian zero t={hit.root} undercuts the Maxwell time "
                 f"{t_max}; the conjugate-time bound excludes this")
-        result = ConjugateResult(root, bracket, "analytic", residual, t_max, (lo, hi), polished)
+        result = ConjugateResult(hit.root, hit.bracket, "analytic", hit.residual, t_max,
+                                 (lo, hi), polished)
 
     if cross_validate:
         v_cap = min(cap, 1.05 * result.t_conj) if result.finite else cap
-        t_v = _first_zero_variational(lam, t_lo, v_cap)
+        v = _first_zero_variational(lam, t_lo, v_cap)
+        t_v = None if v is None else v.root
         if result.finite:
             agree = t_v is not None and abs(t_v - result.t_conj) <= \
                 AGREEMENT_TOL * max(1.0, result.t_conj)

@@ -5,6 +5,11 @@ class NumericalError(RuntimeError):
     """An integrator or root finder failed to produce a trustworthy result."""
 
 
+class BracketError(NumericalError, ValueError):
+    """A root search was handed a bracket it cannot search: no sign change at
+    its ends, or a NaN value.  A ValueError too, as ``brentq`` raises."""
+
+
 class SolverDisagreement(NumericalError):
     """The analytic and variational conjugate-time estimates differ too much.
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .elliptic import (_EPS, _kval, complete_E, complete_K, incomplete_F, ipow, jacobi_arrays,
                        jacobi_at, jacobi_mp)
-from .errors import NumericalError, StratumError
+from .errors import BracketError, NumericalError, StratumError
 from .flow import Covector, EllipticCoord, Stratum, classify, to_elliptic
 
 # modulus this close to 1 means the period diverges: report +inf times
@@ -437,7 +437,7 @@ class RootInfo:
     residual: float
 
 
-def brent_root(f, a, b, xtol=ROOT_XTOL):
+def brent_root(f, a, b, xtol=ROOT_XTOL, fa=None, fb=None) -> RootInfo:
     """Root of f in [a, b] by Brent's zeroin; f(a) and f(b) must differ in sign.
 
     A line-by-line port of the C routine behind ``scipy.optimize.brentq``
@@ -445,26 +445,21 @@ def brent_root(f, a, b, xtol=ROOT_XTOL):
     the same iteration on IEEE doubles, with the relative tolerance fixed at
     ``brentq``'s default of 4 eps, so the same root (bit for bit on x86-64,
     where that was checked).  An exact zero at an end is returned as is; a
-    bracket without a sign change or a NaN value raises ValueError, and no
-    convergence within BRENT_MAXITER steps raises NumericalError.
-    """
-    return _brent(f, a, b, xtol)[0]
-
-
-def _brent(f, a, b, xtol=ROOT_XTOL, fa=None, fb=None):
-    """``brent_root`` returning (root, f(root)).
+    bracket without a sign change or a NaN value raises BracketError (a
+    NumericalError and, as in ``brentq``, a ValueError), and no convergence
+    within BRENT_MAXITER steps raises NumericalError.
 
     fa and fb are f(a) and f(b) when the caller holds them already: f is
     deterministic, so the iteration and the root are those of an unseeded
-    call, and no point is evaluated twice.  f(root) is the value of the
-    last step, so a caller's residual needs no further evaluation.
+    call, and no point is evaluated twice.  The residual |f(root)| is the
+    value of the last step, so it needs no further evaluation.
     """
     name = getattr(f, "__name__", "f")
 
     def checked(x, fx):
         fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
-            raise ValueError(f"{name}({x!r}) is NaN; Brent cannot continue")
+            raise BracketError(f"{name}({x!r}) is NaN; Brent cannot continue")
         return fx
 
     a, b, xtol = float(a), float(b), float(xtol)
@@ -472,11 +467,12 @@ def _brent(f, a, b, xtol=ROOT_XTOL, fa=None, fb=None):
     xpre, xcur = a, b
     fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
-        return xpre, fpre
+        return RootInfo(xpre, (a, b), 0.0)
     if fcur == 0.0:
-        return xcur, fcur
+        return RootInfo(xcur, (a, b), 0.0)
     if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"{name} has the same sign at both ends of [{xpre!r}, {xcur!r}]")
+        raise BracketError(f"{name} has the same sign at both ends of [{a!r}, {b!r}]: "
+                           f"f(a) = {fpre!r}, f(b) = {fcur!r}")
     xblk = fblk = spre = scur = 0.0
     for _ in range(BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -488,7 +484,7 @@ def _brent(f, a, b, xtol=ROOT_XTOL, fa=None, fb=None):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
+            return RootInfo(xcur, (a, b), abs(fcur))
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:    # secant
@@ -541,21 +537,6 @@ def _screen_to_first_flip(f, xs, vals, sure):
     return vals, None
 
 
-def grid_roots(f, xs, vals, count=1):
-    """Brent roots of f in the first ``count`` panels of the grid xs where f
-    changes sign (all of them for count=None), as (root, (a, b)) pairs.
-
-    ``vals`` holds f on xs; Brent starts from those values, so it evaluates
-    f only inside a panel.
-    """
-    hits = sign_changes(vals)[:count]
-    roots = []
-    for i in hits:
-        a, b = float(xs[i]), float(xs[i + 1])
-        roots.append((_brent(f, a, b, fa=vals[i], fb=vals[i + 1])[0], (a, b)))
-    return roots
-
-
 def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     """First sign change of f on (lo, hi), refined by Brent.
 
@@ -575,10 +556,6 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
     if first_flip is not None:
         vals = vals[:first_flip + 2]
 
-    def refine(xs, i):
-        root, froot = _brent(f, xs[i], xs[i + 1], xtol)
-        return RootInfo(root, (float(xs[i]), float(xs[i + 1])), abs(froot))
-
     # vals ends with the panel of the first flip, so every dip lies before it
     absv = np.abs(vals)
     scale = np.maximum.accumulate(absv)
@@ -588,7 +565,7 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
         fine = np.linspace(ps[j], ps[j + 2], 257)
         ff = sign_changes(f.on_array(fine))
         if len(ff):
-            return refine(fine, ff[0])
+            return brent_root(f, fine[ff[0]], fine[ff[0] + 1], xtol)
     if first_flip is None:
         exact = np.nonzero(vals == 0.0)[0]
         if len(exact):
@@ -596,7 +573,7 @@ def _first_root(f, lo, hi, panels=SCAN_PANELS, xtol=ROOT_XTOL) -> RootInfo:
             return RootInfo(p0, (p0 - xtol, p0 + xtol), 0.0)
         raise NumericalError(
             f"no sign change of {getattr(f, '__name__', 'f')} in ({lo:g}, {hi:g})")
-    return refine(ps, first_flip)
+    return brent_root(f, ps[first_flip], ps[first_flip + 1], xtol)
 
 
 def _polish_ends(info: RootInfo):
@@ -621,8 +598,7 @@ def _polish_root_mp(fmp, info: RootInfo) -> RootInfo:
         if fa == 0.0 or fb == 0.0:
             return info
         if fa * fb < 0.0:
-            root, froot = _brent(fmp, a, b, fa=fa, fb=fb)
-            return RootInfo(root, (a, b), abs(froot))
+            return brent_root(fmp, a, b, fa=fa, fb=fb)
         from scipy.optimize import minimize_scalar     # tangency only: rare
         res = minimize_scalar(lambda p: abs(fmp(p)), bounds=(a, b),
                               method="bounded", options={"xatol": ROOT_XTOL})
@@ -803,10 +779,12 @@ def critical_moduli():
     def shared(k):
         return _branch_fn(fv_c1_kernel, C1_FORMS, k)(_p1_z_cached(k).root)
     ks = np.linspace(0.02, 0.98, 121)
-    roots = grid_roots(shared, ks, np.array([shared(k) for k in ks]), count=None)
-    if len(roots) != 2:
-        raise NumericalError(f"expected 2 critical moduli, found {len(roots)}")
-    k1, k0 = sorted(r for r, _ in roots)
+    vals = np.array([shared(k) for k in ks])
+    hits = sign_changes(vals)
+    if len(hits) != 2:
+        raise NumericalError(f"expected 2 critical moduli, found {len(hits)}")
+    k1, k0 = sorted(brent_root(shared, ks[i], ks[i + 1], fa=vals[i], fb=vals[i + 1]).root
+                    for i in hits)
 
     # Report each modulus a hair below its true value.  min(p1z, p1v) is
     # attained by the nondegenerate branch on that side (pz simple at k1,
@@ -833,7 +811,7 @@ def _polished_shared_sign(k):
     with mpmath.workdps(POLISH_DPS):
         pz = _p1_z_cached(k).root
         pz = brent_root(_branch_fn(fz_c1_kernel, C1_FORMS, k, mp=True),
-                        pz - POLISH_DX, pz + POLISH_DX, xtol=1e-14)
+                        pz - POLISH_DX, pz + POLISH_DX, xtol=1e-14).root
         return _branch_fn(fv_c1_kernel, C1_FORMS, k, mp=True)(pz)
 
 

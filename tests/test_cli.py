@@ -160,6 +160,16 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_failed_bracket_in_a_search_is_a_numerical_failure(capsys):
+    # at k = 1e-4 the 50-digit J1 is rounding noise, and Brent gets a panel
+    # whose ends have the same sign: exit 3 with both end values, not a usage error
+    code, out, err = run(capsys, "conj", "--stratum", "C2", "--phi", "6.41", "--k", "1e-4",
+                         "--alpha", "1", "--beta", "0", "--no-cross-check")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: J1 (mpmath) on C2")
+    assert "has the same sign at both ends" in err and "f(a) = " in err and "f(b) = " in err
+
+
 def test_conj_horizon_below_zero_reports_inf(capsys):
     code, out, _ = run(capsys, "conj", "--stratum", "C1", "--phi", "0.37",
                        "--k", "0.5", "--alpha", "1", "--beta", "0.4",

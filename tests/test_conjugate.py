@@ -570,7 +570,7 @@ _C2_ARC = (Covector(1.3833059885400323, 3.8413190472506797, 1.0, 0.2),
 def test_first_zero_variational_pinned(arc, want):
     # stdout never prints the variational zero, so these pins are the
     # bit-level guard on J0: the right-hand side, the integrator and the scan
-    assert cj._first_zero_variational(*arc) == want
+    assert cj._first_zero_variational(*arc).root == want
 
 
 def _certain_stack(rng, n, first):
@@ -713,7 +713,7 @@ def test_split_scan_finds_the_whole_grid_zero():
         t_lo = min(scan_start_time(ec), 0.5 * res.t_max)
         cap = max(3.0 * res.t_max, 1.1 * res.upper)
         whole = cj._first_zero_analytic(ec, t_lo, cap)
-        assert whole[0] == res.t_conj
+        assert whole.root == res.t_conj
         for split in (t_lo, res.t_max, res.bracket[0], res.bracket[1], res.upper, cap):
             assert cj._first_zero_analytic(ec, t_lo, cap, split) == whole
 
@@ -757,7 +757,7 @@ def _search_range(lam):
     """(ec, t_lo, cap) of first_conjugate_time's default search."""
     ec = to_elliptic(lam)
     t_max = mx.t_max1(lam).t_max
-    upper = mx.C2_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+    upper = mx.stratum_forms(ec.stratum).upper(ec.k, math.sqrt(ec.alpha))
     return ec, min(scan_start_time(ec), 0.5 * t_max), max(3.0 * t_max, 1.1 * upper)
 
 
@@ -789,9 +789,7 @@ def _mp_scan_reference(ec, t_lo, cap):
     vals, i = mx._screen_to_first_flip(fmp, ts, np.empty(len(ts)), np.zeros(len(ts), dtype=bool))
     if i is None:
         return None
-    a, b = float(ts[i]), float(ts[i + 1])
-    root, froot = mx._brent(fmp, a, b, fa=vals[i], fb=vals[i + 1])
-    return root, (a, b), abs(froot)
+    return mx.brent_root(fmp, ts[i], ts[i + 1], fa=vals[i], fb=vals[i + 1])
 
 
 def _small_k_arcs():
@@ -827,6 +825,96 @@ def test_j1_brent_error_names_stratum_modulus_and_phase(monkeypatch):
     monkeypatch.setattr(mx, "BRENT_MAXITER", 2)
     with pytest.raises(NumericalError, match=r"Brent on J1 on C1 at k=0\.5, phi=0\.3699"):
         first_conjugate_time(lam)
+
+
+def test_small_k_c2_search_fails_only_numerically():
+    # below k ~ 1e-3 the 50-digit C2 values are rounding noise, and some
+    # searches fail; each failure is a NumericalError (a Brent bracket
+    # without a sign change included), never a bare ValueError.  The times
+    # returned in this band are not checked: they are not accurate there.
+    rng = np.random.default_rng(1)
+    for k in (1e-4, 3e-5, 1e-5, 1e-6):
+        for _ in range(12):
+            ec = EllipticCoord(Stratum.C2, rng.uniform(0.0, 6.5), k, 1.0, rng.uniform(-2.0, 2.0))
+            try:
+                first_conjugate_time(from_elliptic(ec))
+            except NumericalError:
+                pass
+
+
+# ---------------------------------------------------------------------------
+# the root record: every search returns a RootInfo
+# ---------------------------------------------------------------------------
+
+def _route_first_root_f64(monkeypatch):
+    f = mx._branch_fn(mx.fz_c1_kernel, mx.C1_FORMS, 0.5)
+    return mx._first_root(f, 0.02, 3.0 * complete_K(0.5) - 1e-9), f
+
+
+def _route_first_root_screened(monkeypatch):
+    k = 0.1
+    f = mx._screened_fv_c2(k)
+    with mpmath.workdps(mx.MP_DPS):
+        info = mx._first_root(f, 1e-3, 2.0 * complete_K(k) - 1e-9)
+
+    def at(p):
+        with mpmath.workdps(mx.MP_DPS):
+            return f(p)
+    return info, at
+
+
+def _route_polish_mp(monkeypatch):
+    fmp = mx._branch_fn(mx.fz_c1_kernel, mx.C1_FORMS, 0.5, mp=True)
+    f64 = mx._p1_z_f64(0.5)
+    info = mx._polish_root_mp(fmp, f64)
+    assert info.bracket == mx._polish_ends(f64)         # the Brent branch
+
+    def at(p):
+        with mpmath.workdps(mx.POLISH_DPS):
+            return fmp(p)
+    return info, at
+
+
+def _route_analytic_f64(monkeypatch):
+    ec, t_lo, cap = _search_range(from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4)))
+    return cj._first_zero_analytic(ec, t_lo, cap), lambda t: cj._j1(ec, t, mag=False)[0]
+
+
+def _route_analytic_ambiguous_mp(monkeypatch):
+    # a C2 arc above C2_MP_K whose first sign change lies in a panel that
+    # float64 cannot decide: mpmath reads its ends, then runs Brent
+    ec, t_lo, cap = _search_range(from_elliptic(EllipticCoord(
+        Stratum.C2, 3.9801352425190197, 0.26505317044016424, 0.9901574506068256,
+        -1.4562450955972648)))
+    times = _recording_j1(monkeypatch, "_j1_scalar_mp")
+    info = cj._first_zero_analytic(ec, t_lo, cap)
+    assert ec.k >= mx.C2_MP_K and times[:2] == list(info.bracket)
+    return info, lambda t: cj._j1_scalar_mp(ec, t, mx.MP_DPS)
+
+
+def _route_analytic_small_k(monkeypatch):
+    ec, t_lo, cap = _search_range(from_elliptic(EllipticCoord(Stratum.C2, 0.3, 0.1, 1.3, 0.2)))
+    return cj._first_zero_analytic(ec, t_lo, cap), lambda t: cj._j1_scalar_mp(ec, t, mx.MP_DPS)
+
+
+def _route_variational(monkeypatch):
+    lam, t_lo, cap = _README_C1_ARC
+    return cj._first_zero_variational(lam, t_lo, cap), JacobianPath(lam, cap)
+
+
+@pytest.mark.parametrize("route", [_route_first_root_f64, _route_first_root_screened,
+                                   _route_polish_mp, _route_analytic_f64,
+                                   _route_analytic_ambiguous_mp, _route_analytic_small_k,
+                                   _route_variational],
+                         ids=lambda r: r.__name__.removeprefix("_route_"))
+def test_every_search_returns_a_root_record(monkeypatch, route):
+    # the root lies in its bracket, and the residual is |f(root)| on the
+    # search's own route (arithmetic and precision)
+    info, f = route(monkeypatch)
+    assert type(info) is mx.RootInfo
+    a, b = info.bracket
+    assert type(a) is type(b) is float and a <= info.root <= b
+    assert info.residual == abs(float(f(info.root)))
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +990,7 @@ def test_root_steps_compute_no_magnitudes(monkeypatch):
     assert {"_j1", "_half_arc", "_sum_terms"} <= set(probe.calls)
     probe.calls.clear()
 
-    for module, name in ((mx, "_polish_root_mp"), (mx, "_brent"), (cj, "_brent"),
+    for module, name in ((mx, "_polish_root_mp"), (mx, "brent_root"), (cj, "brent_root"),
                          (cj, "_screen_to_first_flip")):
         probe.watch(module, name)
     for stratum, k in ((Stratum.C1, 0.5), (Stratum.C2, 0.12)):
@@ -912,7 +1000,7 @@ def test_root_steps_compute_no_magnitudes(monkeypatch):
         res = first_conjugate_time(from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4)))
         assert res.finite
     fns = {(name, fn.split(" at k=")[0].split(" on ")[0]) for name, fn in probe.entered}
-    assert {("_polish_root_mp", "fz_c1_kernel (mpmath)"), ("_brent", "fz_c1_kernel"),
-            ("_brent", "J1"), ("_brent", "J1 (mpmath)"),
+    assert {("_polish_root_mp", "fz_c1_kernel (mpmath)"), ("brent_root", "fz_c1_kernel"),
+            ("brent_root", "J1"), ("brent_root", "J1 (mpmath)"),
             ("_screen_to_first_flip", "J1 (mpmath)")} <= fns
     assert probe.calls == []

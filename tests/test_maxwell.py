@@ -123,12 +123,13 @@ def test_brent_root_matches_scipy_brentq(family):
             continue
         xtol = 10.0 ** rng.uniform(-14.0, -6.0)
         expected = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        root = brent_root(f, a, b, xtol=xtol)
+        info = brent_root(f, a, b, xtol=xtol)
+        root = info.root
         # started from held end values, Brent runs the same iteration and
-        # returns f at the root it found
-        seeded, f_seeded = maxwell._brent(f, a, b, xtol, fa=f(a), fb=f(b))
-        assert (seeded.hex(), f_seeded) == (root.hex(), maxwell._brent(f, a, b, xtol)[1])
-        assert f_seeded == f(root)
+        # returns |f| at the root it found
+        seeded = brent_root(f, a, b, xtol, fa=f(a), fb=f(b))
+        assert (seeded.root.hex(), seeded.residual) == (root.hex(), info.residual)
+        assert seeded.residual == abs(f(root)) and seeded.bracket == (a, b)
         if exact:
             assert root.hex() == expected.hex()
         else:
@@ -140,8 +141,8 @@ def test_brent_root_matches_scipy_brentq(family):
 
 def test_brent_root_exact_zero_at_an_end():
     f = lambda x: x - 1.0
-    assert brent_root(f, 1.0, 2.0) == 1.0
-    assert brent_root(f, 0.0, 1.0) == 1.0
+    assert brent_root(f, 1.0, 2.0) == maxwell.RootInfo(1.0, (1.0, 2.0), 0.0)
+    assert brent_root(f, 0.0, 1.0) == maxwell.RootInfo(1.0, (0.0, 1.0), 0.0)
 
 
 def test_brent_root_needs_a_sign_change():
@@ -156,7 +157,7 @@ def test_brent_root_nonconvergence_is_numerical_error(monkeypatch):
         m.setattr(maxwell, "BRENT_MAXITER", 2)
         with pytest.raises(NumericalError, match=r"sin over \[3.0, 3.3\] did not converge in 2"):
             brent_root(math.sin, 3.0, 3.3, xtol=1e-14)
-    assert brent_root(math.sin, 3.0, 3.3, xtol=1e-14) == pytest.approx(math.pi, abs=1e-14)
+    assert brent_root(math.sin, 3.0, 3.3, xtol=1e-14).root == pytest.approx(math.pi, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +204,12 @@ def test_unscreened_scan_stops_at_first_flip():
     assert f.calls == list(xs[:first + 2])
     assert vals.tolist() == [math.cos(7.0 * x) for x in xs[:first + 2]]
     # Brent from the scan's values works inside that panel only
-    root = maxwell._brent(f, xs[i], xs[i + 1], fa=vals[i], fb=vals[i + 1])[0]
+    info = brent_root(f, xs[i], xs[i + 1], fa=vals[i], fb=vals[i + 1])
+    assert info.bracket == (xs[i], xs[i + 1])
     assert set(f.calls) & set(xs) == set(xs[:first + 2])
     assert len(f.calls) - (first + 2) < 20
     assert _each_once(f.calls)
-    f.calls = []
-    grid_vals = np.array([math.cos(7.0 * x) for x in xs])
-    assert (root, (xs[i], xs[i + 1])) == maxwell.grid_roots(f, xs, grid_vals, count=None)[0]
-    assert _each_once(f.calls) and not set(f.calls) & set(xs)
-    assert root == pytest.approx(math.pi / 14.0, abs=1e-12)
+    assert info.root == pytest.approx(math.pi / 14.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("ys,first", [
@@ -221,14 +219,12 @@ def test_unscreened_scan_stops_at_first_flip():
     ([1.0, 2.0, 0.5, 4.0], None),
 ])
 def test_grid_roots_sign_test_matches_sign_changes(ys, first):
-    # the point-by-point scan, its screened form and grid_roots take the
-    # sign test of sign_changes
+    # the point-by-point scan and its screened form take the sign test of
+    # sign_changes, whose panels the grid searches hand to Brent
     xs, g = _piecewise(ys)
     f = _counting(g)
     vals, i = _point_scan(f, xs)
-    scan_calls, f.calls = f.calls, []
-    full = maxwell.grid_roots(f, xs, np.array(ys), count=None)
-    assert _each_once(scan_calls) and _each_once(f.calls)
+    assert _each_once(f.calls)
     hits = maxwell.sign_changes(np.array(ys))
     # a screen sure of the sign of every nonzero value, as |v| > margin * bound
     # is (not of a zero or a NaN, which it asks f for)
@@ -237,13 +233,12 @@ def test_grid_roots_sign_test_matches_sign_changes(ys, first):
     assert si == i
     assert screened.calls == [x for x, y in zip(xs[:len(svals)], ys) if not y or math.isnan(y)]
     if first is None:
-        assert i is None and full == [] and len(hits) == 0
-        # no flip: every grid point was evaluated once, and no Brent ran
-        assert scan_calls == list(xs) and f.calls == []
+        # no flip: every grid point was evaluated once
+        assert i is None and len(hits) == 0
+        assert f.calls == list(xs)
     else:
         assert hits[0] == first == i
-        assert full[0][1] == (xs[first], xs[first + 1])
-        assert scan_calls == list(xs[:first + 2])
+        assert f.calls == list(xs[:first + 2])
 
 
 def test_first_root_rescans_dip_before_first_flip():

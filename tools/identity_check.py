@@ -23,7 +23,11 @@ requests are:
   ``conj --no-cross-check`` on C2 at k = 0.01, one ulp below ``C2_MP_K`` =
   0.2 (the last mpmath scan) and at it (the first polished float64 root),
   and ``maxwell`` on C1 at k = 0.999999, whose AGM chain is one of the
-  deepest below the k = 1 cutoff.
+  deepest below the k = 1 cutoff;
+- two requests in the k = 1e-4 band of C2, where 50 digits do not resolve
+  J1 and the search fails: ``conj --no-cross-check`` at alpha = 1, beta = 0
+  and phi = 6.41 (a Brent bracket without a sign change) and phi = 4.657 (a
+  zero that undercuts t_max1).
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -100,12 +104,15 @@ def ode_edge_requests() -> list[list[str]]:
 
 
 def mp_route_requests() -> list[list[str]]:
-    """C2 conj requests around maxwell.C2_MP_K and far below it, and a deep-chain C1 maxwell."""
-    def covector(stratum, k):
-        return ["--stratum", stratum, "--phi", "0.3", "--k", k, "--alpha", "1.3", "--beta", "0.2"]
+    """C2 conj requests around maxwell.C2_MP_K and far below it, a deep-chain C1
+    maxwell, and the two failing C2 searches at k = 1e-4."""
+    def covector(stratum, k, phi="0.3", alpha="1.3", beta="0.2"):
+        return ["--stratum", stratum, "--phi", phi, "--k", k, "--alpha", alpha, "--beta", beta]
     return [*(["conj", *covector("C2", k), "--no-cross-check"]
               for k in ("0.01", "0.19999999999999998", "0.2")),
-            ["maxwell", *covector("C1", "0.999999")]]
+            ["maxwell", *covector("C1", "0.999999")],
+            *(["conj", *covector("C2", "1e-4", phi, "1", "0"), "--no-cross-check"]
+              for phi in ("6.41", "4.657"))]
 
 
 def requests(seeds: list[int]) -> list[list[str]]:
