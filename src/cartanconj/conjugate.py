@@ -334,8 +334,8 @@ def scan_start_time(ec: EllipticCoord) -> float:
 
     Below this the k- and p-suppressed coefficients sit under the roundoff
     of their O(1) monomials; J1 there behaves like a one-signed power of p
-    (no conjugate points on short arcs), which the mp spot checks in the
-    test suite confirm.
+    (no conjugate points on short arcs), which the 60-digit samples of
+    verify's sign grids confirm.
     """
     return stratum_forms(ec.stratum).scan_start(ec.k, math.sqrt(ec.alpha))
 

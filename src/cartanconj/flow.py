@@ -121,6 +121,9 @@ class EllipticCoord:
     def __post_init__(self):
         if self.stratum not in (Stratum.C1, Stratum.C2, Stratum.C3):
             raise StratumError(f"elliptic coordinates cover C1/C2/C3, not {self.stratum}")
+        for name in ("phi", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive on C1/C2/C3")
         if self.stratum is Stratum.C3:
@@ -324,10 +327,13 @@ def dop853(fun, t_end, y0, args=(), rtol=ODE_RTOL, atol=ODE_ATOL, dense=False,
     every stage a ``np.dot`` on a slice of it, numpy scalars in the step-size
     arithmetic, each right-hand side converted by ``np.asarray``).  A negative
     t_end integrates backwards; dense output needs t_end >= 0.  Raises
+    ValueError for a non-finite t_end, which no step reaches, and
     NumericalError, "<label> integration failed: ...", when the step falls
     below ten spacings of the floats at t.
     """
     t_bound = float(t_end)
+    if not math.isfinite(t_bound):
+        raise ValueError(f"{label} integration needs a finite end time, got {t_bound!r}")
     y = np.asarray(y0).astype(float, copy=False)
     if t_bound == 0.0:
         return OdePath(np.array([0.0, 0.0]), y)

@@ -400,10 +400,9 @@ _AB_COMBOS = [(1.0, 0.0), (0.5, 0.7), (2.0, 2.1), (1.3, 4.4),
               (0.7, 1.0), (1.7, 5.5), (0.9, 3.3), (1.1, 0.2)]
 
 
-def _sign_grid(forms, ks, nphi, nt, label):
-    """Fail where J1 has the wrong sign, clear of its noise, on (0, t_max)
-    over a (k, phase) grid, with (alpha, beta) cycled through _AB_COMBOS."""
-    worst = 0.0
+def _sign_grid_covectors(forms, ks, nphi):
+    """(covector, t_max1) of a sign grid: nphi phases per modulus, with
+    (alpha, beta) cycled through _AB_COMBOS."""
     combo = 0
     for k in ks:
         k = float(k)
@@ -411,13 +410,37 @@ def _sign_grid(forms, ks, nphi, nt, label):
         for phi_frac in np.linspace(0.0, 1.0, nphi, endpoint=False):
             alpha, beta = _AB_COMBOS[combo % len(_AB_COMBOS)]
             combo += 1
-            sa = math.sqrt(alpha)
             ec = EllipticCoord(forms.stratum, float(phi_frac) * forms.period(k, alpha),
                                k, alpha, beta)
-            ts = np.linspace(cj.scan_start_time(ec), tm_sa / sa - 1e-6, nt)
-            j1, noise = cj.j1_path(ec, ts)[:2]
-            if np.any((forms.j1_sign * j1 <= 0.0) & (np.abs(j1) > cj.SIGN_MARGIN * noise)):
+            yield ec, tm_sa / math.sqrt(alpha)
+
+
+def _sign_grid(forms, ks, nphi, nt, label):
+    """Fail where J1 has the wrong sign on (0, t_max) over a (k, phase) grid:
+    in float64 clear of the noise, at 50 digits at each covector's worst
+    point under the noise, or at 60 digits at 0.3 and 0.7 of the scan start
+    (every eighth modulus), below which float64 cannot resolve the sign."""
+    worst = 0.0
+    for ec, t_max in _sign_grid_covectors(forms, ks, nphi):
+        ts = np.linspace(cj.scan_start_time(ec), t_max - 1e-6, nt)
+        j1, noise = cj.j1_path(ec, ts)[:2]
+        wrong = forms.j1_sign * j1 <= 0.0
+        clear = np.abs(j1) > cj.SIGN_MARGIN * noise
+        if np.any(wrong & clear):
+            worst = 1.0
+        amb = np.nonzero(wrong & ~clear)[0]
+        if len(amb):
+            i = amb[np.argmax(np.abs(j1[amb]))]
+            val = cj._j1_scalar_mp(ec, float(ts[i]), 50)
+            if not (forms.j1_sign * val > 0.0 or abs(val) < 1e-30):
                 worst = 1.0
+    for k in ks[::8]:
+        k = float(k)
+        ec = EllipticCoord(forms.stratum, forms.period(k) / 3.0, k, 1.0, 0.0)
+        t_lo = cj.scan_start_time(ec)
+        if any(forms.j1_sign * cj._j1_scalar_mp(ec, frac * t_lo, 60) <= 0.0
+               for frac in (0.3, 0.7)):
+            worst = 1.0
     return _result(f"conjugate: {label}", worst, 0.5)
 
 
@@ -537,19 +560,20 @@ def check_symmetry_invariance(rng, n=5):
                    worst, 1e-6)
 
 
+def _equality_cases(cases, c6_cs):
+    """t_conj = t_max on the elliptic-chart cases, and on C6 at each c."""
+    lams = [fl.from_elliptic(ec) for ec in cases] + [Covector(0.4, c, 0.0, 0.0) for c in c6_cs]
+    worst = max(abs(r.t_conj - r.t_max) for r in map(cj.first_conjugate_time, lams))
+    return _result("conjugate: equality cases give t_conj = t_max", worst, 1e-6)
+
+
 def check_equality_cases():
-    worst = 0.0
     # every phase at k1 and k0; cn tau = 0 at k = 0.5, sn tau = 0 at 0.85
     cases = [EllipticCoord(Stratum.C1, 0.23, k, 1.0, 0.0) for k in mx.critical_moduli()]
     for forms, k in ((mx.C1_FORMS, 0.5), (mx.C1_FORMS, 0.85), (mx.C2_FORMS, 0.6)):
         cases += [EllipticCoord(forms.stratum, phi, k, 1.0, 0.0)
                   for phi in forms.equality_phases(k)]
-    for ec in cases:
-        res = cj.first_conjugate_time(fl.from_elliptic(ec))
-        worst = max(worst, abs(res.t_conj - res.t_max))
-    res = cj.first_conjugate_time(Covector(0.4, 1.7, 0.0, 0.0))
-    worst = max(worst, abs(res.t_conj - res.t_max))
-    return _result("conjugate: equality cases give t_conj = t_max", worst, 1e-6)
+    return _equality_cases(cases, (1.7,))
 
 
 def check_two_sided(rng, n=8):

@@ -11,15 +11,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from cartanconj.elliptic import am, complete_K, incomplete_F, jacobi_arrays, jacobi_mp
-from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
-                             casimir_drift, classify, dilate_covector,
-                             exp_jacobian, exp_jacobian_fd, from_elliptic,
-                             reflect3, rotate_covector)
+from cartanconj.elliptic import am, complete_K, incomplete_F, jacobi_mp
+from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum, classify,
+                             exp_jacobian, exp_jacobian_fd, from_elliptic)
 from cartanconj import conjugate as cj
 from cartanconj import maxwell as mx
-from cartanconj.verify import (check_c6_limit, check_coordinate_jacobian, check_root_brackets,
-                               random_c1, random_c2)
+from cartanconj.verify import (_equality_cases, _sign_grid, _sign_grid_covectors,
+                               check_c6_limit, check_casimirs, check_coordinate_jacobian,
+                               check_pythagorean, check_root_brackets,
+                               check_symmetry_invariance, random_c1, random_c2)
 
 
 class Criterion:
@@ -40,21 +40,15 @@ class Criterion:
 def test_criterion_01_elliptic_kernel():
     crit = Criterion(1, "elliptic kernel identities and F(am) round trip", 1.0)
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(1000):
-        k = rng.uniform(0.0, 1.0)
-        u = rng.uniform(-12.0, 12.0)
-        sn, cn, dn, _, _ = jacobi_arrays(u, k)
-        worst = max(worst, abs(float(sn) ** 2 + float(cn) ** 2 - 1.0),
-                    abs(float(dn) ** 2 + (k * float(sn)) ** 2 - 1.0))
-    assert worst < 1e-11
+    pyth = check_pythagorean(rng, n=1000)
+    assert pyth.passed and pyth.tolerance == 1e-11
     worst_rt = 0.0
     for _ in range(300):
         k = rng.uniform(0.01, 0.99)
         u = rng.uniform(-3.0, 3.0) * complete_K(k)
         worst_rt = max(worst_rt, abs(float(incomplete_F(am(u, k), k)) - u))
     assert worst_rt < 1e-11
-    crit.done(max(worst, worst_rt))
+    crit.done(max(pyth.worst, worst_rt))
 
 
 def test_criterion_02_series_anchors():
@@ -126,58 +120,28 @@ def test_criterion_05_critical_moduli():
     crit.done()
 
 
-def _theorem2_grid(forms, k_grid, n_phi, n_t):
-    """Sign-constancy of J1 on (0, t_max - 1e-6) with noise-aware handling."""
-    ambiguous_rechecked = 0
-    for k in k_grid:
-        k = float(k)
-        tm = forms.maxwell_time(k)[0]
-        for phi in np.linspace(0.0, forms.period(k), n_phi, endpoint=False):
-            ec = EllipticCoord(forms.stratum, float(phi), k, 1.0, 0.0)
-            t_lo = cj.scan_start_time(ec)
-            ts = np.linspace(min(t_lo, 0.5 * tm), tm - 1e-6, n_t)
-            j1, noise = cj.j1_path(ec, ts)[:2]
-            wrong = forms.j1_sign * j1 <= 0.0
-            clear_wrong = wrong & (np.abs(j1) > 20.0 * noise)
-            assert not np.any(clear_wrong), \
-                f"J1 sign violation at k={k}, phi={phi}, t={ts[clear_wrong][:3]}"
-            amb = np.nonzero(wrong & ~clear_wrong)[0]
-            if len(amb):
-                # confirm the worst ambiguous point in high precision
-                i = amb[np.argmax(np.abs(j1[amb]))]
-                val = cj._j1_scalar_mp(ec, float(ts[i]), 50)
-                ambiguous_rechecked += 1
-                assert forms.j1_sign * val > 0.0 or abs(val) < 1e-30, \
-                    f"mp recheck failed at k={k}, phi={phi}, t={ts[i]}: {val}"
-    return ambiguous_rechecked
-
-
-def _theorem2_smallt_spotchecks(forms, k_grid):
-    # below the float64 scan start J1 behaves like a one-signed power; a few
-    # high-precision samples confirm the sign there
-    for k in k_grid[::8]:
-        k = float(k)
-        ec = EllipticCoord(forms.stratum, forms.period(k) / 3.0, k, 1.0, 0.0)
-        t_lo = cj.scan_start_time(ec)
-        for frac in (0.3, 0.7):
-            assert forms.j1_sign * cj._j1_scalar_mp(ec, frac * t_lo, 60) > 0.0
+def _sign_grid_passes(forms, ks, label):
+    """verify's sign grid with 40 phases and 400 times per modulus, and the
+    sign of J1 at t_max1 itself, at 50 digits, on each of its covectors."""
+    grid = _sign_grid(forms, ks, 40, 400, label)
+    assert grid.passed, grid
+    at_t_max = min(forms.j1_sign * cj._j1_scalar_mp(ec, t_max, 50)
+                   for ec, t_max in _sign_grid_covectors(forms, ks, 40))
+    assert at_t_max > 0.0, f"J1(t_max1) has the wrong sign: {at_t_max}"
 
 
 def test_criterion_06_theorem2_grid_c1():
-    crit = Criterion(6, "J1 < 0 before t_max on a 40x40 C1 grid", 60.0)
-    ks = np.linspace(0.03, 0.97, 40)
-    _theorem2_grid(mx.C1_FORMS, ks, 40, 400)
-    _theorem2_smallt_spotchecks(mx.C1_FORMS, ks)
+    crit = Criterion(6, "J1 < 0 before t_max and at t_max on a 40x40 C1 grid", 60.0)
+    _sign_grid_passes(mx.C1_FORMS, np.linspace(0.03, 0.97, 40), crit.label)
     crit.done()
 
 
 def test_criterion_07_theorem2_grid_c2():
-    crit = Criterion(7, "J1 > 0 before t_max on a 40x40 C2 grid; J1 = 0 at the"
-                        " endpoint with xi in {0, 1}", 60.0)
+    crit = Criterion(7, "J1 > 0 before t_max and at t_max on a 40x40 C2 grid;"
+                        " J1 = 0 at the endpoint with xi in {0, 1}", 60.0)
     c2 = mx.C2_FORMS
     ks = np.linspace(0.2, 0.95, 40)
-    _theorem2_grid(c2, ks, 40, 400)
-    _theorem2_smallt_spotchecks(c2, ks)
+    _sign_grid_passes(c2, ks, crit.label)
     worst = 0.0
     for k in ks[::4]:
         k = float(k)
@@ -225,23 +189,17 @@ def test_criterion_08_oracle_agreement():
 def test_criterion_09_equality_cases():
     crit = Criterion(9, "equality cases give |t_conj - t_max| < 1e-6", 30.0)
     k1, k0 = mx.critical_moduli()
-    worst = 0.0
     cases = [EllipticCoord(Stratum.C1, phi, k, 1.0, 0.0)
              for k in (k1, k0) for phi in (0.17, 0.45)]
-    # cn tau = 0 at 0.3, 0.6, 0.95 (off (k1, k0)), sn tau = 0 at 0.82, 0.88;
-    # C2 with sn^2 tau in {0, 1}
-    assert all(k < k1 or k > k0 for k in (0.3, 0.6, 0.95)) and k1 < 0.82 < 0.88 < k0
-    for forms, k in [(mx.C1_FORMS, k) for k in (0.3, 0.6, 0.95, 0.82, 0.88)] + \
+    # cn tau = 0 off (k1, k0), sn tau = 0 at 0.82, 0.88; C2 with sn^2 tau in {0, 1}
+    cn_zero = (0.3, 0.4, 0.6, 0.75, 0.93, 0.95, 0.96)
+    assert all(k < k1 or k > k0 for k in cn_zero) and k1 < 0.82 < 0.88 < k0
+    for forms, k in [(mx.C1_FORMS, k) for k in cn_zero + (0.82, 0.88)] + \
             [(mx.C2_FORMS, 0.45), (mx.C2_FORMS, 0.7)]:
         cases += [EllipticCoord(forms.stratum, phi, k, 1.0, 0.0) for phi in forms.equality_phases(k)]
-    for ec in cases:
-        res = cj.first_conjugate_time(from_elliptic(ec))
-        worst = max(worst, abs(res.t_conj - res.t_max))
-    for c in (0.7, 2.0, -3.1):                 # all of C6
-        res = cj.first_conjugate_time(Covector(0.4, c, 0.0, 0.0))
-        worst = max(worst, abs(res.t_conj - res.t_max))
-    assert worst < 1e-6
-    crit.done(worst)
+    eq = _equality_cases(cases, (0.7, 2.0, -3.1))       # all of C6
+    assert eq.passed and eq.tolerance == 1e-6
+    crit.done(eq.worst)
 
 
 def test_criterion_10_two_sided_bounds():
@@ -276,23 +234,9 @@ def test_criterion_10_two_sided_bounds():
 def test_criterion_11_symmetry_invariance():
     crit = Criterion(11, "t_conj invariant under reflection, rotation,"
                          " dilation-with-rescale", 60.0)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for i in range(20):
-        lam = random_c1(rng, k_range=(0.2, 0.9)) if i % 2 == 0 \
-            else random_c2(rng, k_range=(0.35, 0.85))
-        t0 = cj.first_conjugate_time(lam).t_conj
-        t_r = cj.first_conjugate_time(reflect3(lam)).t_conj
-        t_s = cj.first_conjugate_time(
-            rotate_covector(lam, rng.uniform(0.0, 2 * math.pi))).t_conj
-        r = rng.uniform(-0.6, 0.6)
-        lam_d, scale = dilate_covector(lam, r)
-        t_d = cj.first_conjugate_time(lam_d).t_conj
-        worst = max(worst, abs(t_r - t0), abs(t_s - t0), abs(t_d / scale - t0))
-        assert abs(t_r - t0) < 1e-6
-        assert abs(t_s - t0) < 1e-6
-        assert abs(t_d / scale - t0) < 1e-6
-    crit.done(worst)
+    sym = check_symmetry_invariance(np.random.default_rng(11), n=20)
+    assert sym.passed and sym.tolerance == 1e-6
+    crit.done(sym.worst)
 
 
 def test_criterion_12_special_strata():
@@ -314,12 +258,8 @@ def test_criterion_12_special_strata():
 def test_criterion_13_casimirs_and_chart_jacobian():
     crit = Criterion(13, "Casimir conservation; chart Jacobian 1/(2 r^9)", 10.0)
     rng = np.random.default_rng(13)
-    worst = 0.0
-    for i in range(5):
-        lam = random_c1(rng) if i % 2 == 0 else random_c2(rng)
-        dE, dh4, dh5 = casimir_drift(lam, 50.0)
-        worst = max(worst, dE, dh4, dh5)
-        assert max(dE, dh4, dh5) < 1e-9
+    cas = check_casimirs(rng, n=5, t_end=50.0)
+    assert cas.passed and cas.tolerance == 1e-9
     jac = check_coordinate_jacobian(rng)      # the chart Jacobian at 20 points
     assert jac.passed and jac.tolerance == 1e-6
-    crit.done(max(worst, jac.worst))
+    crit.done(max(cas.worst, jac.worst))

@@ -67,6 +67,22 @@ def test_exp_invalid_covector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_exp_non_finite_time_is_usage_error(capsys, t):
+    code, out, err = run(capsys, "exp", "--theta", "0.3", "--c", "1",
+                         "--alpha", "1", "--beta", "0", "--t", t)
+    assert (code, out) == (2, "")
+    assert err == f"error: extremal integration needs a finite end time, got {t}\n"
+
+
+@pytest.mark.parametrize("flag,value", [("phi", "inf"), ("phi", "nan"), ("alpha", "nan"),
+                                        ("alpha", "inf"), ("beta", "inf"), ("beta", "nan")])
+def test_elliptic_chart_non_finite_input_names_its_flag(capsys, flag, value):
+    chart = {"stratum": "C1", "phi": "0", "k": "0.5", "alpha": "1", "beta": "0", flag: value}
+    code, out, err = run(capsys, "conj", *(f"--{n}={v}" for n, v in chart.items()))
+    assert (code, out, err) == (2, "", f"error: {flag} must be finite\n")
+
+
 def test_conj_c4_infinite(capsys):
     code, out, _ = run(capsys, "conj", "--theta", "0.3", "--c", "0",
                        "--alpha", "1", "--beta", "0.3")
