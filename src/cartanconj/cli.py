@@ -88,6 +88,8 @@ def cmd_exp(args) -> int:
     if args.t < 0:
         raise UsageError("--t must be >= 0")
     if args.trace:
+        if args.steps < 2:
+            raise UsageError("--steps must be >= 2")
         traj = fl.exp_trajectory(lam, args.t, args.steps)
         print("t,x,y,z,v,w")
         for row in traj:
@@ -159,8 +161,8 @@ def cmd_sweep(args) -> int:
                        "t_max1": "", "t_conj": "", "lower_ok": "",
                        "upper_ok": "", "error": ""}
                 try:
-                    # two_sided_check's flags, read off the result so that no
-                    # Maxwell root is polished for the bound's value alone
+                    # the bound flags, read off the search's result: upper_ok
+                    # polishes no Maxwell root that the float64 roots decide
                     mx.stratum_forms(fl.classify(lam))      # StratumError off C1/C2
                     res = cj.first_conjugate_time(lam)
                     row.update(t_max1=res.t_max, t_conj=res.t_conj, lower_ok=True,

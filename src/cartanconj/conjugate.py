@@ -51,12 +51,11 @@ import numpy as np
 
 from .elliptic import _EPS, incomplete_F, ipow, jacobi_arrays, jacobi_at
 from .errors import NumericalError, SolverDisagreement
-from .flow import (ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum,
-                   classify, to_elliptic)
-from .maxwell import (_NOISE_SAFETY, K_ONE_CUTOFF, MP_DPS, SIGN_MARGIN, RootInfo,
+from .flow import ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum
+from .maxwell import (_NOISE_SAFETY, MP_DPS, SIGN_MARGIN, RootInfo, _maxwell_time,
                       _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
                       a21_c2_kernel, brent_root, c1_kernel_args, c2_kernel_args, c2_series,
-                      sign_changes, stratum_forms, t_max1)
+                      sign_changes, stratum_forms)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -70,9 +69,9 @@ AGREEMENT_TOL = 1e-4
 # slack of the two-sided bounds t_max <= t_conj <= upper, and of the guard
 # that rejects a located zero undercutting t_max.  The guard raises
 # NumericalError for any zero below t_max - BOUND_SLACK, so a returned result
-# always meets the lower bound, and the lower_ok flag that ``conj``, ``sweep``
-# and ``two_sided_check`` report is the literal True.  The slack is absolute,
-# so it does not scale with t_max under dilation.
+# always meets the lower bound, and the lower_ok flag that ``conj`` and
+# ``sweep`` report is the literal True.  The slack is absolute, so it does
+# not scale with t_max under dilation.
 BOUND_SLACK = 1e-6
 # half-arc grids the float64 J1 scan keeps (``_half_arc_grid``): one per
 # modulus of a sweep row, whose phases (at most 8 by default) share it
@@ -515,26 +514,22 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     where the period diverges or off C1/C2): on C1 as a range from the
     float64 Maxwell roots, which decides the default cap and ``upper_ok``
     unless it holds the value that decides them, and as the polished bound
-    on first read of ``upper``.  The covector is converted to elliptic
-    coordinates once.
+    on first read of ``upper``.  The stratum, the elliptic coordinates and
+    t_max1 come from ``maxwell``'s one dispatch, which converts the covector
+    once.
     """
     if t_cap is not None and not (t_cap > 0.0 and math.isfinite(t_cap)):
         raise ValueError("search horizon must be positive and finite")
-    st = classify(lam)
-    if st in (Stratum.C3, Stratum.C4, Stratum.C5, Stratum.C7):
-        return ConjugateResult(math.inf, None, "analytic", 0.0, math.inf)
+    st, ec, t_max, _ = _maxwell_time(lam)
     if st is Stratum.C6:
         # the cylinder chart is singular at alpha = 0 (beta acts trivially),
         # so the variational Jacobian vanishes identically there and cannot
         # locate the conjugate point; it is the C2 -> C6 limit of t_max1
-        t_max = t_max1(lam).t_max
         t_conj = t_max if t_cap is None or t_max <= t_cap else math.inf
         return ConjugateResult(t_conj, None, "analytic", 0.0, t_max)
-    ec = to_elliptic(lam)
-    forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
-    t_max = forms.maxwell_time(k, sa)[0] if k <= K_ONE_CUTOFF else math.inf
-    if not math.isfinite(t_max):
+    if ec is None or not math.isfinite(t_max):
         return ConjugateResult(math.inf, None, "analytic", 0.0, t_max)
+    forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
     # the upper bound from the float64 Maxwell roots: the polished one lies
     # in [lo, hi], and it is computed only where that range leaves open the
     # default cap max(3 t_max, 1.1 upper) or, in the result, upper_ok
@@ -567,19 +562,3 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
         elif t_v is not None:
             raise SolverDisagreement(math.inf, t_v, AGREEMENT_TOL)
     return result
-
-
-def two_sided_check(lam: Covector):
-    """(lower_ok, upper_ok) for t_max <= t_conj <= the stratum upper bound.
-
-    lower_ok is True (see BOUND_SLACK); upper_ok is read off one default-cap
-    search.  ``conj`` and ``sweep`` read upper_ok off such a search's result
-    instead, which polishes no Maxwell root the flag does not need; the
-    fifth value here is the polished bound.  A failed upper flag is a reportable
-    finding (the upper bounds are numerical evidence, not theorems), so no
-    exception is raised for it.
-    Returns (lower_ok, upper_ok, t_conj, t_max, upper).
-    """
-    stratum_forms(classify(lam))           # StratumError off C1/C2
-    res = first_conjugate_time(lam)
-    return True, res.upper_ok, res.t_conj, res.t_max, res.upper

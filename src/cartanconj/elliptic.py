@@ -39,7 +39,6 @@ suppressed combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -49,25 +48,14 @@ from mpmath import libmp
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """Elliptic modulus k, restricted to [0, 1]."""
-
-    k: float
-
-    def __post_init__(self):
-        k = self.k
-        if not isinstance(k, (int, float)) or not math.isfinite(k):
-            raise ValueError(f"modulus must be a finite real, got {k!r}")
-        if not 0.0 <= k <= 1.0:
-            raise ValueError(f"modulus must lie in [0, 1], got {k!r}")
-        object.__setattr__(self, "k", float(k))
-
-
 def _kval(k) -> float:
-    if isinstance(k, Modulus):
-        return k.k
-    return Modulus(float(k)).k
+    """The modulus k as a float; ValueError unless it is finite and in [0, 1]."""
+    k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"modulus must be a finite real, got {k!r}")
+    if not 0.0 <= k <= 1.0:
+        raise ValueError(f"modulus must lie in [0, 1], got {k!r}")
+    return k
 
 
 def _agm_chain(k):

@@ -231,9 +231,7 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
         12 * k2 * cosu * D * sinu * s2,
         -8 * k2 * s2 * s2 * dnu,
     ]
-    val = terms[0]
-    for t in terms[1:]:
-        val = val + t
+    val = _sum_terms(terms, mag=False)[0]
     if not mag:
         return (4 * val) / 3, None
     Dmag = 2 * abs(E) + (2 - k2) * abs(F)
@@ -245,10 +243,7 @@ def fv_c2_kernel(k, k2, F, E, sinu, cosu, dnu, mag=True):
         12 * k2 * abs(cosu * sinu) * Dmag * s2,
         8 * k2 * s2 * s2 * dnu,
     ]
-    m = mags[0]
-    for t in mags[1:]:
-        m = m + t
-    return (4 * val) / 3, (4 * m) / 3
+    return (4 * val) / 3, (4 * _sum_terms(mags, mag=False)[0]) / 3
 
 
 def a01_c2_tables(k, k2, sinu, cosu, dnu):
@@ -929,16 +924,27 @@ class MaxwellResult:
     stratum: Stratum
 
 
-def t_max1(lam: Covector) -> MaxwellResult:
+def _maxwell_time(lam: Covector):
+    """(stratum, elliptic coordinate, t_max1, RootInfo of its half-arc): the
+    one stratum dispatch of the first Maxwell time, which ``t_max1`` and
+    ``conjugate.first_conjugate_time`` read.  The coordinate is None off
+    C1/C2, the record None where t_max1 is +inf (C3, C4, C5, C7 and C1/C2
+    past K_ONE_CUTOFF)."""
     st = classify(lam)
     if st is Stratum.C6:
         info = _p1_v0_cached()
-        return MaxwellResult(4.0 / abs(lam.c) * info.root, info.root,
-                             info.bracket, info.residual, st)
+        return st, None, 4.0 / abs(lam.c) * info.root, info
     if st not in FORMS:                     # C3, C4, C5, C7
-        return MaxwellResult(math.inf, None, None, 0.0, st)
+        return st, None, math.inf, None
     ec = to_elliptic(lam)
     if ec.k > K_ONE_CUTOFF:
-        return MaxwellResult(math.inf, None, None, 0.0, st)
+        return st, ec, math.inf, None
     t, info = FORMS[st].maxwell_time(ec.k, math.sqrt(ec.alpha))
+    return st, ec, t, info
+
+
+def t_max1(lam: Covector) -> MaxwellResult:
+    st, _, t, info = _maxwell_time(lam)
+    if info is None:
+        return MaxwellResult(t, None, None, 0.0, st)
     return MaxwellResult(t, info.root, info.bracket, info.residual, st)

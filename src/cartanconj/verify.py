@@ -135,8 +135,7 @@ def check_casimirs(rng, n=5, t_end=50.0):
     worst = 0.0
     for _ in range(n):
         lam = random_c1(rng) if rng.random() < 0.5 else random_c2(rng)
-        dE, dh4, dh5 = fl.casimir_drift(lam, t_end)
-        worst = max(worst, dE, dh4, dh5)
+        worst = max(worst, fl.casimir_drift(lam, t_end))
     return _result("flow: Casimir drift along length-50 extremals", worst, 1e-9)
 
 
@@ -581,7 +580,7 @@ def check_two_sided(rng, n=8):
     for _ in range(n):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
-        if not cj.two_sided_check(lam)[1]:    # lower_ok is always True
+        if not cj.first_conjugate_time(lam).upper_ok:     # lower_ok is always True
             bad += 1
     return _result("conjugate: two-sided bounds hold", float(bad), 0.5)
 

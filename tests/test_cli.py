@@ -56,6 +56,14 @@ def test_exp_trace_circle(capsys):
     assert radius == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-1"])
+def test_exp_trace_needs_two_steps(capsys, steps):
+    # one step would print the t = 0 row alone, never the endpoint
+    code, out, err = run(capsys, "exp", "--theta", "0.3", "--c", "1", "--alpha", "1",
+                         "--beta", "0", "--t", "2", "--trace", "--steps", steps)
+    assert (code, out, err) == (2, "", "error: --steps must be >= 2\n")
+
+
 def test_exp_missing_flags_usage_error(capsys):
     code, _, err = run(capsys, "exp", "--theta", "0", "--t", "1")
     assert code == 2
@@ -270,9 +278,9 @@ def test_conj_searches_once(capsys, monkeypatch, argv):
     lam = from_elliptic(EllipticCoord(Stratum(opts["--stratum"]), float(opts["--phi"]),
                                       float(opts["--k"]), float(opts["--alpha"]),
                                       float(opts["--beta"])))
-    lower, upper, tc, tm, _ = climod.cj.two_sided_check(lam)
-    assert (doc["lower_ok"], doc["upper_ok"]) == (lower, upper)
-    assert (doc["t_conj"], doc["t_max1"]) == (tc, tm)
+    res = real(lam)         # a fresh default search
+    assert (doc["lower_ok"], doc["upper_ok"]) == (True, res.upper_ok)
+    assert (doc["t_conj"], doc["t_max1"]) == (res.t_conj, res.t_max)
     # a capped search leaves the flags to a second, default-cap search
     calls["n"] = 0
     code, _, _ = run(capsys, "conj", *argv, "--horizon", "4.0")

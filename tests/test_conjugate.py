@@ -13,8 +13,7 @@ from cartanconj import conjugate as cj
 from cartanconj import maxwell as mx
 from cartanconj.conjugate import (a01_C1, a21_C1, a010, a210, certificate_x1,
                                   certificate_x2, first_conjugate_time, fz0,
-                                  j1_factors, j1_path, scan_start_time,
-                                  two_sided_check)
+                                  j1_factors, j1_path, scan_start_time)
 from cartanconj.verify import random_c1, random_c2
 
 
@@ -279,11 +278,23 @@ def test_certificate_x1_derivative_identity(rng):
 # ---------------------------------------------------------------------------
 
 def test_special_strata():
-    assert first_conjugate_time(Covector(0.0, 0.0, 0.0, 0.0)).t_conj == math.inf
-    assert first_conjugate_time(Covector(0.3, 0.0, 1.0, 0.3)).t_conj == math.inf
-    assert first_conjugate_time(Covector(0.2 + math.pi, 0.0, 1.0, 0.2)).t_conj == math.inf
+    # no zero on C7, C4, C5 and C3, on C6 under a cap below t_max (4.60),
+    # nor on C1 past the k -> 1 cutoff; t_max is t_max1's to the bit
     c = math.sqrt(2.0 * (1.0 + math.cos(0.7)))
-    assert first_conjugate_time(Covector(0.7, c, 1.0, 0.0)).t_conj == math.inf
+    cases = [
+        (Stratum.C7, Covector(0.0, 0.0, 0.0, 0.0), None),
+        (Stratum.C4, Covector(0.3, 0.0, 1.0, 0.3), None),
+        (Stratum.C5, Covector(0.2 + math.pi, 0.0, 1.0, 0.2), None),
+        (Stratum.C3, Covector(0.7, c, 1.0, 0.0), None),
+        (Stratum.C6, Covector(0.0, 2.0, 0.0, 0.0), 1.0),
+        (Stratum.C1, from_elliptic(EllipticCoord(Stratum.C1, 0.1, 1.0 - 1e-10, 1.0, 0.0)), None),
+    ]
+    for stratum, lam, cap in cases:
+        res, want = first_conjugate_time(lam, t_cap=cap), mx.t_max1(lam)
+        assert want.stratum is stratum
+        assert res.t_conj == math.inf
+        assert res.t_max.hex() == want.t_max.hex()
+        assert (res.t_max > cap) if stratum is Stratum.C6 else (res.t_max == math.inf)
 
 
 def test_c6_equals_maxwell():
@@ -347,30 +358,25 @@ def test_two_sided_flags(rng):
     for _ in range(8):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
-        lower, upper, tc, tm, ub = two_sided_check(lam)
-        assert lower and upper
-        assert tm <= tc + 1e-6
-        assert tc <= ub + 1e-6
+        res = first_conjugate_time(lam)
+        assert res.upper_ok
+        assert res.t_max <= res.t_conj + 1e-6
+        assert res.t_conj <= res.upper + 1e-6
 
 
 def test_two_sided_equality_case():
     phi = mx.C2_FORMS.equality_phases(0.6)[0]     # sn tau = 0
     lam = from_elliptic(EllipticCoord(Stratum.C2, phi, 0.6, 1.0, 0.0))
-    lower, upper, tc, tm2, _ = two_sided_check(lam)
-    assert lower and upper
-    assert tc == pytest.approx(tm2, abs=1e-6)
+    res = first_conjugate_time(lam)
+    assert res.upper_ok
+    assert res.t_conj == pytest.approx(res.t_max, abs=1e-6)
 
 
 def test_two_sided_dilation_invariance(rng):
     lam = random_c1(rng, k_range=(0.3, 0.7))
-    flags = two_sided_check(lam)[:2]
+    flag = first_conjugate_time(lam).upper_ok
     lam2, _ = dilate_covector(lam, 0.5)
-    assert two_sided_check(lam2)[:2] == flags
-
-
-def test_two_sided_rejects_special_strata():
-    with pytest.raises(StratumError):
-        two_sided_check(Covector(0.0, 2.0, 0.0, 0.0))
+    assert first_conjugate_time(lam2).upper_ok == flag
 
 
 def _clear_c1_roots():
@@ -390,7 +396,7 @@ def test_c1_upper_is_the_polished_bound():
         want = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
         lo, hi = res.upper_range
         assert lo <= want <= hi
-        assert res.upper.hex() == want.hex() == two_sided_check(lam)[4].hex()
+        assert res.upper.hex() == want.hex() == first_conjugate_time(lam).upper.hex()
 
 
 def test_upper_ok_reads_the_polished_bound_only_near_it():

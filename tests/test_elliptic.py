@@ -9,20 +9,20 @@ from scipy import special
 from scipy.integrate import quad
 
 from cartanconj import elliptic
-from cartanconj.elliptic import (Modulus, am, complete_E, complete_K, incomplete_F,
+from cartanconj.elliptic import (am, complete_E, complete_K, incomplete_F,
                                  jacobi_arrays, jacobi_mp)
 from cartanconj.maxwell import c1_kernel_args
 
 
 def test_modulus_validation():
-    Modulus(0.0)
-    Modulus(1.0)
-    with pytest.raises(ValueError):
-        Modulus(-0.1)
-    with pytest.raises(ValueError):
-        Modulus(1.0000001)
-    with pytest.raises(ValueError):
-        Modulus(float("nan"))
+    assert elliptic._kval(0.0) == 0.0
+    assert elliptic._kval(1.0) == 1.0
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        elliptic._kval(-0.1)
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        elliptic._kval(1.0000001)
+    with pytest.raises(ValueError, match="finite real"):
+        elliptic._kval(float("nan"))
 
 
 def test_degenerate_moduli():

@@ -435,6 +435,8 @@ def test_dop853_bits_match_scipy(flow, stratum, rng, monkeypatch):
         for t_end in (rng.uniform(2.0, 15.0), 1e-9):
             calls = _integrations(monkeypatch, lambda: _FLOWS[flow](lam, t_end))
             assert calls
+            if flow == "extremal":      # exp_map reads the end state alone
+                assert not calls[0][4].get("dense", False)
             for call in calls:
                 _assert_scipy_bits(*call)
                 assert (len(call[-1].t) == 2) == (t_end == 1e-9)

@@ -642,14 +642,6 @@ def test_gap_sign_flips_across_critical_moduli():
 # the first Maxwell time
 # ---------------------------------------------------------------------------
 
-def test_tmax_special_strata():
-    assert t_max1(Covector(0.3, 0.0, 1.0, 0.3)).t_max == math.inf        # C4
-    assert t_max1(Covector(0.0, 0.0, 0.0, 0.0)).t_max == math.inf        # C7
-    assert t_max1(Covector(0.2 + math.pi, 0.0, 1.0, 0.2)).t_max == math.inf  # C5
-    c = math.sqrt(2.0 * (1.0 + math.cos(0.7)))
-    assert t_max1(Covector(0.7, c, 1.0, 0.0)).t_max == math.inf          # C3
-
-
 def test_tmax_c6():
     res = t_max1(Covector(0.0, 2.0, 0.0, 0.0))
     assert res.t_max == pytest.approx(2.0 * p1_V0(), rel=1e-12)

@@ -27,7 +27,11 @@ requests are:
 - two requests in the k = 1e-4 band of C2, where 50 digits do not resolve
   J1 and the search fails: ``conj --no-cross-check`` at alpha = 1, beta = 0
   and phi = 6.41 (a Brent bracket without a sign change) and phi = 4.657 (a
-  zero that undercuts t_max1).
+  zero that undercuts t_max1);
+- the stratum-dispatch edges that the seeded streams never reach: ``conj``
+  on C6 with ``--horizon 1.0``, below t_max1 = 4.60, and ``conj
+  --no-cross-check`` and ``maxwell`` on C1 at k = 0.9999999999, past
+  ``maxwell.K_ONE_CUTOFF``.
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -115,6 +119,15 @@ def mp_route_requests() -> list[list[str]]:
               for phi in ("6.41", "4.657"))]
 
 
+def dispatch_edge_requests() -> list[list[str]]:
+    """A C6 conj capped below t_max1, and C1 requests past the k -> 1 cutoff."""
+    c1 = ["--stratum", "C1", "--phi", "0.3", "--k", "0.9999999999", "--alpha", "1.3",
+          "--beta", "0.2"]
+    return [["conj", "--theta", "0", "--c", "2", "--alpha", "0", "--beta", "0",
+             "--horizon", "1.0"],
+            ["conj", *c1, "--no-cross-check"], ["maxwell", *c1]]
+
+
 def requests(seeds: list[int]) -> list[list[str]]:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -125,7 +138,7 @@ def requests(seeds: list[int]) -> list[list[str]]:
             blocks = workloads.stream(workload, seed)
             reqs += [list(r.argv) for r in itertools.islice(itertools.chain.from_iterable(blocks), n)]
     return (reqs + readme_examples() + critical_requests() + ode_edge_requests()
-            + mp_route_requests())
+            + mp_route_requests() + dispatch_edge_requests())
 
 
 def worker(src: str, request_file: str, result_file: str) -> int:
