@@ -239,18 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--trace", action="store_true", help="emit t,x,y,z,v,w rows")
     p.add_argument("--steps", type=int, default=200)
-    p.set_defaults(fn=cmd_exp)
 
     p = sub.add_parser("conj", help="first Maxwell and conjugate times")
     add_covector_flags(p)
     p.add_argument("--horizon", type=float, help="search cap for the first zero")
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip the variational cross-validation")
-    p.set_defaults(fn=cmd_conj)
 
     p = sub.add_parser("maxwell", help="first Maxwell time and its root")
     add_covector_flags(p)
-    p.set_defaults(fn=cmd_maxwell)
 
     p = sub.add_parser("sweep", help="grid sweep of t_max1/t_conj")
     p.add_argument("--stratum", required=True, choices=["C1", "C2", "C6"])
@@ -264,24 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all",
                    choices=["elliptic", "flow", "maxwell", "conjugate", "all"])
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
+# built once, at import; main looks up cmd_<command> when it is called, so
+# that a wrapped or replaced cmd_* function is the one that runs
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SolverDisagreement as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         print(json.dumps({"error": "solver_disagreement",

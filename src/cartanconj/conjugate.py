@@ -91,7 +91,9 @@ def _sign_certain(M: np.ndarray) -> np.ndarray:
     No perturbation smaller than the least singular value of M makes it
     singular (Weyl), so the sign of det M is certain where that value exceeds
     SIGN_MARGIN times the Frobenius norm of the entrywise tolerance
-    ODE_ATOL + ODE_RTOL |M|.
+    ODE_ATOL + ODE_RTOL |M|.  The bound covers the integrated Jacobi fields
+    and also the closed-form columns of ``JacobianPath.matrices``, which are
+    computed from the integrated g and carry its error.
     """
     tol = np.linalg.norm(ODE_ATOL + ODE_RTOL * np.abs(M), axis=(1, 2))
     return np.linalg.svd(M, compute_uv=False)[:, -1] > SIGN_MARGIN * tol
@@ -510,7 +512,8 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     time equals the first Maxwell time exactly.  On C1/C2 the analytic J1
     is scanned and (optionally) cross-checked against the variational
     Jacobian; the two must agree to ``AGREEMENT_TOL`` or SolverDisagreement
-    is raised.  The result carries the stratum upper bound on t_conj (+inf
+    is raised.  A cap at or below the scan start gives +inf without a
+    search.  The result carries the stratum upper bound on t_conj (+inf
     where the period diverges or off C1/C2): on C1 as a range from the
     float64 Maxwell roots, which decides the default cap and ``upper_ok``
     unless it holds the value that decides them, and as the polished bound
@@ -538,6 +541,10 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     t_default = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * polished())
     cap = t_cap if t_cap is not None else t_default
     t_lo = min(scan_start_time(ec), 0.5 * t_max)
+    if cap <= t_lo:
+        # both grids would run backward from t_lo; J1 is one-signed below the
+        # scan start, and t_conj >= t_max > t_lo
+        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)
     hit = _first_zero_analytic(ec, t_lo, cap, hi, t_default)
     if hit is None:
         result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)

@@ -26,14 +26,16 @@ to_elliptic/from_elliptic exact inverses.
 The exponential map integrates the 7-dimensional system in
 (theta, c, x, y, z, v, w); its Jacobian with respect to
 (theta0, c0, alpha, beta, t) comes from the exact linearized (variational)
-flow, 35 equations in total.  Finite differences are kept only as a test
-oracle.  Every flow is integrated by ``dop853``: the 8th-order
-Dormand-Prince pair with its 7th-degree dense output (Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.5-II.10), a line-by-line port of scipy 1.17's
-DOP853 initial-value solver that makes the same numpy calls on the same
-memory layout, so it returns the same bits without loading scipy.  Its
-tableau is the literal module ``dop853_tables``, copied from scipy's
-``dop853_coefficients``.
+flow: 35 equations with all four Jacobi fields (``exp_jacobian``), or 21
+with the fields along theta0 and c0 and the other two in closed form from
+the rotation and dilation symmetries (``JacobianPath``, the cross-check).
+Finite differences are kept only as a test oracle.  Every flow is
+integrated by ``dop853``: the 8th-order Dormand-Prince pair with its
+7th-degree dense output (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5-II.10), a line-by-line port of scipy 1.17's DOP853 initial-value
+solver that makes the same numpy calls on the same memory layout, so it
+returns the same bits without loading scipy.  Its tableau is the literal
+module ``dop853_tables``, copied from scipy's ``dop853_coefficients``.
 """
 
 from __future__ import annotations
@@ -524,31 +526,83 @@ def _rhs_variational(t, yflat, alpha, beta):
     return np.array(out)
 
 
-class JacobianPath:
-    """Dense-output evaluator of J0(t) = det d Exp / d(theta, c, alpha, beta, t).
+def _variational_start(lam: Covector, rows: int) -> np.ndarray:
+    """The flattened rows x 7 start: the extremal at (theta0, c0), then the
+    Jacobi fields along theta0, c0 and, in a 5-row state, alpha and beta."""
+    y0 = np.zeros((rows, 7))
+    y0[0, 0] = lam.theta
+    y0[0, 1] = lam.c
+    y0[1, 0] = 1.0
+    y0[2, 1] = 1.0
+    return y0.ravel()
 
-    ``path`` is the variational integration (an ``OdePath`` of the 5x7
-    state: the extremal, then one Jacobi field per parameter).
+
+# The cross-check integrates the extremal and the two Jacobi fields along
+# theta0 and c0, whose parameter derivatives (d alpha, d beta) are 0: a 3x7
+# state, 21 equations.  Each entry is written out with the rounding of the
+# first two fields of ``_rhs_variational``, zero terms included, so the output
+# is bit for bit its first 21 entries on the same state.
+def _rhs_two_fields(t, yflat, alpha, beta):
+    (th, c, x, y, _, _, _,
+     dth1, dc1, dx1, dy1, _, _, _,
+     dth2, dc2, dx2, dy2, _, _, _) = yflat.tolist()
+    st, ct = math.sin(th), math.cos(th)
+    sa, ca = math.sin(th - beta), math.cos(th - beta)
+    r2h = 0.5 * (x * x + y * y)
+    aca = alpha * ca
+    rot = 0.5 * (x * ct + y * st)
+    r2c, r2s = r2h * ct, r2h * st
+    xdx1 = x * dx1 + y * dy1
+    xdx2 = x * dx2 + y * dy2
+    return np.array([
+        c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2s, -r2c,
+        dc1, -0.0 * sa - aca * (dth1 - 0.0), -st * dth1, ct * dth1,
+        0.5 * (dx1 * st - dy1 * ct) + rot * dth1,
+        xdx1 * st + r2c * dth1, -xdx1 * ct + r2s * dth1,
+        dc2, -0.0 * sa - aca * (dth2 - 0.0), -st * dth2, ct * dth2,
+        0.5 * (dx2 * st - dy2 * ct) + rot * dth2,
+        xdx2 * st + r2c * dth2, -xdx2 * ct + r2s * dth2])
+
+
+# weights of the dilation field Y(g) = (x, y, 2z, 3v, 3w)
+_DILATION = np.array([1.0, 1.0, 2.0, 3.0, 3.0])
+
+
+class JacobianPath:
+    """Dense-output evaluator of J0(t) = det d Exp / d(theta, c, alpha, beta, t)
+    from two integrated Jacobi fields.
+
+    ``path`` is the integration of the 3x7 state: the extremal, then the
+    Jacobi fields J_theta and J_c along theta0 and c0.  The rotations and
+    dilations of the problem give the other two in closed form (Sachkov,
+    "Exponential mapping in generalized Dido's problem", Sb. Math. 194, 2003):
+    J_theta + J_beta = R(g) = (-y, x, 0, -w, v) and
+    -c0 J_c - 2 alpha J_alpha + t gdot = Y(g) = (x, y, 2z, 3v, 3w), so column
+    operations give J0 = det[J_theta, J_c, -Y(g) / (2 alpha), R(g), gdot].
+    The formula divides by alpha: ValueError for alpha <= 0 (C6, C7).
+    ``exp_jacobian`` integrates all four fields and stays the reference.
     """
 
     def __init__(self, lam: Covector, t_end: float):
-        y0 = np.zeros((5, 7))
-        y0[0, 0] = lam.theta
-        y0[0, 1] = lam.c
-        y0[1, 0] = 1.0
-        y0[2, 1] = 1.0
-        self.path = dop853(_rhs_variational, t_end, y0.ravel(), (lam.alpha, lam.beta),
-                           dense=True, label="variational")
+        if not lam.alpha > 0.0:
+            raise ValueError(f"the two-field Jacobian needs alpha > 0, got {lam.alpha!r}")
+        self.path = dop853(_rhs_two_fields, t_end, _variational_start(lam, 3),
+                           (lam.alpha, lam.beta), dense=True, label="variational")
         self.t_end = t_end
+        self.alpha = lam.alpha
 
     def __call__(self, t: float) -> float:
         return float(self.values([t])[0])
 
     def matrices(self, ts) -> np.ndarray:
-        """(n, 5, 5) stack of d Exp / d(theta, c, alpha, beta, t) at the times ``ts``."""
-        Y = self.path(np.asarray(ts, dtype=float)).reshape(-1, 5, 7)
+        """(n, 5, 5) stack of [J_theta, J_c, -Y(g) / (2 alpha), R(g), gdot] at
+        the times ``ts``, whose determinants are J0."""
+        Y = self.path(np.asarray(ts, dtype=float)).reshape(-1, 3, 7)
+        x, y, _, v, w = Y[:, 0, 2:].T
         M = np.empty((len(Y), 5, 5))
-        M[:, :, :4] = Y[:, 1:, 2:].transpose(0, 2, 1)
+        M[:, :, :2] = Y[:, 1:, 2:].transpose(0, 2, 1)
+        M[:, :, 2] = Y[:, 0, 2:] * _DILATION / (-2.0 * self.alpha)
+        M[:, :, 3] = np.stack([-y, x, np.zeros_like(x), -w, v], axis=-1)
         M[:, :, 4] = _gdot(Y[:, 0])
         return M
 
@@ -558,10 +612,18 @@ class JacobianPath:
 
 
 def exp_jacobian(lam: Covector, t: float) -> float:
-    """J0 at a single time (integrates the variational system up to t)."""
+    """J0 at a single time from all four Jacobi fields: the 5x7 variational
+    system, integrated up to t with dense output and read at t.  The
+    reference of ``JacobianPath``, which integrates two fields."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    return JacobianPath(lam, t)(t)
+    path = dop853(_rhs_variational, t, _variational_start(lam, 5), (lam.alpha, lam.beta),
+                  dense=True, label="variational")
+    Y = path(np.asarray([t], dtype=float)).reshape(-1, 5, 7)
+    M = np.empty((1, 5, 5))
+    M[:, :, :4] = Y[:, 1:, 2:].transpose(0, 2, 1)
+    M[:, :, 4] = _gdot(Y[:, 0])
+    return float(np.linalg.det(M)[0])
 
 
 def exp_jacobian_fd(lam: Covector, t: float, h: float = 1e-4) -> float:

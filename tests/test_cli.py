@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,20 @@ def test_verify_elliptic_suite(capsys):
     assert "FAIL" not in out.replace("PASS:", "")
 
 
+def test_parser_built_once_and_commands_looked_up_per_call(capsys, monkeypatch):
+    from cartanconj import cli as climod
+
+    def no_build():
+        raise AssertionError("build_parser called per request")
+
+    seen = []
+    monkeypatch.setattr(climod, "build_parser", no_build)
+    monkeypatch.setattr(climod, "cmd_conj", lambda args: seen.append(args.k) or 0)
+    assert main(["conj", "--stratum", "C1", "--phi", "0.3", "--k", "0.5", "--alpha", "1",
+                 "--beta", "0"]) == 0
+    assert seen == [0.5]
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -235,6 +250,24 @@ def test_conj_c6_horizon_below_maxwell_time_reports_inf(capsys):
     assert json.loads(out) == {**default, "t_conj": "inf"}
     code, out, _ = run(capsys, "conj", *C6, "--horizon=5.0")
     assert (code, json.loads(out)) == (0, default)
+
+
+@pytest.mark.parametrize("cross_check", [True, False], ids=["cross-check", "no-cross-check"])
+@pytest.mark.parametrize("stratum", ["C1", "C2"])
+def test_conj_horizon_at_or_below_scan_start_reports_inf(capsys, stratum, cross_check):
+    # the scan starts at 0.2465 on C1 and 0.28 on C2; a cap at or below it
+    # once ran both grids backward from there (exit 2 with numpy warnings,
+    # or exit 3 on a made-up zero)
+    argv = ["conj", "--stratum", stratum, "--phi", "0", "--k", "0.5", "--alpha", "1",
+            "--beta", "0"] + ([] if cross_check else ["--no-cross-check"])
+    default = json.loads(run(capsys, *argv)[1])
+    for horizon in ("1e-300", "1e-6", "0.01", "0.05"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--horizon", horizon)
+        assert (code, err) == (0, ""), horizon
+        doc = json.loads(out)
+        assert doc["t_conj"] == "inf" and doc["t_max1"] == default["t_max1"], horizon
 
 
 def test_conj_far_horizon_matches_default(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cartanconj import conjugate as cj
 from cartanconj import flow as fl
 from cartanconj.errors import NumericalError, StratumError
 from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
@@ -11,7 +12,7 @@ from cartanconj.flow import (Covector, EllipticCoord, JacobianPath, Stratum,
                              exp_trajectory, from_elliptic,
                              pendulum_flow, reflect3, rotate_covector,
                              to_elliptic)
-from cartanconj.flow import _gdot, _rhs_variational
+from cartanconj.flow import _gdot, _rhs_two_fields, _rhs_variational
 from cartanconj.group import dilate, rotate
 from cartanconj.verify import flow_suite, random_c1, random_c2
 
@@ -284,8 +285,8 @@ def _rhs_variational_numpy(t, yflat, alpha, beta):
     return out.ravel()
 
 
-def test_rhs_variational_bits_match_numpy_form(rng):
-    # values and signs of zeros alike, so every J0 is unchanged
+def _variational_states(rng):
+    """(5x7 state, alpha, beta) draws at three scales, with signed zeros."""
     for scale in (1e-8, 1.0, 100.0):
         for _ in range(7000):
             state = scale * rng.standard_normal(35)
@@ -293,12 +294,43 @@ def test_rhs_variational_bits_match_numpy_form(rng):
             state[pick < 0.1] = 0.0
             state[(pick >= 0.1) & (pick < 0.2)] = -0.0
             alpha = 0.0 if rng.random() < 0.05 else rng.uniform(0.0, 3.0)
-            beta = rng.uniform(-7.0, 7.0)
-            want = _rhs_variational_numpy(0.0, state, alpha, beta)
-            got = _rhs_variational(0.0, state, alpha, beta)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            yield state, alpha, rng.uniform(-7.0, 7.0)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rhs_variational_bits_match_numpy_form(rng):
+    # values and signs of zeros alike, so every J0 is unchanged
+    for state, alpha, beta in _variational_states(rng):
+        _assert_same_bits(_rhs_variational(0.0, state, alpha, beta),
+                          _rhs_variational_numpy(0.0, state, alpha, beta))
+
+
+def test_rhs_two_fields_bits_match_four_field_form(rng):
+    # the extremal and the fields along theta0 and c0, signs of zeros included
+    for state, alpha, beta in _variational_states(rng):
+        _assert_same_bits(_rhs_two_fields(0.0, state[:21], alpha, beta),
+                          _rhs_variational(0.0, state, alpha, beta)[:21])
+
+
+def test_two_field_jacobian_matches_four_field(rng):
+    # the closed-form rotation and dilation fields against exp_jacobian, which
+    # integrates all four: J0 values, and the first zero of the cross-check
+    for i in range(6):
+        lam = random_c1(rng) if i % 2 == 0 else random_c2(rng)
+        t_conj = cj.first_conjugate_time(lam).t_conj
+        cap = 1.05 * t_conj
+        jp = JacobianPath(lam, cap)
+        ts = np.linspace(0.3, cap, 8)
+        want = np.array([exp_jacobian(lam, t) for t in ts])
+        assert np.max(np.abs(jp.values(ts) - want)) <= 1e-6 * np.max(np.abs(want))
+        t_v = cj._first_zero_variational(lam, 0.3, cap).root
+        lo, hi = exp_jacobian(lam, t_v * (1.0 - 1e-8)), exp_jacobian(lam, t_v * (1.0 + 1e-8))
+        assert lo * hi < 0.0
 
 
 def test_jacobian_nonzero_for_short_arcs(rng):
@@ -317,9 +349,13 @@ def test_jacobian_values_match_pointwise(stratum, k):
     ts = np.linspace(0.1, 15.0, 900)
 
     def pointwise(t):
-        # one 5x5 matrix from the scalar dense-output call
-        Y = jp.path(t).reshape(5, 7)
-        return np.linalg.det(np.column_stack([*Y[1:, 2:], _gdot(Y[0])]))
+        # one 5x5 matrix from the scalar dense-output call:
+        # [J_theta, J_c, -Y(g) / (2 alpha), R(g), gdot]
+        Y = jp.path(t).reshape(3, 7)
+        x, y, z, v, w = Y[0, 2:]
+        dilation = np.array([x, y, 2.0 * z, 3.0 * v, 3.0 * w]) / (-2.0 * lam.alpha)
+        rotation = np.array([-y, x, 0.0, -w, v])
+        return np.linalg.det(np.column_stack([*Y[1:, 2:], dilation, rotation, _gdot(Y[0])]))
 
     vals = jp.values(ts)
     assert np.array_equal(vals, [jp(t) for t in ts])
@@ -380,6 +416,7 @@ _FLOWS = {
     "pendulum": lambda lam, t: (fl.pendulum_flow(lam, t), fl.pendulum_flow(lam, -t)),
     "extremal": lambda lam, t: (fl.exp_map(lam, t), fl.exp_trajectory(lam, t, 50)),
     "variational": lambda lam, t: fl.JacobianPath(lam, t),
+    "four_field": lambda lam, t: fl.exp_jacobian(lam, t),
     "batched": lambda lam, t: fl.exp_jacobian_fd(lam, t),
 }
 
@@ -432,6 +469,11 @@ def test_dop853_bits_match_scipy(flow, stratum, rng, monkeypatch):
     for _ in range(2):
         lam = _covector(stratum, rng)
         assert classify(lam) is stratum
+        if flow == "variational" and stratum is Stratum.C6:
+            # the closed-form dilation field divides by alpha = 0
+            with pytest.raises(ValueError, match="alpha > 0"):
+                _integrations(monkeypatch, lambda: _FLOWS[flow](lam, 2.0))
+            continue
         for t_end in (rng.uniform(2.0, 15.0), 1e-9):
             calls = _integrations(monkeypatch, lambda: _FLOWS[flow](lam, t_end))
             assert calls
@@ -473,6 +515,6 @@ def test_dop853_too_small_step_raises(monkeypatch):
     assert not sol.success
     with pytest.raises(NumericalError, match=f"^ODE integration failed: {sol.message}$"):
         fl.dop853(lambda t, y: y * y, 2.0, [1.0])
-    monkeypatch.setattr(fl, "_rhs_variational", lambda t, y, alpha, beta: y * y)
+    monkeypatch.setattr(fl, "_rhs_two_fields", lambda t, y, alpha, beta: y * y)
     with pytest.raises(NumericalError, match="^variational integration failed: Required step"):
         JacobianPath(Covector(0.0, 1.0, 1.0, 0.0), 2.0)

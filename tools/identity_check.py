@@ -31,7 +31,11 @@ requests are:
 - the stratum-dispatch edges that the seeded streams never reach: ``conj``
   on C6 with ``--horizon 1.0``, below t_max1 = 4.60, and ``conj
   --no-cross-check`` and ``maxwell`` on C1 at k = 0.9999999999, past
-  ``maxwell.K_ONE_CUTOFF``.
+  ``maxwell.K_ONE_CUTOFF``;
+- the cross-check's closed-form dilation column, which scales as 1/alpha:
+  cross-checked ``conj`` at alpha = 0.001 and 400 on C1 and C2 (k 0.9,
+  phi 0.7, beta 0.4), and cross-checked ``conj`` with a horizon below the
+  scan start (phi 0, k 0.5, alpha 1, beta 0): 1e-300 on C1 and 0.01 on C2.
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -128,6 +132,17 @@ def dispatch_edge_requests() -> list[list[str]]:
             ["conj", *c1, "--no-cross-check"], ["maxwell", *c1]]
 
 
+def cross_check_requests() -> list[list[str]]:
+    """Cross-checked conj far from alpha = 1, and with a horizon below the scan start."""
+    def conj(stratum, phi, k, alpha, beta):
+        return ["conj", "--stratum", stratum, "--phi", phi, "--k", k, "--alpha", alpha,
+                "--beta", beta]
+    return [*(conj(stratum, "0.7", "0.9", alpha, "0.4")
+              for stratum in ("C1", "C2") for alpha in ("0.001", "400")),
+            [*conj("C1", "0", "0.5", "1", "0"), "--horizon", "1e-300"],
+            [*conj("C2", "0", "0.5", "1", "0"), "--horizon", "0.01"]]
+
+
 def requests(seeds: list[int]) -> list[list[str]]:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -138,7 +153,7 @@ def requests(seeds: list[int]) -> list[list[str]]:
             blocks = workloads.stream(workload, seed)
             reqs += [list(r.argv) for r in itertools.islice(itertools.chain.from_iterable(blocks), n)]
     return (reqs + readme_examples() + critical_requests() + ode_edge_requests()
-            + mp_route_requests() + dispatch_edge_requests())
+            + mp_route_requests() + dispatch_edge_requests() + cross_check_requests())
 
 
 def worker(src: str, request_file: str, result_file: str) -> int:
