@@ -102,15 +102,14 @@ def cmd_exp(args) -> int:
 
 def cmd_conj(args) -> int:
     lam = parse_covector(args)
-    st = fl.classify(lam)
     res = cj.first_conjugate_time(lam, t_cap=args.horizon,
                                   cross_validate=not args.no_cross_check)
     upper_ok = res.upper_ok     # True off C1/C2, where the bound is +inf
-    if args.horizon is not None and st in mx.FORMS:
+    if args.horizon is not None and res.stratum in mx.FORMS:
         # the flag judges the default-cap search, not the capped one
         upper_ok = cj.first_conjugate_time(lam).upper_ok
     out = {
-        "stratum": str(st),
+        "stratum": str(res.stratum),
         "t_max1": _jsonable(res.t_max),
         "t_conj": _jsonable(res.t_conj),
         "lower_ok": True,           # see conjugate.BOUND_SLACK
@@ -163,8 +162,8 @@ def cmd_sweep(args) -> int:
                 try:
                     # the bound flags, read off the search's result: upper_ok
                     # polishes no Maxwell root that the float64 roots decide
-                    mx.stratum_forms(fl.classify(lam))      # StratumError off C1/C2
                     res = cj.first_conjugate_time(lam)
+                    mx.stratum_forms(res.stratum)       # StratumError off C1/C2
                     row.update(t_max1=res.t_max, t_conj=res.t_conj, lower_ok=True,
                                upper_ok=res.upper_ok)
                 except (NumericalError, ValueError) as exc:   # StratumError is a ValueError
@@ -176,7 +175,7 @@ def cmd_sweep(args) -> int:
             lam = Covector(args.theta or 0.0, float(cval), 0.0, 0.0)
             res = cj.first_conjugate_time(lam)
             # c = 0 is the C7 covector, not C6
-            rows.append({"stratum": str(fl.classify(lam)), "k": "", "phi": "",
+            rows.append({"stratum": str(res.stratum), "k": "", "phi": "",
                          "alpha": 0.0, "beta": 0.0, "c": float(cval),
                          "t_max1": res.t_max, "t_conj": res.t_conj,
                          "lower_ok": True, "upper_ok": True, "error": ""})
@@ -216,15 +215,17 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads "-8.7e-05" as a number, not an option.
+    """An ArgumentParser that reads "-8.7e-05" and "-1:1" as values, not options.
 
     argparse before Python 3.13 knows negative numbers only without an
-    exponent, so ``--beta -8.7e-05`` (the form ``repr`` gives) exited 2.
+    exponent, so ``--beta -8.7e-05`` (the form ``repr`` gives) exited 2, as
+    did the range of ``--phi-range -1:1``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        num = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{num}(:-?{num})?$")
 
 
 def build_parser() -> argparse.ArgumentParser:

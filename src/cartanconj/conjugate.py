@@ -52,10 +52,10 @@ import numpy as np
 from .elliptic import _EPS, incomplete_F, ipow, jacobi_arrays, jacobi_at
 from .errors import NumericalError, SolverDisagreement
 from .flow import ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum
-from .maxwell import (_NOISE_SAFETY, MP_DPS, SIGN_MARGIN, RootInfo, _maxwell_time,
-                      _screen_to_first_flip, a01_c1_kernel, a01_c2_kernel, a21_c1_kernel,
-                      a21_c2_kernel, brent_root, c1_kernel_args, c2_kernel_args, c2_series,
-                      sign_changes, stratum_forms)
+from .maxwell import (_NOISE_SAFETY, MP_DPS, SIGN_MARGIN, RootInfo, _screen_to_first_flip,
+                      a01_c1_kernel, a01_c2_kernel, a21_c1_kernel, a21_c2_kernel, brent_root,
+                      c1_kernel_args, c2_kernel_args, c2_series, sign_changes, stratum_forms,
+                      t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -63,8 +63,8 @@ from .maxwell import (_NOISE_SAFETY, MP_DPS, SIGN_MARGIN, RootInfo, _maxwell_tim
 # base step of the J1 scan (at most a 200th of the pendulum period)
 SCAN_DT = 0.01
 # the analytic and variational first zeros must agree to this, relative to
-# max(1, t_conj); acceptance criterion 8 measures gaps up to about 5e-6 over
-# its 100 draws.
+# t_conj (so the test scales with t_conj under dilation); acceptance
+# criterion 8 measures gaps up to about 5e-6 over its 100 draws.
 AGREEMENT_TOL = 1e-4
 # slack of the two-sided bounds t_max <= t_conj <= upper, and of the guard
 # that rejects a located zero undercutting t_max.  The guard raises
@@ -348,6 +348,7 @@ class ConjugateResult:
     method: str
     residual: float
     t_max: float
+    stratum: Stratum
     # (lo, hi) holding the C1/C2 upper bound on t_conj, and the bound itself
     # on a call (a polish of the larger C1 Maxwell root when lo < hi)
     upper_range: tuple = (math.inf, math.inf)
@@ -518,20 +519,17 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     float64 Maxwell roots, which decides the default cap and ``upper_ok``
     unless it holds the value that decides them, and as the polished bound
     on first read of ``upper``.  The stratum, the elliptic coordinates and
-    t_max1 come from ``maxwell``'s one dispatch, which converts the covector
-    once.
+    t_max1 come from ``t_max1``'s record.
     """
     if t_cap is not None and not (t_cap > 0.0 and math.isfinite(t_cap)):
         raise ValueError("search horizon must be positive and finite")
-    st, ec, t_max, _ = _maxwell_time(lam)
-    if st is Stratum.C6:
-        # the cylinder chart is singular at alpha = 0 (beta acts trivially),
-        # so the variational Jacobian vanishes identically there and cannot
-        # locate the conjugate point; it is the C2 -> C6 limit of t_max1
-        t_conj = t_max if t_cap is None or t_max <= t_cap else math.inf
-        return ConjugateResult(t_conj, None, "analytic", 0.0, t_max)
+    mr = t_max1(lam)
+    st, ec, t_max = mr.stratum, mr.ec, mr.t_max
     if ec is None or not math.isfinite(t_max):
-        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max)
+        # t_max is +inf, or finite on C6 (the C2 -> C6 limit), where the
+        # variational Jacobian vanishes identically: beta acts trivially
+        t_conj = t_max if t_cap is None or t_max <= t_cap else math.inf
+        return ConjugateResult(t_conj, None, "analytic", 0.0, t_max, st)
     forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
     # the upper bound from the float64 Maxwell roots: the polished one lies
     # in [lo, hi], and it is computed only where that range leaves open the
@@ -544,16 +542,16 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
     if cap <= t_lo:
         # both grids would run backward from t_lo; J1 is one-signed below the
         # scan start, and t_conj >= t_max > t_lo
-        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)
+        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max, st, (lo, hi), polished)
     hit = _first_zero_analytic(ec, t_lo, cap, hi, t_default)
     if hit is None:
-        result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, (lo, hi), polished)
+        result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, st, (lo, hi), polished)
     else:
         if hit.root < t_max - BOUND_SLACK:
             raise NumericalError(
                 f"located Jacobian zero t={hit.root} undercuts the Maxwell time "
                 f"{t_max}; the conjugate-time bound excludes this")
-        result = ConjugateResult(hit.root, hit.bracket, "analytic", hit.residual, t_max,
+        result = ConjugateResult(hit.root, hit.bracket, "analytic", hit.residual, t_max, st,
                                  (lo, hi), polished)
 
     if cross_validate:
@@ -561,8 +559,7 @@ def first_conjugate_time(lam: Covector, t_cap: float | None = None,
         v = _first_zero_variational(lam, t_lo, v_cap)
         t_v = None if v is None else v.root
         if result.finite:
-            agree = t_v is not None and abs(t_v - result.t_conj) <= \
-                AGREEMENT_TOL * max(1.0, result.t_conj)
+            agree = t_v is not None and abs(t_v - result.t_conj) <= AGREEMENT_TOL * result.t_conj
             if not agree:
                 raise SolverDisagreement(result.t_conj, t_v, AGREEMENT_TOL)
             result = replace(result, method="analytic+variational")

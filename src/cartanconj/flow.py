@@ -174,7 +174,10 @@ def _wrapped_angle(a: float) -> float:
 
 def to_elliptic(lam: Covector) -> EllipticCoord:
     """Invert the elliptic parameterization; only valid on C1/C2/C3."""
-    stratum = classify(lam)
+    return _to_elliptic(lam, classify(lam))
+
+
+def _to_elliptic(lam: Covector, stratum: Stratum) -> EllipticCoord:
     alpha = lam.alpha
     sa = math.sqrt(alpha) if alpha > 0 else 0.0
     psi = _wrapped_angle(lam.theta - lam.beta)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import mpmath
@@ -46,7 +46,7 @@ import numpy as np
 from .elliptic import (_EPS, _kval, complete_E, complete_K, incomplete_F, ipow, jacobi_arrays,
                        jacobi_at, jacobi_mp)
 from .errors import BracketError, NumericalError, StratumError
-from .flow import Covector, EllipticCoord, Stratum, classify, to_elliptic
+from .flow import Covector, EllipticCoord, Stratum, _to_elliptic, classify
 
 # modulus this close to 1 means the period diverges: report +inf times
 K_ONE_CUTOFF = 1.0 - 1e-9
@@ -922,29 +922,21 @@ class MaxwellResult:
     bracket: tuple | None
     residual: float
     stratum: Stratum
-
-
-def _maxwell_time(lam: Covector):
-    """(stratum, elliptic coordinate, t_max1, RootInfo of its half-arc): the
-    one stratum dispatch of the first Maxwell time, which ``t_max1`` and
-    ``conjugate.first_conjugate_time`` read.  The coordinate is None off
-    C1/C2, the record None where t_max1 is +inf (C3, C4, C5, C7 and C1/C2
-    past K_ONE_CUTOFF)."""
-    st = classify(lam)
-    if st is Stratum.C6:
-        info = _p1_v0_cached()
-        return st, None, 4.0 / abs(lam.c) * info.root, info
-    if st not in FORMS:                     # C3, C4, C5, C7
-        return st, None, math.inf, None
-    ec = to_elliptic(lam)
-    if ec.k > K_ONE_CUTOFF:
-        return st, ec, math.inf, None
-    t, info = FORMS[st].maxwell_time(ec.k, math.sqrt(ec.alpha))
-    return st, ec, t, info
+    ec: EllipticCoord | None = field(default=None, compare=False, repr=False)
 
 
 def t_max1(lam: Covector) -> MaxwellResult:
-    st, _, t, info = _maxwell_time(lam)
-    if info is None:
-        return MaxwellResult(t, None, None, 0.0, st)
-    return MaxwellResult(t, info.root, info.bracket, info.residual, st)
+    """The first Maxwell time: the one stratum dispatch, which
+    ``conjugate.first_conjugate_time`` reads.  The elliptic coordinate ``ec``
+    is None off C1/C2, the root None where t_max1 is +inf (C3, C4, C5, C7
+    and C1/C2 past K_ONE_CUTOFF)."""
+    st = classify(lam)
+    ec = _to_elliptic(lam, st) if st in FORMS else None
+    if st is Stratum.C6:
+        info = _p1_v0_cached()
+        t = 4.0 / abs(lam.c) * info.root
+    elif ec is None or ec.k > K_ONE_CUTOFF:
+        return MaxwellResult(math.inf, None, None, 0.0, st, ec)
+    else:
+        t, info = FORMS[st].maxwell_time(ec.k, math.sqrt(ec.alpha))
+    return MaxwellResult(t, info.root, info.bracket, info.residual, st, ec)

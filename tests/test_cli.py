@@ -169,6 +169,30 @@ def test_sweep_c6_labels_c7_row(capsys):
     assert rows[1][6:8] == ["inf", "inf"]
 
 
+@pytest.mark.parametrize("argv,flag,column", [
+    (("sweep", "--stratum", "C1", "--k-range", "0.4:0.5", "--nk", "2", "--nphi", "2"),
+     "--phi-range", 2),
+    (("sweep", "--stratum", "C6", "--nk", "2"), "--c-range", 5),
+], ids=["phi-range", "c-range"])
+def test_sweep_negative_range(capsys, argv, flag, column):
+    # argparse took "-1:1" for an option unless it was joined by "="
+    code, out, _ = run(capsys, *argv, flag, "-1:1")
+    assert code == 0
+    assert {ln.split(",")[column] for ln in out.splitlines()[1:]} == {"-1", "1"}
+    assert run(capsys, *argv, f"{flag}=-1:1")[:2] == (code, out)
+
+
+def test_sweep_off_stratum_rows_are_stratum_errors(capsys):
+    # below the C4 band and past the C3 band every row leaves C1
+    for k_range in ("1e-9:1e-8", "0.99999999999999:0.999999999999999"):
+        code, out, _ = run(capsys, "sweep", "--stratum", "C1", "--k-range", k_range,
+                           "--nk", "2", "--nphi", "2")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(r[6:] == ["", "", "", "", "StratumError"] for r in rows)
+
+
 def test_sweep_bad_counts(capsys):
     code, _, _ = run(capsys, "sweep", "--stratum", "C1", "--nk", "1")
     assert code == 2
@@ -319,6 +343,61 @@ def test_conj_searches_once(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, "conj", *argv, "--horizon", "4.0")
     assert code == 0
     assert calls["n"] == 2
+
+
+C2_ARGV = ("--stratum", "C2", "--phi", "0.3", "--k", "0.6", "--alpha", "1.4", "--beta", "0.2")
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("conj", *README_C1), 1),
+    (("conj", *README_C1, "--no-cross-check"), 1),
+    (("conj", *C2_ARGV), 1),
+    (("conj", *C2_ARGV, "--no-cross-check"), 1),
+    (("conj", "--theta", "0", "--c", "2", "--alpha", "0", "--beta", "0"), 1),
+    (("sweep", "--stratum", "C1", "--k-range", "0.4:0.5", "--nk", "2", "--nphi", "2"), 4),
+    (("sweep", "--stratum", "C1", "--k-range", "1e-9:1e-8", "--nk", "2", "--nphi", "2"), 4),
+    (("sweep", "--stratum", "C6", "--c-range=-1:1", "--nk", "3"), 3),
+], ids=["conj-C1", "conj-C1-unchecked", "conj-C2", "conj-C2-unchecked", "conj-C6",
+        "sweep-C1", "sweep-C4-rows", "sweep-C6-C7"])
+def test_one_classification_per_request(capsys, monkeypatch, argv, rows):
+    # one per conj request and one per sweep row: t_max1 classifies, and
+    # conjugate and cli read its record
+    from cartanconj import flow
+    real, seen = flow.classify, []
+
+    def counted(lam):
+        seen.append(lam)
+        return real(lam)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cartanconj":
+            for attr in [a for a, v in vars(mod).items() if v is real]:
+                monkeypatch.setattr(mod, attr, counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(seen) == rows
+
+
+def test_cross_check_agreement_is_relative(capsys):
+    # t_conj is about 4.6e-5 here, so a gap of 1e-4 times max(1, t_conj)
+    # passed a variational zero 48% away
+    code, out, err = run(capsys, "conj", "--stratum", "C2", "--phi", "6.349", "--k", "1e-5",
+                         "--alpha", "1", "--beta", "2.208")
+    assert code == 3
+    assert "disagree" in err
+    doc = json.loads(out)
+    assert doc["error"] == "solver_disagreement"
+    assert math.isclose(doc["t_analytic"], 4.6040e-5, rel_tol=1e-4)
+    assert math.isclose(doc["t_variational"], 2.3737e-5, rel_tol=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: the two-field cross-check finds a "
+                                       "zero where J0 lies below its noise")
+def test_cross_check_small_k_c2(capsys):
+    code, out, _ = run(capsys, "conj", "--stratum", "C2", "--phi", "1.3", "--k", "1e-3",
+                       "--alpha", "1", "--beta", "0.5")
+    assert code == 0
+    assert json.loads(out)["method"] == "analytic+variational"
 
 
 def test_conj_c2_between_old_maxwell_and_c2_thresholds(capsys):

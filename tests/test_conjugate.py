@@ -542,7 +542,7 @@ def test_first_zero_variational_pinned(arc, want):
     # columns, the integrator and the scan
     assert cj._first_zero_variational(*arc).root == want
     t_conj = first_conjugate_time(arc[0]).t_conj
-    assert abs(want - t_conj) <= cj.AGREEMENT_TOL * max(1.0, t_conj)
+    assert abs(want - t_conj) <= cj.AGREEMENT_TOL * t_conj
 
 
 def _certain_stack(rng, n, first):

@@ -31,11 +31,17 @@ requests are:
 - the stratum-dispatch edges that the seeded streams never reach: ``conj``
   on C6 with ``--horizon 1.0``, below t_max1 = 4.60, and ``conj
   --no-cross-check`` and ``maxwell`` on C1 at k = 0.9999999999, past
-  ``maxwell.K_ONE_CUTOFF``;
+  ``maxwell.K_ONE_CUTOFF``; ``conj`` on C4 with ``--horizon 5``; C1 sweeps
+  whose rows classify as C4 (k 1e-9 to 1e-8) and as C3 (k within 1e-14 of
+  1); and a C6 sweep across c = 0, whose middle row is C7;
 - the cross-check's closed-form dilation column, which scales as 1/alpha:
   cross-checked ``conj`` at alpha = 0.001 and 400 on C1 and C2 (k 0.9,
   phi 0.7, beta 0.4), and cross-checked ``conj`` with a horizon below the
-  scan start (phi 0, k 0.5, alpha 1, beta 0): 1e-300 on C1 and 0.01 on C2.
+  scan start (phi 0, k 0.5, alpha 1, beta 0): 1e-300 on C1 and 0.01 on C2;
+- cross-checked ``conj`` at small moduli, where t_conj is far below 1 and
+  the agreement test is relative: C2 at k = 1e-3 and 5e-4 and C1 at
+  k = 1e-6 (phi 1.3, alpha 1, beta 0.5), and C2 at k = 1e-5 (phi 6.349,
+  alpha 1, beta 2.208).
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -124,23 +130,33 @@ def mp_route_requests() -> list[list[str]]:
 
 
 def dispatch_edge_requests() -> list[list[str]]:
-    """A C6 conj capped below t_max1, and C1 requests past the k -> 1 cutoff."""
+    """A C6 conj capped below t_max1, C1 requests past the k -> 1 cutoff, a
+    capped C4 conj, and sweeps whose rows leave their stratum."""
     c1 = ["--stratum", "C1", "--phi", "0.3", "--k", "0.9999999999", "--alpha", "1.3",
           "--beta", "0.2"]
     return [["conj", "--theta", "0", "--c", "2", "--alpha", "0", "--beta", "0",
              "--horizon", "1.0"],
-            ["conj", *c1, "--no-cross-check"], ["maxwell", *c1]]
+            ["conj", *c1, "--no-cross-check"], ["maxwell", *c1],
+            ["conj", "--theta", "0.3", "--c", "0", "--alpha", "1", "--beta", "0.3",
+             "--horizon", "5"],
+            *(["sweep", "--stratum", "C1", "--k-range", k_range, "--nk", "2", "--nphi", "2"]
+              for k_range in ("1e-9:1e-8", "0.99999999999999:0.999999999999999")),
+            ["sweep", "--stratum", "C6", "--c-range=-1:1", "--nk", "3"]]
 
 
 def cross_check_requests() -> list[list[str]]:
-    """Cross-checked conj far from alpha = 1, and with a horizon below the scan start."""
+    """Cross-checked conj far from alpha = 1, with a horizon below the scan
+    start, and at small moduli."""
     def conj(stratum, phi, k, alpha, beta):
         return ["conj", "--stratum", stratum, "--phi", phi, "--k", k, "--alpha", alpha,
                 "--beta", beta]
     return [*(conj(stratum, "0.7", "0.9", alpha, "0.4")
               for stratum in ("C1", "C2") for alpha in ("0.001", "400")),
             [*conj("C1", "0", "0.5", "1", "0"), "--horizon", "1e-300"],
-            [*conj("C2", "0", "0.5", "1", "0"), "--horizon", "0.01"]]
+            [*conj("C2", "0", "0.5", "1", "0"), "--horizon", "0.01"],
+            *(conj(stratum, "1.3", k, "1", "0.5")
+              for stratum, k in (("C2", "1e-3"), ("C2", "5e-4"), ("C1", "1e-6"))),
+            conj("C2", "6.349", "1e-5", "1", "2.208")]
 
 
 def requests(seeds: list[int]) -> list[list[str]]:
