@@ -102,20 +102,19 @@ def cmd_exp(args) -> int:
 
 def cmd_conj(args) -> int:
     lam = parse_covector(args)
-    res = cj.first_conjugate_time(lam, t_cap=args.horizon,
-                                  cross_validate=not args.no_cross_check)
-    upper_ok = res.upper_ok     # True off C1/C2, where the bound is +inf
-    if args.horizon is not None and res.stratum in mx.FORMS:
-        # the flag judges the default-cap search, not the capped one
-        upper_ok = cj.first_conjugate_time(lam).upper_ok
+    if args.horizon is not None and not (args.horizon > 0.0 and math.isfinite(args.horizon)):
+        raise UsageError("search horizon must be positive and finite")
+    res = cj.first_conjugate_time(lam, cross_validate=not args.no_cross_check)
+    # the horizon cuts the answer, not the search: upper_ok judges the zero found
+    cut = args.horizon is not None and res.t_conj > args.horizon
     out = {
         "stratum": str(res.stratum),
         "t_max1": _jsonable(res.t_max),
-        "t_conj": _jsonable(res.t_conj),
+        "t_conj": "inf" if cut else _jsonable(res.t_conj),
         "lower_ok": True,           # see conjugate.BOUND_SLACK
-        "upper_ok": upper_ok,
+        "upper_ok": res.upper_ok,   # True off C1/C2, where the bound is +inf
         "method": res.method,
-        "residual": res.residual,
+        "residual": 0.0 if cut else res.residual,
     }
     print(json.dumps(out))
     return EXIT_OK
@@ -243,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conj", help="first Maxwell and conjugate times")
     add_covector_flags(p)
-    p.add_argument("--horizon", type=float, help="search cap for the first zero")
+    p.add_argument("--horizon", type=float,
+                   help="report t_conj as inf when the first zero lies past this time "
+                        "(the search range and upper_ok are unchanged)")
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip the variational cross-validation")
 

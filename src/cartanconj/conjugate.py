@@ -42,9 +42,8 @@ searches of one modulus (a ``sweep`` row) share its float64 grids
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -52,10 +51,10 @@ import numpy as np
 from .elliptic import _EPS, incomplete_F, ipow, jacobi_arrays, jacobi_at
 from .errors import NumericalError, SolverDisagreement
 from .flow import ODE_ATOL, ODE_RTOL, Covector, EllipticCoord, JacobianPath, Stratum
-from .maxwell import (_NOISE_SAFETY, MP_DPS, SIGN_MARGIN, RootInfo, _screen_to_first_flip,
+from .maxwell import (_NOISE_SAFETY, SIGN_MARGIN, RootInfo, _screen_to_first_flip,
                       a01_c1_kernel, a01_c2_kernel, a21_c1_kernel, a21_c2_kernel, brent_root,
-                      c1_kernel_args, c2_kernel_args, c2_series, sign_changes, stratum_forms,
-                      t_max1)
+                      c1_kernel_args, c2_kernel_args, c2_series, mp_dps, sign_changes,
+                      stratum_forms, t_max1)
 
 # Settings of the first-zero search, fixed like those in ``maxwell`` by the
 # ~1e-6 target in time.
@@ -349,36 +348,26 @@ class ConjugateResult:
     residual: float
     t_max: float
     stratum: Stratum
-    # (lo, hi) holding the C1/C2 upper bound on t_conj, and the bound itself
-    # on a call (a polish of the larger C1 Maxwell root when lo < hi)
-    upper_range: tuple = (math.inf, math.inf)
-    polished_upper: Callable | None = field(default=None, repr=False, compare=False)
+    upper_ok: bool              # t_conj <= the C1/C2 upper bound (+inf elsewhere)
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.t_conj)
 
-    @cached_property
-    def upper(self) -> float:
-        """The C1/C2 upper bound on t_conj (+inf off C1/C2)."""
-        lo, hi = self.upper_range
-        return lo if lo == hi else self.polished_upper()
 
-    @property
-    def upper_ok(self) -> bool:
-        """Whether t_conj <= upper, within BOUND_SLACK; the bound is read
-        only when t_conj lies between its range's ends (plus the slack)."""
-        lo, hi = self.upper_range
-        if self.t_conj <= lo + BOUND_SLACK:
-            return True
-        if self.t_conj > hi + BOUND_SLACK:
-            return False
-        return bool(self.t_conj <= self.upper + BOUND_SLACK)
+def _upper_ok(t_conj: float, lo: float, hi: float, upper) -> bool:
+    """Whether t_conj <= upper(), within BOUND_SLACK, for an upper bound
+    known to lie in [lo, hi]: upper (on C1 a polish of the larger Maxwell
+    root) is called only when t_conj lies in that range plus the slack."""
+    if t_conj <= lo + BOUND_SLACK:
+        return True
+    if t_conj > hi + BOUND_SLACK:
+        return False
+    return bool(t_conj <= upper() + BOUND_SLACK)
 
 
 def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
-                         t_split: float = math.inf,
-                         t_default: float | None = None) -> RootInfo | None:
+                         t_split: float = math.inf) -> RootInfo | None:
     """First zero of t -> J1 on (t_lo, t_cap], or None.
 
     The float64 scan evaluates J1 in two array calls at most: on the grid up
@@ -397,19 +386,17 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     kernels' small-k series (``_j1_c2_series``) decide the sign of J1 at the
     grid times where it exceeds SIGN_MARGIN of their bound; mpmath evaluates
     J1 at the other times, in order, up to the first sign change, and Brent
-    runs under mpmath from that panel's mpmath end values.  Whenever each
-    screened sign is J1's (the tests check it on the series' range), the
-    zero, bracket and residual are those of a point-by-point mpmath scan.
-    That grid's step is set by the default cap t_default (t_cap when None),
-    whatever t_cap is, and it is screened one default grid's span at a time
-    up to t_cap, so a far cap neither stretches the step nor the grid.
+    runs under mpmath from that panel's mpmath end values, at the modulus's
+    digits (``maxwell.mp_dps``).  Whenever each screened sign is J1's (the
+    tests check it on the series' range), the zero, bracket and residual are
+    those of a point-by-point mpmath scan.
     """
     forms = stratum_forms(ec.stratum)
     where = f"on {ec.stratum.value} at k={ec.k!r}, phi={ec.phi!r}"
     dt = min(SCAN_DT, ec.period() / 200.0)
 
     def fmp(t):
-        return _j1_scalar_mp(ec, t, MP_DPS)
+        return _j1_scalar_mp(ec, t, mp_dps(ec.k))
 
     def f64(t):     # the float route: the bits of the scan's array call
         return _j1(ec, float(t), mag=False)[0]
@@ -418,47 +405,34 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
     f64.__name__ = f"J1 {where}"
 
     if ec.k < forms.mp_k:
-        # a few hundred grid times up to the default cap suffice: in this
-        # regime J1 tracks a0(p), whose zeros are spaced on the K(k) scale.
-        # The scan stops at the first sign change, which lies just past
-        # t_max, at most a third of the way into that grid.
-        t_default = t_cap if t_default is None else t_default
-        span = t_default - t_lo
-        step = max(dt, span / 300.0)
-        lo, hi = t_lo, t_default
-        while True:
-            ts = np.arange(lo, min(t_cap, hi), step)
-            screen, bound = _j1_c2_series(ec, ts)
-            sure = np.abs(screen) > SIGN_MARGIN * bound
-            vals, i = _screen_to_first_flip(fmp, ts, screen, sure)
-            if i is not None:
-                break
-            if hi >= t_cap or len(ts) < 2:
-                return None
-            lo, hi = ts[-1], ts[-1] + span      # the next span starts at this one's end
+        # a few hundred grid times up to the cap suffice: in this regime J1
+        # tracks a0(p), whose zeros are spaced on the K(k) scale.  The scan
+        # stops at the first sign change, which lies just past t_max, at
+        # most a third of the way into the grid.
+        ts = np.arange(t_lo, t_cap, max(dt, (t_cap - t_lo) / 300.0))
+        screen, bound = _j1_c2_series(ec, ts)
+        sure = np.abs(screen) > SIGN_MARGIN * bound
+        vals, i = _screen_to_first_flip(fmp, ts, screen, sure)
+        if i is None:
+            return None
         return brent_root(fmp, ts[i], ts[i + 1], fa=None if sure[i] else vals[i],
                           fb=None if sure[i + 1] else vals[i + 1])
 
-    n = math.ceil((t_cap - t_lo) / dt)          # len(np.arange(t_lo, t_cap, dt))
-    if n < 4:
-        ts, t_end = np.linspace(t_lo, t_cap, 8), None
-    else:
-        t_end = min(t_cap, t_split + 2.0 * dt)
-        ts = np.arange(t_lo, t_end, dt)
+    t_end = min(t_cap, t_split + 2.0 * dt)
+    ts = np.arange(t_lo, t_end, dt)
     split = min(len(ts), int(np.searchsorted(ts, t_split, side="right")) + 1)
     vals = noise = np.empty(0)
     for stop in (split, None):
-        if stop is None and len(ts) < n:
+        if stop is None and t_end < t_cap:
             t_end = t_cap
             ts = np.arange(t_lo, t_end, dt)
         start, stop = len(vals), len(ts) if stop is None else stop
-        part = ts[start:stop]
-        if not len(part):
+        if start == stop:
             continue
         first = max(start - 1, 0)           # the panel across the split is new
-        half = None if t_end is None else _half_arc_grid(
-            ec.stratum, float(ec.k), float(ec.alpha), t_lo, t_end, dt, start, stop)
-        v, nz = _j1(ec, part, half)[:2]
+        half = _half_arc_grid(ec.stratum, float(ec.k), float(ec.alpha), t_lo, t_end, dt,
+                              start, stop)
+        v, nz = _j1(ec, ts[start:stop], half)[:2]
         vals, noise = np.concatenate((vals, v)), np.concatenate((noise, nz))
         clear = np.abs(vals) > SIGN_MARGIN * noise
         for i in first + sign_changes(vals[first:]):
@@ -504,55 +478,40 @@ def _first_zero_variational(lam: Covector, t_lo: float, t_cap: float) -> RootInf
     return brent_root(jp, ts[i], ts[i + 1], fa=vals[i], fb=vals[i + 1])
 
 
-def first_conjugate_time(lam: Covector, t_cap: float | None = None,
-                         cross_validate: bool = False) -> ConjugateResult:
-    """First conjugate time; +inf when no Jacobian zero at or below the cap.
+def first_conjugate_time(lam: Covector, cross_validate: bool = False) -> ConjugateResult:
+    """First conjugate time; +inf when the Jacobian has no zero.
 
-    A cap must be positive and finite (ValueError otherwise) on every
-    stratum.  C3/C4/C5/C7 extremals have no zero; on C6 the first conjugate
-    time equals the first Maxwell time exactly.  On C1/C2 the analytic J1
-    is scanned and (optionally) cross-checked against the variational
-    Jacobian; the two must agree to ``AGREEMENT_TOL`` or SolverDisagreement
-    is raised.  A cap at or below the scan start gives +inf without a
-    search.  The result carries the stratum upper bound on t_conj (+inf
-    where the period diverges or off C1/C2): on C1 as a range from the
-    float64 Maxwell roots, which decides the default cap and ``upper_ok``
-    unless it holds the value that decides them, and as the polished bound
-    on first read of ``upper``.  The stratum, the elliptic coordinates and
-    t_max1 come from ``t_max1``'s record.
+    C3/C4/C5/C7 extremals have no zero; on C6 the first conjugate time
+    equals the first Maxwell time exactly.  On C1/C2 the analytic J1 is
+    scanned on (t_lo, max(3 t_max, 1.1 upper)], which holds the first zero
+    by the two-sided bounds t_max <= t_conj <= upper, and (optionally)
+    cross-checked against the variational Jacobian; the two must agree to
+    ``AGREEMENT_TOL`` or SolverDisagreement is raised.  The upper bound on
+    C1 has a range from the float64 Maxwell roots, which decides the cap and
+    ``upper_ok`` unless it holds the value that decides them; only then is
+    the bound polished.  The stratum, the elliptic coordinates and t_max1
+    come from ``t_max1``'s record.
     """
-    if t_cap is not None and not (t_cap > 0.0 and math.isfinite(t_cap)):
-        raise ValueError("search horizon must be positive and finite")
     mr = t_max1(lam)
     st, ec, t_max = mr.stratum, mr.ec, mr.t_max
     if ec is None or not math.isfinite(t_max):
         # t_max is +inf, or finite on C6 (the C2 -> C6 limit), where the
         # variational Jacobian vanishes identically: beta acts trivially
-        t_conj = t_max if t_cap is None or t_max <= t_cap else math.inf
-        return ConjugateResult(t_conj, None, "analytic", 0.0, t_max, st)
+        return ConjugateResult(t_max, None, "analytic", 0.0, t_max, st, True)
     forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
-    # the upper bound from the float64 Maxwell roots: the polished one lies
-    # in [lo, hi], and it is computed only where that range leaves open the
-    # default cap max(3 t_max, 1.1 upper) or, in the result, upper_ok
     lo, hi = forms.upper_range(k, sa)
-    polished = partial(forms.upper, k, sa)
-    t_default = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * polished())
-    cap = t_cap if t_cap is not None else t_default
+    upper = partial(forms.upper, k, sa)
+    cap = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * upper())
     t_lo = min(scan_start_time(ec), 0.5 * t_max)
-    if cap <= t_lo:
-        # both grids would run backward from t_lo; J1 is one-signed below the
-        # scan start, and t_conj >= t_max > t_lo
-        return ConjugateResult(math.inf, None, "analytic", 0.0, t_max, st, (lo, hi), polished)
-    hit = _first_zero_analytic(ec, t_lo, cap, hi, t_default)
+    hit = _first_zero_analytic(ec, t_lo, cap, hi)
     if hit is None:
-        result = ConjugateResult(math.inf, None, "analytic", 0.0, t_max, st, (lo, hi), polished)
-    else:
-        if hit.root < t_max - BOUND_SLACK:
-            raise NumericalError(
-                f"located Jacobian zero t={hit.root} undercuts the Maxwell time "
-                f"{t_max}; the conjugate-time bound excludes this")
-        result = ConjugateResult(hit.root, hit.bracket, "analytic", hit.residual, t_max, st,
-                                 (lo, hi), polished)
+        hit = RootInfo(math.inf, None, 0.0)
+    elif hit.root < t_max - BOUND_SLACK:
+        raise NumericalError(
+            f"located Jacobian zero t={hit.root} undercuts the Maxwell time "
+            f"{t_max}; the conjugate-time bound excludes this")
+    result = ConjugateResult(hit.root, hit.bracket, "analytic", hit.residual, t_max, st,
+                             _upper_ok(hit.root, lo, hi, upper))
 
     if cross_validate:
         v_cap = min(cap, 1.05 * result.t_conj) if result.finite else cap

@@ -249,6 +249,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8          # -1 / (error estimator order 7 + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# step limit of ``dop853``: the extremal flow takes 6.5-10.5 steps per unit
+# time at |c| <= 3 and alpha <= 2, so it reaches about t = 1e5, and a longer
+# arc (``exp --t 1e300``) raises NumericalError instead of running for ever.
+ODE_MAX_STEPS = 10**6
 _NS = _tab.N_STAGES
 # (row of A, c) of each stage after the first, as scipy's loops slice them:
 # rk_step's stages 1..11 and the dense output's extra stages 13..15
@@ -332,7 +336,8 @@ def dop853(fun, t_end, y0, args=(), rtol=ODE_RTOL, atol=ODE_ATOL, dense=False,
     t_end integrates backwards; dense output needs t_end >= 0.  Raises
     ValueError for a non-finite t_end, which no step reaches, and
     NumericalError, "<label> integration failed: ...", when the step falls
-    below ten spacings of the floats at t.
+    below ten spacings of the floats at t or ODE_MAX_STEPS steps fall short
+    of t_end.
     """
     t_bound = float(t_end)
     if not math.isfinite(t_bound):
@@ -352,6 +357,9 @@ def dop853(fun, t_end, y0, args=(), rtol=ODE_RTOL, atol=ODE_ATOL, dense=False,
     KT = [K[:s].T for s in range(_tab.N_STAGES_EXTENDED)]
     ts, hs, y_olds, Fs = [t], [], [], []
     while True:
+        if len(ts) > ODE_MAX_STEPS:
+            raise NumericalError(f"{label} integration failed: {ODE_MAX_STEPS} steps "
+                                 f"reached t = {float(t)!r} of {t_bound!r}")
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step

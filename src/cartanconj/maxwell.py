@@ -96,6 +96,12 @@ _NOISE_SAFETY = 16.0
 SIGN_MARGIN = 20.0
 
 
+def mp_dps(k) -> int:
+    """Digits of the C2 mpmath searches at modulus k: MP_DPS, and below
+    k = 1e-3 17 more per decade, as a21 falls off like k**17."""
+    return MP_DPS if k >= 1e-3 else MP_DPS + math.ceil(17 * math.log10(1e-3 / k))
+
+
 # ---------------------------------------------------------------------------
 # kernels over precomputed elliptic ingredients (numpy arrays or mpf scalars)
 # ---------------------------------------------------------------------------
@@ -706,7 +712,7 @@ def _c1_upper_range(k, sa):
 def _p1_v_c2_cached(k: float) -> RootInfo:
     K = complete_K(k)
     if k < C2_MP_K:
-        with mpmath.workdps(MP_DPS):
+        with mpmath.workdps(mp_dps(k)):
             info = _first_root(_screened_fv_c2(k), 1e-3, 2.0 * K - 1e-9)
     else:
         info = _first_root(_branch_fn(fv_c2_kernel, C2_FORMS, k), 0.02, 2.0 * K - 1e-9)

@@ -223,9 +223,12 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_failed_bracket_in_a_search_is_a_numerical_failure(capsys):
-    # at k = 1e-4 the 50-digit J1 is rounding noise, and Brent gets a panel
-    # whose ends have the same sign: exit 3 with both end values, not a usage error
+def test_failed_bracket_in_a_search_is_a_numerical_failure(capsys, monkeypatch):
+    # an mpmath J1 that never changes sign (as the 50-digit J1 at k = 1e-4
+    # once was, being rounding noise) gives Brent a panel whose ends have the
+    # same sign: exit 3 with both end values, not a usage error
+    from cartanconj import conjugate
+    monkeypatch.setattr(conjugate, "_j1_scalar_mp", lambda ec, t, dps: 1.0)
     code, out, err = run(capsys, "conj", "--stratum", "C2", "--phi", "6.41", "--k", "1e-4",
                          "--alpha", "1", "--beta", "0", "--no-cross-check")
     assert (code, out) == (3, "")
@@ -239,12 +242,21 @@ def test_conj_horizon_below_zero_reports_inf(capsys):
                        "--horizon", "4.0", "--no-cross-check")
     assert code == 0
     doc = json.loads(out)
-    assert doc["t_conj"] == "inf"
-    assert doc["upper_ok"] is True      # bound check runs with its own cap
+    assert doc["t_conj"] == "inf" and doc["residual"] == 0.0
+    assert doc["upper_ok"] is True      # judges the zero past the horizon
 
 
 # the README's conj example
 README_C1 = ("--stratum", "C1", "--phi", "0.37", "--k", "0.5", "--alpha", "1", "--beta", "0.4")
+
+
+def test_conj_horizon_just_past_zero_reports_it(capsys):
+    # t_conj = 9.602532015455896 <= 9.6045: a search capped at the horizon
+    # stopped one panel short and printed inf
+    code, out, _ = run(capsys, "conj", *README_C1, "--no-cross-check", "--horizon", "9.6045")
+    assert code == 0
+    assert out == run(capsys, "conj", *README_C1, "--no-cross-check")[1]
+    assert json.loads(out)["t_conj"] == 9.602532015455896
 
 
 @pytest.mark.parametrize("horizon", ["inf", "nan"])
@@ -268,6 +280,7 @@ def test_conj_horizon_checked_off_c1_c2(capsys, argv, horizon):
 
 def test_conj_c6_horizon_below_maxwell_time_reports_inf(capsys):
     default = json.loads(run(capsys, "conj", *C6)[1])
+    assert default["stratum"] == "C6"
     assert default["t_conj"] == default["t_max1"] == 4.601591631953129
     code, out, _ = run(capsys, "conj", *C6, "--horizon=1.0")
     assert code == 0
@@ -279,9 +292,9 @@ def test_conj_c6_horizon_below_maxwell_time_reports_inf(capsys):
 @pytest.mark.parametrize("cross_check", [True, False], ids=["cross-check", "no-cross-check"])
 @pytest.mark.parametrize("stratum", ["C1", "C2"])
 def test_conj_horizon_at_or_below_scan_start_reports_inf(capsys, stratum, cross_check):
-    # the scan starts at 0.2465 on C1 and 0.28 on C2; a cap at or below it
-    # once ran both grids backward from there (exit 2 with numpy warnings,
-    # or exit 3 on a made-up zero)
+    # the scan starts at 0.2465 on C1 and 0.28 on C2; a search capped at or
+    # below it once ran both grids backward from there (exit 2 with numpy
+    # warnings, or exit 3 on a made-up zero)
     argv = ["conj", "--stratum", stratum, "--phi", "0", "--k", "0.5", "--alpha", "1",
             "--beta", "0"] + ([] if cross_check else ["--no-cross-check"])
     default = json.loads(run(capsys, *argv)[1])
@@ -295,10 +308,9 @@ def test_conj_horizon_at_or_below_scan_start_reports_inf(capsys, stratum, cross_
 
 
 def test_conj_far_horizon_matches_default(capsys):
-    # the J1 grid past the upper bound is built only when it is scanned, so
-    # a cap far past it finds the default search's zero at no extra cost.
-    # Below C2_MP_K the screened grid keeps the default cap's step whatever
-    # the horizon (a step stretched with it once skipped the first zero).
+    # the horizon cuts the answer, not the search: a far one changes nothing
+    # (a search capped at it once stretched the screened grid's step below
+    # C2_MP_K and skipped the first zero).
     small_k_c2 = ("--stratum", "C2", "--phi", "0.3", "--k", "0.1", "--alpha", "1",
                   "--beta", "0.2", "--no-cross-check")
     for argv in (README_C1, small_k_c2):
@@ -338,11 +350,11 @@ def test_conj_searches_once(capsys, monkeypatch, argv):
     res = real(lam)         # a fresh default search
     assert (doc["lower_ok"], doc["upper_ok"]) == (True, res.upper_ok)
     assert (doc["t_conj"], doc["t_max1"]) == (res.t_conj, res.t_max)
-    # a capped search leaves the flags to a second, default-cap search
+    # a horizon cuts the answer of the same one search
     calls["n"] = 0
     code, _, _ = run(capsys, "conj", *argv, "--horizon", "4.0")
     assert code == 0
-    assert calls["n"] == 2
+    assert calls["n"] == 1
 
 
 C2_ARGV = ("--stratum", "C2", "--phi", "0.3", "--k", "0.6", "--alpha", "1.4", "--beta", "0.2")
@@ -380,14 +392,15 @@ def test_one_classification_per_request(capsys, monkeypatch, argv, rows):
 
 def test_cross_check_agreement_is_relative(capsys):
     # t_conj is about 4.6e-5 here, so a gap of 1e-4 times max(1, t_conj)
-    # passed a variational zero 48% away
+    # passed a variational zero 48% away; t_analytic is the search's at
+    # mp_dps(1e-5) = 84 digits (4.6040e-5 at 50 digits)
     code, out, err = run(capsys, "conj", "--stratum", "C2", "--phi", "6.349", "--k", "1e-5",
                          "--alpha", "1", "--beta", "2.208")
     assert code == 3
     assert "disagree" in err
     doc = json.loads(out)
     assert doc["error"] == "solver_disagreement"
-    assert math.isclose(doc["t_analytic"], 4.6040e-5, rel_tol=1e-4)
+    assert math.isclose(doc["t_analytic"], 4.6016e-5, rel_tol=1e-5)
     assert math.isclose(doc["t_variational"], 2.3737e-5, rel_tol=1e-4)
 
 
@@ -500,3 +513,15 @@ def test_phi_sweep_periodicity(tmp_path):
     for i in range(4):
         assert abs(tc[i] - tc[i + 4]) < 1e-6
     assert max(tc) - min(tc) > 1e-3
+
+
+def test_exp_step_limit_is_a_numerical_failure(capsys, monkeypatch):
+    # exp --t 1e300 once integrated for ever; past flow.ODE_MAX_STEPS steps
+    # (patched small here) it exits 3 without output
+    from cartanconj import flow
+    monkeypatch.setattr(flow, "ODE_MAX_STEPS", 50)
+    argv = ("exp", "--theta", "0.3", "--c", "1", "--alpha", "1", "--beta", "0", "--t")
+    code, out, err = run(capsys, *argv, "1e300")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: extremal integration failed: 50 steps reached t = ")
+    assert run(capsys, *argv, "2")[0] == 0

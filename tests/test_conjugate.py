@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -278,23 +277,21 @@ def test_certificate_x1_derivative_identity(rng):
 # ---------------------------------------------------------------------------
 
 def test_special_strata():
-    # no zero on C7, C4, C5 and C3, on C6 under a cap below t_max (4.60),
-    # nor on C1 past the k -> 1 cutoff; t_max is t_max1's to the bit
+    # no zero on C7, C4, C5 and C3, nor on C1 past the k -> 1 cutoff; t_max
+    # is t_max1's (C6 under a horizon is test_cli's)
     c = math.sqrt(2.0 * (1.0 + math.cos(0.7)))
     cases = [
-        (Stratum.C7, Covector(0.0, 0.0, 0.0, 0.0), None),
-        (Stratum.C4, Covector(0.3, 0.0, 1.0, 0.3), None),
-        (Stratum.C5, Covector(0.2 + math.pi, 0.0, 1.0, 0.2), None),
-        (Stratum.C3, Covector(0.7, c, 1.0, 0.0), None),
-        (Stratum.C6, Covector(0.0, 2.0, 0.0, 0.0), 1.0),
-        (Stratum.C1, from_elliptic(EllipticCoord(Stratum.C1, 0.1, 1.0 - 1e-10, 1.0, 0.0)), None),
+        (Stratum.C7, Covector(0.0, 0.0, 0.0, 0.0)),
+        (Stratum.C4, Covector(0.3, 0.0, 1.0, 0.3)),
+        (Stratum.C5, Covector(0.2 + math.pi, 0.0, 1.0, 0.2)),
+        (Stratum.C3, Covector(0.7, c, 1.0, 0.0)),
+        (Stratum.C1, from_elliptic(EllipticCoord(Stratum.C1, 0.1, 1.0 - 1e-10, 1.0, 0.0))),
     ]
-    for stratum, lam, cap in cases:
-        res, want = first_conjugate_time(lam, t_cap=cap), mx.t_max1(lam)
-        assert want.stratum is stratum
-        assert res.t_conj == math.inf
-        assert res.t_max.hex() == want.t_max.hex()
-        assert (res.t_max > cap) if stratum is Stratum.C6 else (res.t_max == math.inf)
+    for stratum, lam in cases:
+        res, want = first_conjugate_time(lam), mx.t_max1(lam)
+        assert want.stratum is res.stratum is stratum
+        assert res.t_conj == res.t_max == want.t_max == math.inf
+        assert res.upper_ok
 
 
 def test_c6_equals_maxwell():
@@ -359,9 +356,10 @@ def test_two_sided_flags(rng):
         lam = random_c1(rng, k_range=(0.15, 0.9)) if rng.random() < 0.5 \
             else random_c2(rng, k_range=(0.35, 0.85))
         res = first_conjugate_time(lam)
+        ec = to_elliptic(lam)
         assert res.upper_ok
         assert res.t_max <= res.t_conj + 1e-6
-        assert res.t_conj <= res.upper + 1e-6
+        assert res.t_conj <= mx.stratum_forms(ec.stratum).upper(ec.k, math.sqrt(ec.alpha)) + 1e-6
 
 
 def test_two_sided_equality_case():
@@ -385,45 +383,44 @@ def _clear_c1_roots():
 
 
 def test_c1_upper_is_the_polished_bound():
-    # the search polishes the larger Maxwell root only where the float64
-    # roots leave the cap open; the reported bound is the polished one
+    # the polished C1 bound lies in the range from the float64 Maxwell roots,
+    # is the same bound after the root caches are cleared, and the search's
+    # flag is the polished bound's
     rng = np.random.default_rng(17)
     for _ in range(20):
         lam = random_c1(rng)
         ec = to_elliptic(lam)
         _clear_c1_roots()
         res = first_conjugate_time(lam)
-        want = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
-        lo, hi = res.upper_range
-        assert lo <= want <= hi
-        assert res.upper.hex() == want.hex() == first_conjugate_time(lam).upper.hex()
+        lo, hi = mx.C1_FORMS.upper_range(ec.k, math.sqrt(ec.alpha))
+        upper = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
+        assert lo <= upper <= hi
+        assert res.upper_ok is (res.t_conj <= upper + cj.BOUND_SLACK)
+        _clear_c1_roots()
+        assert mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha)).hex() == upper.hex()
 
 
 def test_upper_ok_reads_the_polished_bound_only_near_it():
-    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
-    res = first_conjugate_time(lam)
-    ec = to_elliptic(lam)
-    upper = mx.C1_FORMS.upper(ec.k, math.sqrt(ec.alpha))
-    lo, hi = res.upper_range
+    # _upper_ok calls the polish only when t_conj lies in [lo, hi] plus the
+    # slack, once, and the flag is then the polished bound's
+    lo, hi = mx.C1_FORMS.upper_range(0.5, 1.0)
+    upper = mx.C1_FORMS.upper(0.5, 1.0)
     edge = upper + cj.BOUND_SLACK
     reads = []
 
     def polished():
         reads.append(1)
         return upper
-    # near the bound the flag is the polished bound's, read once
     for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf),
               edge - 1e-4, edge + 1e-4, lo + cj.BOUND_SLACK + 1e-9):
         reads.clear()
-        near = replace(res, t_conj=float(t), polished_upper=polished)
-        assert near.upper_ok == (t <= edge)
-        assert near.upper_ok == (t <= edge)         # from the bound read above
+        assert cj._upper_ok(float(t), lo, hi, polished) is bool(t <= edge)
         assert len(reads) == 1
     # clear of the range the float64 roots decide it
     for t, ok in ((lo + cj.BOUND_SLACK, True), (hi + cj.BOUND_SLACK + 1e-9, False),
                   (math.inf, False)):
         reads.clear()
-        assert replace(res, t_conj=t, polished_upper=polished).upper_ok is ok
+        assert cj._upper_ok(t, lo, hi, polished) is ok
         assert not reads
 
 
@@ -575,16 +572,6 @@ def test_first_certain_matches_full_scan(rng, which):
     assert full.any() == (which != "none")
 
 
-def test_horizon_below_first_zero_gives_infinity():
-    lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
-    full = first_conjugate_time(lam)
-    capped = first_conjugate_time(lam, t_cap=0.5 * full.t_max)
-    assert capped.t_conj == math.inf
-    assert capped.t_max == pytest.approx(full.t_max)
-    with pytest.raises(ValueError):
-        first_conjugate_time(lam, t_cap=-1.0)
-
-
 def test_c6_chart_degeneracy():
     """At alpha = 0 the beta-direction acts trivially, so the variational
     Jacobian vanishes identically; the exact C6 dispatch exists because of
@@ -681,11 +668,12 @@ def test_split_scan_finds_the_whole_grid_zero():
         lam = from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4))
         ec = to_elliptic(lam)
         res = first_conjugate_time(lam)
+        upper = mx.stratum_forms(stratum).upper(ec.k, math.sqrt(ec.alpha))
         t_lo = min(scan_start_time(ec), 0.5 * res.t_max)
-        cap = max(3.0 * res.t_max, 1.1 * res.upper)
+        cap = max(3.0 * res.t_max, 1.1 * upper)
         whole = cj._first_zero_analytic(ec, t_lo, cap)
         assert whole.root == res.t_conj
-        for split in (t_lo, res.t_max, res.bracket[0], res.bracket[1], res.upper, cap):
+        for split in (t_lo, res.t_max, res.bracket[0], res.bracket[1], upper, cap):
             assert cj._first_zero_analytic(ec, t_lo, cap, split) == whole
 
 
@@ -719,8 +707,9 @@ def test_float64_search_evaluates_each_time_once(monkeypatch):
         # Brent ran on the float route, and no 1-element array call is left
         assert {tp for tp, _ in calls} == {float, np.ndarray}
         assert all(n > 1 for tp, n in calls if tp is np.ndarray)
-        # the scan stopped short of the 3 t_max horizon: it read up to the upper bound
-        assert max(times) < res.upper + 2 * cj.SCAN_DT < 3.0 * t_max
+        # the scan stopped short of the 3 t_max cap: it read up to the upper bound
+        upper = mx.stratum_forms(stratum).upper(k, 1.0)
+        assert max(times) < upper + 2 * cj.SCAN_DT < 3.0 * t_max
         assert res.residual == abs(float(j1_path(to_elliptic(lam), np.array([res.t_conj]))[0][0]))
 
 
@@ -798,11 +787,34 @@ def test_j1_brent_error_names_stratum_modulus_and_phase(monkeypatch):
         first_conjugate_time(lam)
 
 
+@pytest.mark.parametrize("k", [5e-4, 1e-4, 1e-5, 1e-6])
+def test_small_k_c2_digits_suffice(monkeypatch, k):
+    # below k = 1e-3 the C2 searches take mp_dps(k) digits: 40 more change
+    # no bit of t_max1 or t_conj (with 50 digits at k = 1e-4, J1 was
+    # rounding noise and searches failed)
+    rng = np.random.default_rng(18)
+    real = mx.mp_dps
+
+    def search(lam, extra):
+        mx._p1_v_c2_cached.cache_clear()
+        cj._half_arc_grid.cache_clear()
+        monkeypatch.setattr(mx, "mp_dps", lambda kk: real(kk) + extra)
+        monkeypatch.setattr(cj, "mp_dps", mx.mp_dps)
+        res = first_conjugate_time(lam)
+        return res.t_max.hex(), res.t_conj.hex()
+    for _ in range(3):
+        lam = from_elliptic(EllipticCoord(Stratum.C2, rng.uniform(0.0, 6.5), k, 1.0,
+                                          rng.uniform(-2.0, 2.0)))
+        assert search(lam, 0) == search(lam, 40), lam
+    assert real(k) == {5e-4: 56, 1e-4: 67, 1e-5: 84, 1e-6: 101}[k]
+
+
 def test_small_k_c2_search_fails_only_numerically():
-    # below k ~ 1e-3 the 50-digit C2 values are rounding noise, and some
-    # searches fail; each failure is a NumericalError (a Brent bracket
-    # without a sign change included), never a bare ValueError.  The times
-    # returned in this band are not checked: they are not accurate there.
+    # below k ~ 1e-3 the 50-digit C2 values were rounding noise, and some
+    # searches failed; at mp_dps(k) digits none of these draws does, and a
+    # failure must be a NumericalError (a Brent bracket without a sign
+    # change included), never a bare ValueError.  The times are checked by
+    # test_small_k_c2_digits_suffice.
     rng = np.random.default_rng(1)
     for k in (1e-4, 3e-5, 1e-5, 1e-6):
         for _ in range(12):

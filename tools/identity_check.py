@@ -25,9 +25,12 @@ requests are:
   and ``maxwell`` on C1 at k = 0.999999, whose AGM chain is one of the
   deepest below the k = 1 cutoff;
 - two requests in the k = 1e-4 band of C2, where 50 digits do not resolve
-  J1 and the search fails: ``conj --no-cross-check`` at alpha = 1, beta = 0
-  and phi = 6.41 (a Brent bracket without a sign change) and phi = 4.657 (a
-  zero that undercuts t_max1);
+  J1: ``conj --no-cross-check`` at alpha = 1, beta = 0 and phi = 6.41 (a
+  Brent bracket without a sign change at 50 digits) and phi = 4.657 (a zero
+  that undercut t_max1).  At ``maxwell.mp_dps(k)`` = 67 digits both exit 0,
+  with t_conj one ulp below t_max1, inside ``BOUND_SLACK``; and
+  ``conj --no-cross-check`` on C2 at k = 3e-4 and 1e-6 (phi 1.3, alpha 1,
+  beta 0.5), the band where the digits grow with -log k;
 - the stratum-dispatch edges that the seeded streams never reach: ``conj``
   on C6 with ``--horizon 1.0``, below t_max1 = 4.60, and ``conj
   --no-cross-check`` and ``maxwell`` on C1 at k = 0.9999999999, past
@@ -37,7 +40,11 @@ requests are:
 - the cross-check's closed-form dilation column, which scales as 1/alpha:
   cross-checked ``conj`` at alpha = 0.001 and 400 on C1 and C2 (k 0.9,
   phi 0.7, beta 0.4), and cross-checked ``conj`` with a horizon below the
-  scan start (phi 0, k 0.5, alpha 1, beta 0): 1e-300 on C1 and 0.01 on C2;
+  scan start (phi 0, k 0.5, alpha 1, beta 0): 1e-300 on C1 and 0.01 on C2
+  (the cross-check validates the zero past the horizon);
+- the README's ``conj`` example under a horizon, which cuts the answer and
+  not the search: ``--no-cross-check --horizon 9.6045``, just past t_conj =
+  9.602532015455896, and cross-checked with ``--horizon 4.0``, below it;
 - cross-checked ``conj`` at small moduli, where t_conj is far below 1 and
   the agreement test is relative: C2 at k = 1e-3 and 5e-4 and C1 at
   k = 1e-6 (phi 1.3, alpha 1, beta 0.5), and C2 at k = 1e-5 (phi 6.349,
@@ -119,14 +126,16 @@ def ode_edge_requests() -> list[list[str]]:
 
 def mp_route_requests() -> list[list[str]]:
     """C2 conj requests around maxwell.C2_MP_K and far below it, a deep-chain C1
-    maxwell, and the two failing C2 searches at k = 1e-4."""
+    maxwell, and C2 searches below k = 1e-3, where the digits grow."""
     def covector(stratum, k, phi="0.3", alpha="1.3", beta="0.2"):
         return ["--stratum", stratum, "--phi", phi, "--k", k, "--alpha", alpha, "--beta", beta]
     return [*(["conj", *covector("C2", k), "--no-cross-check"]
               for k in ("0.01", "0.19999999999999998", "0.2")),
             ["maxwell", *covector("C1", "0.999999")],
             *(["conj", *covector("C2", "1e-4", phi, "1", "0"), "--no-cross-check"]
-              for phi in ("6.41", "4.657"))]
+              for phi in ("6.41", "4.657")),
+            *(["conj", *covector("C2", k, "1.3", "1", "0.5"), "--no-cross-check"]
+              for k in ("3e-4", "1e-6"))]
 
 
 def dispatch_edge_requests() -> list[list[str]]:
@@ -146,7 +155,7 @@ def dispatch_edge_requests() -> list[list[str]]:
 
 def cross_check_requests() -> list[list[str]]:
     """Cross-checked conj far from alpha = 1, with a horizon below the scan
-    start, and at small moduli."""
+    start, and at small moduli, and the README example under two horizons."""
     def conj(stratum, phi, k, alpha, beta):
         return ["conj", "--stratum", stratum, "--phi", phi, "--k", k, "--alpha", alpha,
                 "--beta", beta]
@@ -154,6 +163,8 @@ def cross_check_requests() -> list[list[str]]:
               for stratum in ("C1", "C2") for alpha in ("0.001", "400")),
             [*conj("C1", "0", "0.5", "1", "0"), "--horizon", "1e-300"],
             [*conj("C2", "0", "0.5", "1", "0"), "--horizon", "0.01"],
+            [*conj("C1", "0.37", "0.5", "1", "0.4"), "--no-cross-check", "--horizon", "9.6045"],
+            [*conj("C1", "0.37", "0.5", "1", "0.4"), "--horizon", "4.0"],
             *(conj(stratum, "1.3", k, "1", "0.5")
               for stratum, k in (("C2", "1e-3"), ("C2", "5e-4"), ("C1", "1e-6"))),
             conj("C2", "6.349", "1e-5", "1", "2.208")]
