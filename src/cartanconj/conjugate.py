@@ -270,12 +270,12 @@ def _j1(ec: EllipticCoord, t, half=None, mag=True):
 
 
 @lru_cache(maxsize=HALF_ARC_GRIDS)
-def _half_arc_grid(stratum, k, alpha, t_lo, t_end, dt, start, stop):
-    """``_half_arc`` on the float64 scan's grid part np.arange(t_lo, t_end,
-    dt)[start:stop], as read-only arrays.  The phases of a sweep row share
-    their modulus, and with it these grids."""
+def _half_arc_grid(stratum, k, alpha, t_lo, t_end, dt):
+    """``_half_arc`` on the float64 scan's grid np.arange(t_lo, t_end, dt),
+    as read-only arrays.  The phases of a sweep row share their modulus,
+    and with it these grids."""
     half = _half_arc(stratum_forms(stratum), k, math.sqrt(alpha),
-                     np.arange(t_lo, t_end, dt)[start:stop])
+                     np.arange(t_lo, t_end, dt))
     for a in half:
         a.flags.writeable = False
     return half
@@ -333,9 +333,9 @@ def scan_start_time(ec: EllipticCoord) -> float:
     """Earliest time where float64 resolves the sign of J1.
 
     Below this the k- and p-suppressed coefficients sit under the roundoff
-    of their O(1) monomials; J1 there behaves like a one-signed power of p
-    (no conjugate points on short arcs), which the 60-digit samples of
-    verify's sign grids confirm.
+    of their O(1) monomials.  J1 has the sign ``j1_sign`` on (0, min(this,
+    t_max1/2)), where the search starts (the tests check it at two
+    precisions), but not on (0, this): on C2 at small k this is past t_conj1.
     """
     return stratum_forms(ec.stratum).scan_start(ec.k, math.sqrt(ec.alpha))
 
@@ -370,17 +370,17 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
                          t_split: float = math.inf) -> RootInfo | None:
     """First zero of t -> J1 on (t_lo, t_cap], or None.
 
-    The float64 scan evaluates J1 in two array calls at most: on the grid up
-    to the first time past t_split (the caller's upper bound on the zero),
-    then on the rest, built only now, when the first part holds no decided
-    sign change (an arange's elements depend on its start and step alone, so
-    a shorter stop gives the same first times).
-    Panels are decided in grid order, so the zero is the one a scan of the
-    whole grid finds, and the dip rescan runs only when the whole grid holds
-    no decided sign change.  Brent starts from the values that the scan or
-    an ambiguous panel's mpmath check holds.  The half-arc part of each
-    arange part comes from ``_half_arc_grid``, which the searches of one
-    modulus share.
+    The float64 scan makes one pass over the grid np.arange(t_lo, t_end, dt)
+    with t_end one step past t_split (the caller's upper bound on the zero),
+    and a second over the whole grid up to t_cap only when the first holds
+    no decided sign change; the second decides the panels from the one
+    across the first's end onward (an arange's elements depend on its start
+    and step alone, so the grids share their first times).  Panels are
+    decided in grid order, so the zero is the one a scan of the whole grid
+    finds, and the dip rescan runs only when the whole grid holds no decided
+    sign change.  Brent starts from the values that the scan or an ambiguous
+    panel's mpmath check holds.  The half-arc part of each pass comes from
+    ``_half_arc_grid``, which the searches of one modulus share.
 
     Below ``mp_k`` (small C2 moduli) J1 lies under float64 resolution.  The
     kernels' small-k series (``_j1_c2_series``) decide the sign of J1 at the
@@ -418,33 +418,21 @@ def _first_zero_analytic(ec: EllipticCoord, t_lo: float, t_cap: float,
         return brent_root(fmp, ts[i], ts[i + 1], fa=None if sure[i] else vals[i],
                           fb=None if sure[i + 1] else vals[i + 1])
 
-    t_end = min(t_cap, t_split + 2.0 * dt)
-    ts = np.arange(t_lo, t_end, dt)
-    split = min(len(ts), int(np.searchsorted(ts, t_split, side="right")) + 1)
-    vals = noise = np.empty(0)
-    for stop in (split, None):
-        if stop is None and t_end < t_cap:
-            t_end = t_cap
-            ts = np.arange(t_lo, t_end, dt)
-        start, stop = len(vals), len(ts) if stop is None else stop
-        if start == stop:
-            continue
-        first = max(start - 1, 0)           # the panel across the split is new
-        half = _half_arc_grid(ec.stratum, float(ec.k), float(ec.alpha), t_lo, t_end, dt,
-                              start, stop)
-        v, nz = _j1(ec, ts[start:stop], half)[:2]
-        vals, noise = np.concatenate((vals, v)), np.concatenate((noise, nz))
+    start = 0
+    for t_end in sorted({min(t_cap, t_split + dt), t_cap}):
+        ts = np.arange(t_lo, t_end, dt)
+        half = _half_arc_grid(ec.stratum, float(ec.k), float(ec.alpha), t_lo, t_end, dt)
+        vals, noise = _j1(ec, ts, half)[:2]
         clear = np.abs(vals) > SIGN_MARGIN * noise
-        for i in first + sign_changes(vals[first:]):
+        for i in start + sign_changes(vals[start:]):
             a, b = float(ts[i]), float(ts[i + 1])
             if clear[i] and clear[i + 1]:
                 return brent_root(f64, a, b, fa=vals[i], fb=vals[i + 1])
             # ambiguous panel: decide under mpmath
             va, vb = fmp(a), fmp(b)
-            if va == 0.0 or vb == 0.0:
-                return RootInfo(a if va == 0.0 else b, (a, b), 0.0)
-            if va * vb < 0.0:
+            if va * vb <= 0.0:
                 return brent_root(fmp, a, b, fa=va, fb=vb)
+        start = len(ts) - 1                 # the panel across this end is new
     # near-tangential pair hiding inside one panel: refine panels whose
     # interior dips far below the neighborhood scale without a sign change
     absv = np.abs(vals)
@@ -483,14 +471,14 @@ def first_conjugate_time(lam: Covector, cross_validate: bool = False) -> Conjuga
 
     C3/C4/C5/C7 extremals have no zero; on C6 the first conjugate time
     equals the first Maxwell time exactly.  On C1/C2 the analytic J1 is
-    scanned on (t_lo, max(3 t_max, 1.1 upper)], which holds the first zero
-    by the two-sided bounds t_max <= t_conj <= upper, and (optionally)
+    scanned on (t_lo, max(3 t_max, 1.1 hi)], which holds the first zero by
+    the two-sided bounds t_max <= t_conj <= upper <= hi, and (optionally)
     cross-checked against the variational Jacobian; the two must agree to
-    ``AGREEMENT_TOL`` or SolverDisagreement is raised.  The upper bound on
-    C1 has a range from the float64 Maxwell roots, which decides the cap and
-    ``upper_ok`` unless it holds the value that decides them; only then is
-    the bound polished.  The stratum, the elliptic coordinates and t_max1
-    come from ``t_max1``'s record.
+    ``AGREEMENT_TOL`` or SolverDisagreement is raised.  [lo, hi] is the
+    upper bound's range from the float64 Maxwell roots (on C2 the bound
+    itself), so the cap needs no polish; only ``upper_ok`` polishes the C1
+    bound, and only when t_conj lies in that range.  The stratum, the
+    elliptic coordinates and t_max1 come from ``t_max1``'s record.
     """
     mr = t_max1(lam)
     st, ec, t_max = mr.stratum, mr.ec, mr.t_max
@@ -501,7 +489,7 @@ def first_conjugate_time(lam: Covector, cross_validate: bool = False) -> Conjuga
     forms, k, sa = stratum_forms(st), ec.k, math.sqrt(ec.alpha)
     lo, hi = forms.upper_range(k, sa)
     upper = partial(forms.upper, k, sa)
-    cap = 3.0 * t_max if 1.1 * hi < 3.0 * t_max else max(3.0 * t_max, 1.1 * upper())
+    cap = max(3.0 * t_max, 1.1 * hi)
     t_lo = min(scan_start_time(ec), 0.5 * t_max)
     hit = _first_zero_analytic(ec, t_lo, cap, hi)
     if hit is None:

@@ -506,53 +506,17 @@ def exp_trajectory(lam: Covector, t_end: float, n: int):
 # Variational (Jacobi field) flow and the exponential-map Jacobian
 # ---------------------------------------------------------------------------
 
-# (d alpha, d beta) of the four Jacobi fields, which start along theta0, c0,
-# alpha and beta: the derivatives of the c-row with respect to the parameters.
-_DPARAM = ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-
-
-# The 5x7 state (the extremal, then one Jacobi field per parameter) is small
-# enough that numpy's per-operation overhead dominates a row-sliced array
-# form, so every entry is a Python float: about 4x faster per call.  Each
-# entry rounds as it did in that numpy form, so the bits are the same
-# (tests/test_flow.py keeps the numpy form as a reference).  The c-row keeps
-# its terms in d alpha and d beta even where they are 0.0: dropping them would
-# change the signs of zeros (-0.0 * sa - x is +0.0, not -x, where sa < 0 and
-# x is 0.0).
-def _rhs_variational(t, yflat, alpha, beta):
-    th, c, x, y, _, _, _, *fields = yflat.tolist()
-    st, ct = math.sin(th), math.cos(th)
-    sa, ca = math.sin(th - beta), math.cos(th - beta)
-    r2h = 0.5 * (x * x + y * y)
-    aca = alpha * ca
-    rot = 0.5 * (x * ct + y * st)
-    r2c, r2s = r2h * ct, r2h * st
-    out = [c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2s, -r2c]
-    for i, (da, db) in enumerate(_DPARAM):
-        dth, dc, dx, dy = fields[7 * i:7 * i + 4]
-        xdx = x * dx + y * dy
-        out += (dc, -da * sa - aca * (dth - db), -st * dth, ct * dth,
-                0.5 * (dx * st - dy * ct) + rot * dth,
-                xdx * st + r2c * dth, -xdx * ct + r2s * dth)
-    return np.array(out)
-
-
-def _variational_start(lam: Covector, rows: int) -> np.ndarray:
-    """The flattened rows x 7 start: the extremal at (theta0, c0), then the
-    Jacobi fields along theta0, c0 and, in a 5-row state, alpha and beta."""
-    y0 = np.zeros((rows, 7))
-    y0[0, 0] = lam.theta
-    y0[0, 1] = lam.c
-    y0[1, 0] = 1.0
-    y0[2, 1] = 1.0
-    return y0.ravel()
-
-
-# The cross-check integrates the extremal and the two Jacobi fields along
-# theta0 and c0, whose parameter derivatives (d alpha, d beta) are 0: a 3x7
-# state, 21 equations.  Each entry is written out with the rounding of the
-# first two fields of ``_rhs_variational``, zero terms included, so the output
-# is bit for bit its first 21 entries on the same state.
+# The variational systems are small enough that numpy's per-operation
+# overhead dominates a row-sliced array form, so every entry is a Python float
+# (about 4x faster per call) and the result a list, which ``dop853`` converts
+# with ``np.asarray(..., dtype=float)`` like every right-hand side.  Each entry
+# rounds as it did in that numpy form, so the bits are the same
+# (tests/test_flow.py keeps the numpy form as a reference).  The c-rows keep
+# their terms in d alpha and d beta even where they are 0.0: dropping them
+# would change the signs of zeros (-0.0 * sa - x is +0.0, not -x, where sa < 0
+# and x is 0.0).  The cross-check integrates the extremal and the Jacobi
+# fields along theta0 and c0, whose parameter derivatives are 0: a 3x7 state,
+# 21 equations.
 def _rhs_two_fields(t, yflat, alpha, beta):
     (th, c, x, y, _, _, _,
      dth1, dc1, dx1, dy1, _, _, _,
@@ -565,14 +529,45 @@ def _rhs_two_fields(t, yflat, alpha, beta):
     r2c, r2s = r2h * ct, r2h * st
     xdx1 = x * dx1 + y * dy1
     xdx2 = x * dx2 + y * dy2
-    return np.array([
+    return [
         c, -alpha * sa, ct, st, 0.5 * (x * st - y * ct), r2s, -r2c,
         dc1, -0.0 * sa - aca * (dth1 - 0.0), -st * dth1, ct * dth1,
         0.5 * (dx1 * st - dy1 * ct) + rot * dth1,
         xdx1 * st + r2c * dth1, -xdx1 * ct + r2s * dth1,
         dc2, -0.0 * sa - aca * (dth2 - 0.0), -st * dth2, ct * dth2,
         0.5 * (dx2 * st - dy2 * ct) + rot * dth2,
-        xdx2 * st + r2c * dth2, -xdx2 * ct + r2s * dth2])
+        xdx2 * st + r2c * dth2, -xdx2 * ct + r2s * dth2]
+
+
+def _rhs_variational(t, yflat, alpha, beta):
+    """The 5x7 system: ``_rhs_two_fields``, then the Jacobi fields along
+    alpha and beta, whose (d alpha, d beta) are (1, 0) and (0, 1)."""
+    th, _, x, y = yflat[:4].tolist()
+    fields = yflat[21:].tolist()
+    st, ct = math.sin(th), math.cos(th)
+    sa, aca = math.sin(th - beta), alpha * math.cos(th - beta)
+    r2h = 0.5 * (x * x + y * y)
+    rot = 0.5 * (x * ct + y * st)
+    r2c, r2s = r2h * ct, r2h * st
+    out = _rhs_two_fields(t, yflat[:21], alpha, beta)
+    for i, (da, db) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        dth, dc, dx, dy = fields[7 * i:7 * i + 4]
+        xdx = x * dx + y * dy
+        out += (dc, -da * sa - aca * (dth - db), -st * dth, ct * dth,
+                0.5 * (dx * st - dy * ct) + rot * dth,
+                xdx * st + r2c * dth, -xdx * ct + r2s * dth)
+    return out
+
+
+def _variational_start(lam: Covector, rows: int) -> np.ndarray:
+    """The flattened rows x 7 start: the extremal at (theta0, c0), then the
+    Jacobi fields along theta0, c0 and, in a 5-row state, alpha and beta."""
+    y0 = np.zeros((rows, 7))
+    y0[0, 0] = lam.theta
+    y0[0, 1] = lam.c
+    y0[1, 0] = 1.0
+    y0[2, 1] = 1.0
+    return y0.ravel()
 
 
 # weights of the dilation field Y(g) = (x, y, 2z, 3v, 3w)

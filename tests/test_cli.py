@@ -486,6 +486,7 @@ def test_cli_paths_load_no_scipy():
         "     '--t', '3', '--trace', '--steps', '20'],",
         "    ['maxwell', '--theta', '0', '--c', '2', '--alpha', '0', '--beta', '0'],",
         "    ['sweep', '--stratum', 'C2', '--k-range', '0.1:0.9', '--nk', '3', '--nphi', '2'],",
+        "    ['verify', '--suite', 'all', '--seed', '0'],",
         "]",
         "for argv in runs:",
         "    with contextlib.redirect_stdout(io.StringIO()):",

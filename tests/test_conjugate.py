@@ -449,8 +449,8 @@ def test_half_arc_cache_keeps_the_bits(stratum, k, nphi):
 
 
 def test_half_arc_grids_are_read_only():
-    half = cj._half_arc_grid(Stratum.C1, 0.6, 1.3, 0.1, 5.0, 0.01, 3, 200)
-    want = cj._half_arc(mx.C1_FORMS, 0.6, math.sqrt(1.3), np.arange(0.1, 5.0, 0.01)[3:200])
+    half = cj._half_arc_grid(Stratum.C1, 0.6, 1.3, 0.1, 5.0, 0.01)
+    want = cj._half_arc(mx.C1_FORMS, 0.6, math.sqrt(1.3), np.arange(0.1, 5.0, 0.01))
     assert [a.tobytes() for a in half] == [a.tobytes() for a in want]
     assert not any(a.flags.writeable for a in half)
     with pytest.raises(ValueError):
@@ -520,6 +520,21 @@ def test_sign_certain_on_short_and_long_arcs():
     lam = from_elliptic(EllipticCoord(Stratum.C1, 0.37, 0.5, 1.0, 0.4))
     M = JacobianPath(lam, 5.0).matrices([0.05, 0.1, 1.0, 5.0])
     assert cj._sign_certain(M).tolist() == [False, False, True, True]
+
+
+def test_cross_check_grid_holds_a_certain_sign(monkeypatch):
+    # for k in [0.05, 0.95] the search of J0 starts at a grid point whose
+    # sign the integration error cannot flip, not at the index-0 fallback
+    # (on C2 at k <= 1e-2 no grid point is certain: ROADMAP item 25)
+    grids = []
+    first = cj._first_certain
+    monkeypatch.setattr(cj, "_first_certain", lambda M: grids.append(M) or first(M))
+    rng = np.random.default_rng(25)
+    for i in range(16):
+        lam = random_c1(rng) if i % 2 == 0 else random_c2(rng, k_range=(0.05, 0.95))
+        first_conjugate_time(lam, cross_validate=True)
+        assert cj._sign_certain(grids[-1]).any(), lam
+    assert len(grids) == 16
 
 
 # (covector, t_lo, cap) of two cross-checks: the README C1 example
@@ -661,20 +676,54 @@ def test_j1_factors_has_the_bits_of_j1_path():
             assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
-def test_split_scan_finds_the_whole_grid_zero():
+def test_split_scan_finds_the_whole_grid_zero(monkeypatch):
     # the J1 grid is evaluated up to one time past the split first; wherever
-    # the split falls, the zero, its bracket and its residual are unchanged
-    for stratum, k in ((Stratum.C1, 0.5), (Stratum.C1, 0.9), (Stratum.C2, 0.6)):
-        lam = from_elliptic(EllipticCoord(stratum, 0.37, k, 1.0, 0.4))
+    # the split falls, the zero, its bracket and its residual are unchanged,
+    # and mpmath evaluates J1 at the times a scan of the whole grid does, in
+    # the same order: the second pass redoes none of the first's panels.  The
+    # last two arcs have ambiguous panels, which mpmath decides: on C1 a run
+    # of them at the scan start, short of the zero, and on C2 the zero's own
+    for stratum, phi, k, alpha, beta in ((Stratum.C1, 0.37, 0.5, 1.0, 0.4),
+                                         (Stratum.C1, 0.37, 0.9, 1.0, 0.4),
+                                         (Stratum.C2, 0.37, 0.6, 1.0, 0.4),
+                                         (Stratum.C1, -1.41, 0.31, 1.6, 1.37),
+                                         (Stratum.C2, 0.37, 0.27, 1.0, 0.4)):
+        lam = from_elliptic(EllipticCoord(stratum, phi, k, alpha, beta))
         ec = to_elliptic(lam)
         res = first_conjugate_time(lam)
         upper = mx.stratum_forms(stratum).upper(ec.k, math.sqrt(ec.alpha))
         t_lo = min(scan_start_time(ec), 0.5 * res.t_max)
         cap = max(3.0 * res.t_max, 1.1 * upper)
+        whole_times = _recording_j1(monkeypatch, "_j1_scalar_mp")
         whole = cj._first_zero_analytic(ec, t_lo, cap)
+        monkeypatch.undo()
         assert whole.root == res.t_conj
+        assert (len(whole_times) > 0) is (k in (0.31, 0.27))
         for split in (t_lo, res.t_max, res.bracket[0], res.bracket[1], upper, cap):
+            times = _recording_j1(monkeypatch, "_j1_scalar_mp")
             assert cj._first_zero_analytic(ec, t_lo, cap, split) == whole
+            monkeypatch.undo()
+            assert times == whole_times, split
+
+
+def test_j1_keeps_its_sign_below_the_scan_start():
+    # J1 has the sign j1_sign on (0, t_lo), t_lo = min(scan_start_time,
+    # t_max1/2), where the search starts: each sign is J1's at two precisions.
+    # On (0, scan_start_time) itself this fails on C2 at small k (k <= 0.05
+    # at alpha 1), where scan_start_time lies past t_conj1
+    for stratum, ks in ((Stratum.C1, (0.02, 0.1, 0.3, 0.6, 0.9, 0.99)),
+                        (Stratum.C2, (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.6, 0.9, 0.99))):
+        forms = mx.stratum_forms(stratum)
+        for k in ks:
+            for phi in np.linspace(0.0, forms.period(k, 1.3), 4, endpoint=False):
+                lam = from_elliptic(EllipticCoord(stratum, float(phi), k, 1.3, 0.2))
+                ec = to_elliptic(lam)
+                t_lo = min(scan_start_time(ec), 0.5 * mx.t_max1(lam).t_max)
+                for t in t_lo * np.array([1e-3, 1e-2, 0.1, 0.5, 0.999]):
+                    for extra in (20, 60):
+                        with mpmath.workdps(mx.mp_dps(k) + extra):
+                            j1 = cj._j1(ec, mpmath.mpf(float(t)), mag=False)[0]
+                        assert mpmath.sign(j1) == forms.j1_sign, (stratum, k, phi, t, extra)
 
 
 def _recording_j1(monkeypatch, name, calls=None):

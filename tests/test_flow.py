@@ -298,6 +298,8 @@ def _variational_states(rng):
 
 
 def _assert_same_bits(got, want):
+    # as dop853 reads every right-hand side
+    got = np.asarray(got, dtype=float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -314,7 +316,7 @@ def test_rhs_two_fields_bits_match_four_field_form(rng):
     # the extremal and the fields along theta0 and c0, signs of zeros included
     for state, alpha, beta in _variational_states(rng):
         _assert_same_bits(_rhs_two_fields(0.0, state[:21], alpha, beta),
-                          _rhs_variational(0.0, state, alpha, beta)[:21])
+                          _rhs_variational_numpy(0.0, state, alpha, beta)[:21])
 
 
 def test_two_field_jacobian_matches_four_field(rng):

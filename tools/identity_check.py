@@ -46,9 +46,11 @@ requests are:
   not the search: ``--no-cross-check --horizon 9.6045``, just past t_conj =
   9.602532015455896, and cross-checked with ``--horizon 4.0``, below it;
 - cross-checked ``conj`` at small moduli, where t_conj is far below 1 and
-  the agreement test is relative: C2 at k = 1e-3 and 5e-4 and C1 at
-  k = 1e-6 (phi 1.3, alpha 1, beta 0.5), and C2 at k = 1e-5 (phi 6.349,
-  alpha 1, beta 2.208).
+  the agreement test is relative: C2 at k = 3e-2, 1e-2, 1e-3 and 5e-4 and
+  C1 at k = 1e-6 (phi 1.3, alpha 1, beta 0.5), and C2 at k = 1e-5 (phi
+  6.349, alpha 1, beta 2.208).  The variational grid holds a point of
+  certain sign (``conjugate._sign_certain``) at k = 3e-2 and none at
+  k = 1e-2, where the search starts at the grid's first point.
 
 Each checkout runs the whole list in one fresh interpreter, in-process
 through ``cartanconj.cli.main``, one request after another, with BLAS pinned
@@ -166,7 +168,8 @@ def cross_check_requests() -> list[list[str]]:
             [*conj("C1", "0.37", "0.5", "1", "0.4"), "--no-cross-check", "--horizon", "9.6045"],
             [*conj("C1", "0.37", "0.5", "1", "0.4"), "--horizon", "4.0"],
             *(conj(stratum, "1.3", k, "1", "0.5")
-              for stratum, k in (("C2", "1e-3"), ("C2", "5e-4"), ("C1", "1e-6"))),
+              for stratum, k in (("C2", "3e-2"), ("C2", "1e-2"), ("C2", "1e-3"),
+                                 ("C2", "5e-4"), ("C1", "1e-6"))),
             conj("C2", "6.349", "1e-5", "1", "2.208")]
 
 
